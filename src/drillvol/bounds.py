@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError, ParameterError
-from .warped import coth
+from .warped import _require_sinh, coth
 
 __all__ = [
     "CONSTANTS",
@@ -60,9 +60,15 @@ def _require_positive(**kwargs: float) -> None:
             raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_radius(R: float) -> None:
+    """A tube radius R > 0 for which coth(2R) is finite."""
+    _require_positive(R=R)
+    _require_sinh(2.0 * R, f"tube radius {R:g}")
+
+
 def coarse_factor(R: float) -> float:
     """(coth R)^(5/2) (coth 2R)^(1/2): strictly decreasing in R, limit 1."""
-    _require_positive(R=R)
+    _require_radius(R)
     return coth(R) ** 2.5 * coth(2.0 * R) ** 0.5
 
 
@@ -88,7 +94,8 @@ class DrillEstimate:
 
 def drilled_volume_bound(vol_parent: float, l: float, R: float) -> DrillEstimate:
     """Evaluate both volume bounds for drilling a geodesic of length l."""
-    _require_positive(vol_parent=vol_parent, l=l, R=R)
+    _require_positive(vol_parent=vol_parent, l=l)
+    _require_radius(R)
     k = coth(R) * coth(2.0 * R)
     tube_vol = math.pi * l * math.sinh(R) ** 2
     ratio = coth(R) / coth(2.0 * R)

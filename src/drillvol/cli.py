@@ -33,6 +33,7 @@ from .oracle import validate_lemma_curvature
 from .smoothing import smoothed_metric
 from .warped import (
     TubeParams,
+    _require_sinh,
     coth,
     extended_tube_volume,
     hyperbolic_tube,
@@ -53,6 +54,14 @@ def _scalar(text: str) -> float:
     if text == "ln3":
         return math.log(3.0)
     return float(text)
+
+
+def _count(text: str) -> int:
+    """Parse a nonnegative integer flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
 
 
 @dataclass
@@ -95,7 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument("--R", type=_scalar, required=True, help="tube radius")
     p.add_argument("--eps", type=_scalar, required=True, help="smoothing width")
     p.add_argument("--csv", default=None, help="write samples CSV here instead of stdout")
-    p.add_argument("--samples", type=int, default=201)
+    p.add_argument("--samples", type=_count, default=201)
     p.add_argument("--lo", type=_scalar, default=None, help="sample range start")
     p.add_argument("--hi", type=_scalar, default=None, help="sample range end")
 
@@ -125,6 +134,7 @@ def _emit(cfg: CliConfig, out, **pairs) -> None:
 def _cmd_curvature(args, cfg: CliConfig, out) -> int:
     R = args.R
     ext = kerckhoff_extension(R)
+    _require_sinh(2.0 * R, f"tube radius {R:g}")  # k_limit takes coth(2R)
     probe = R - max(0.1, 0.1 * R)
     k = sectional_curvatures(ext, probe)
     ric = ricci_diagonal(ext, probe)
@@ -267,7 +277,12 @@ def run(argv=None) -> int:
         return 2
     precision = args.precision
     if precision is None:
-        precision = int(os.environ.get(PRECISION_ENV, "12"))
+        raw = os.environ.get(PRECISION_ENV, "12")
+        try:
+            precision = int(raw)
+        except ValueError:
+            print(f"error:usage: {PRECISION_ENV} must be an integer, got {raw!r}", file=err)
+            return 2
     cfg = CliConfig(precision=max(1, min(precision, 17)), depth=args.depth)
     try:
         return _COMMANDS[args.command](args, cfg, out)

@@ -29,11 +29,25 @@ Applied to the exponential tube extension against (sinh, cosh) this yields
 the smoothed negatively-curved metric family whose Ricci lower bound
 constant tends to coth(R) coth(2R).
 
-Numerics: every stage integral is memoized on a monotone knot grid; panel
-values and point evaluations use one fixed Gauss-Legendre rule in extended
-precision, so evaluation is seamless across knots (a requirement for the
-value-only finite-difference oracle) and costs O(log n) after construction.
-Each cached integral is verified against adaptive quadrature at build time.
+Numerics: every stage integral has one quadrature level.  The blend stage
+is integrated by parts, so that with D1 = c' - b', D0 = c - b and
+I_k(s) = int_{R-eps}^s w_k phi_eps' dt for w = (D1, D1 (t - R), D0)
+
+    u_blend'(s) = D1(s) phi_eps(s) - I0(s)
+    u_blend(s)  = D0(s) phi_eps(s) - (s - R) I0(s) + I1(s) - I2(s)
+
+and its cache tabulates closed-form integrands only (phi_eps' is the bump);
+phi_eps itself is one lookup in the module-wide ramp table.  Each cache
+holds its antiderivatives on a monotone knot grid; panel values and point
+evaluations use one fixed Gauss-Legendre rule in extended precision, so
+evaluation is seamless across knots (a requirement for the value-only
+finite-difference oracle) and costs O(log n) after construction.  The blend
+totals int (c'' - b'') phi_eps (t - R)^j, which size the corrections, take
+one pass of the same panel rule with beta tabulated once at its nodes.  At
+build time the ramp moments and the blend totals are verified against
+adaptive quadrature of the original integrands.  The Ricci constant is the
+supremum over a uniform grid, refined by bracket grids of 33 points across
+the two cells around the running argmax until the bracket stops shrinking.
 The bump function is evaluated in log space with a hard cutoff to 0 below
 exp(-700) to avoid denormals.
 """
@@ -45,10 +59,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import JunctionError, ParameterError, QuadratureError, SingularAxisError, WidthError
-from .warped import WarpingPair, coth
+from .warped import WarpingPair, _half_neg_ricci, kerckhoff_extension
 
 __all__ = [
     "bump_alpha",
@@ -80,6 +93,14 @@ _COLLAR_POWER = 1.0 / 3.0
 _COLLAR_SPLIT = 2.0 / 3.0
 _COLLAR_RAMP = 0.05
 
+# Knots of the blend stage's panel rule on the blending window.
+_BLEND_KNOTS = 257
+
+# Points of each bracket grid in the refinement of the Ricci supremum: 32
+# cells across the two around the running argmax, so the bracket shrinks
+# sixteenfold per round.
+_BRACKET_POINTS = 33
+
 
 def bump_alpha(r):
     """C-infinity bump exp(-1/r^2) exp(-1/(1-r)^2) on (0, 1), zero outside."""
@@ -93,71 +114,112 @@ def bump_alpha(r):
     return out if out.shape else out[()]
 
 
-class _Cumulative:
-    """Antiderivatives of fun(t) (t - origin)^j, j < moments, memoized on a
-    uniform knot grid.
+def _panels(lo: float, hi: float, n_knots: int):
+    """The knots of n_knots - 1 equal panels on [lo, hi] in extended
+    precision, the Gauss-Legendre nodes of each panel, and its half-width."""
+    knots = np.linspace(np.longdouble(lo), np.longdouble(hi), n_knots)
+    half = 0.5 * (knots[1:] - knots[:-1])
+    mid = 0.5 * (knots[1:] + knots[:-1])
+    return knots, mid[:, None] + half[:, None] * _GL_NODES_LD, half
 
-    The knot values are partial sums of fixed Gauss-Legendre panels computed
-    in extended precision, and point evaluation adds the same rule on the
-    remainder [knot, x], so crossing a knot never introduces a jump beyond
-    extended-precision rounding.  All moments share one evaluation of fun,
-    and each is checked against adaptive quadrature at build time.
+
+class _Cumulative:
+    """Antiderivatives from lo of an integrand with several components,
+    memoized on a uniform knot grid.
+
+    ``fun`` maps an array of points to its component values, stacked on a
+    new last axis.  The knot values are partial sums of fixed
+    Gauss-Legendre panels computed in extended precision, and point
+    evaluation adds the same rule on the remainder [knot, x], so crossing a
+    knot never introduces a jump beyond extended-precision rounding.  All
+    components share one evaluation of fun.
     """
 
-    def __init__(self, fun: Callable, lo: float, hi: float, moments: int = 1,
-                 origin: float = 0.0, n_knots: int = 257, check_tol: float = 5e-12,
-                 label: str = "integral"):
+    def __init__(self, fun: Callable, lo: float, hi: float, n_knots: int):
         self.fun = fun
-        self.origin = origin
-        self._powers = np.arange(moments)
-        self._knots_ld = np.linspace(np.longdouble(lo), np.longdouble(hi), n_knots)
+        self._knots_ld, nodes, half = _panels(lo, hi, n_knots)
         self._knots_f8 = self._knots_ld.astype(np.float64)
-        a, b = self._knots_ld[:-1], self._knots_ld[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        panels = half[:, None] * self._rule(mid[:, None] + half[:, None] * _GL_NODES_LD, _GL_WEIGHTS_LD)
-        self._cum = np.concatenate([np.zeros((1, moments), np.longdouble), np.cumsum(panels, axis=0)])
-        self.totals = tuple(float(v) for v in self._cum[-1])
-        for j, total in enumerate(self.totals):
-            ref, ref_err = quad(lambda t: float(fun(t)) * (t - origin) ** j, lo, hi,
-                                epsabs=1e-13, epsrel=1e-12, limit=400)
-            drift = abs(total - ref)
-            if drift > max(check_tol, 10.0 * ref_err):
-                raise QuadratureError(
-                    f"{label}: panel quadrature of moment {j} disagrees with adaptive "
-                    f"reference by {drift:.3e} on [{lo}, {hi}] (reference error {ref_err:.1e})"
-                )
+        panels = half[:, None] * self._rule(nodes, _GL_WEIGHTS_LD)
+        self._cum = np.concatenate([np.zeros((1, panels.shape[-1]), np.longdouble),
+                                    np.cumsum(panels, axis=0)])
 
-    def _rule(self, t, weights, moments=None):
-        """The rule's weighted sums of fun(t) (t - origin)^j over t's last axis."""
-        vals = self.fun(t)
-        powers = (t - np.asarray(self.origin, dtype=t.dtype))[..., None] ** self._powers[:moments]
-        return np.swapaxes(vals[..., None] * powers, -1, -2) @ weights
+    def _rule(self, t, weights):
+        """The rule's weighted sums of fun's components over t's last axis."""
+        return np.swapaxes(self.fun(t), -1, -2) @ weights
 
-    def __call__(self, x, moments=None):
-        """The first ``moments`` antiderivatives at x (all by default),
-        stacked on a new last axis."""
+    def __call__(self, x):
+        """The antiderivatives at x, stacked on a new last axis.
+
+        They are 0 at or below lo and the totals at or above hi; the rule
+        runs only for x strictly inside.
+        """
         x = np.asarray(x)
         ld = x.dtype == np.longdouble
         knots = self._knots_ld if ld else self._knots_f8
-        nodes = _GL_NODES_LD if ld else _GL_NODES_F8
-        weights = _GL_WEIGHTS_LD if ld else _GL_WEIGHTS_F8
-        xc = np.clip(x, knots[0], knots[-1])
-        idx = np.clip(np.searchsorted(knots, xc, side="right") - 1, 0, len(knots) - 2)
-        a = knots[idx]
-        half = 0.5 * (xc - a)
-        mid = 0.5 * (xc + a)
-        out = self._cum[idx, :moments] + half[..., None] * self._rule(
-            mid[..., None] + half[..., None] * nodes, weights, moments)
+        above = x >= knots[-1]
+        out = np.where(above[..., None], self._cum[-1], self._cum[0])
+        inside = ~above & ~(x <= knots[0])  # NaN stays inside and propagates
+        if np.any(inside):
+            nodes = _GL_NODES_LD if ld else _GL_NODES_F8
+            weights = _GL_WEIGHTS_LD if ld else _GL_WEIGHTS_F8
+            xi = x[inside]
+            idx = np.clip(np.searchsorted(knots, xi, side="right") - 1, 0, len(knots) - 2)
+            a = knots[idx]
+            half = 0.5 * (xi - a)
+            mid = 0.5 * (xi + a)
+            out[inside] = self._cum[idx] + half[..., None] * self._rule(
+                mid[..., None] + half[..., None] * nodes, weights)
         return out if ld else out.astype(np.float64, copy=False)
 
 
+def _check_moments(label: str, totals, fun: Callable, lo: float, hi: float, origin: float) -> None:
+    """Compare totals[j] with adaptive quadrature of fun(t) (t - origin)^j
+    on [lo, hi]; raise QuadratureError on a disagreement.
+
+    The moments' rules mostly sample the same points, so fun's values are
+    memoized across them.
+    """
+    from scipy.integrate import quad
+
+    values: dict[float, float] = {}
+
+    def scalar(t: float) -> float:
+        if t not in values:
+            values[t] = float(fun(t))
+        return values[t]
+
+    for j, total in enumerate(totals):
+        ref, ref_err = quad(lambda t: scalar(t) * (t - origin) ** j, lo, hi,
+                            epsabs=1e-13, epsrel=1e-12, limit=400)
+        drift = abs(total - ref)
+        if drift > max(5e-12, 10.0 * ref_err):
+            raise QuadratureError(
+                f"{label}: panel quadrature of moment {j} disagrees with adaptive "
+                f"reference by {drift:.3e} on [{lo}, {hi}] (reference error {ref_err:.1e})"
+            )
+
+
+def _alpha_moments(t):
+    """alpha(t) t^j for j = 0, 1, 2, stacked on a new last axis."""
+    a = bump_alpha(t)
+    return np.stack([a, a * t, a * (t * t)], axis=-1)
+
+
 class _RampTables:
-    """Module-wide cache: the cumulative moments int_0^x t^j alpha(t) dt, j < 3."""
+    """Module-wide cache: the cumulative moments int_0^x t^j alpha(t) dt,
+    j < 3, and beta at the nodes of the blend-total rule."""
 
     def __init__(self) -> None:
-        self.cum = _Cumulative(bump_alpha, 0.0, 1.0, moments=3, n_knots=1025, label="ramp moments")
+        self.cum = _Cumulative(_alpha_moments, 0.0, 1.0, n_knots=1025)
         self.norm = self.cum._cum[-1, 0]
+        _check_moments("ramp moments", [float(v) for v in self.cum._cum[-1]], bump_alpha,
+                       0.0, 1.0, origin=0.0)
+        # x = (t - R)/eps + 1 maps every blending window onto [0, 1], so the
+        # blend totals of all junctions share these nodes and beta there.
+        # beta is looked up in float64, a quarter of the extended-precision
+        # cost, since the totals are rounded to float64 anyway.
+        _, self.blend_x, self.blend_half = _panels(0.0, 1.0, _BLEND_KNOTS)
+        self.blend_beta = self.cum(self.blend_x.astype(np.float64))[..., 0] / float(self.norm)
 
 
 _tables: Optional[_RampTables] = None
@@ -183,7 +245,7 @@ def _ramp_antiderivative(x, order: int):
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
-    m = t.cum(np.clip(x, 0.0, 1.0), order + 1) / np.asarray(t.norm, dtype=x.dtype)
+    m = t.cum(x) / np.asarray(t.norm, dtype=x.dtype)
     if order == 0:
         return m[..., 0]
     if order == 1:
@@ -271,9 +333,11 @@ class SmoothedJunction:
                 f"{inp.name}: blending window [R-eps, R] leaves the domain (R-eps={R - eps})"
             )
 
-        self._blend = _Cumulative(self._second_blend_delta, R - eps, R, moments=2, origin=R,
-                                  label=f"{inp.name}: blend stage")
-        slope_total, value_total = self._blend.totals
+        self._blend = _Cumulative(self._blend_integrand, R - eps, R, _BLEND_KNOTS)
+        self._totals = self._blend_totals()
+        _check_moments(f"{inp.name}: blend stage", self._totals, self._second_blend_delta,
+                       R - eps, R, origin=R)
+        slope_total, value_total = self._totals
         self.eta_R = float(inp.bp(R)) + slope_total
         self.slope_gap = float(inp.cp(R)) - self.eta_R
         self.kappa_R = float(inp.b(R)) - value_total
@@ -310,9 +374,47 @@ class SmoothedJunction:
     # -- stage machinery ----------------------------------------------------
 
     def _second_blend_delta(self, t):
-        """(c'' - b'') phi_eps, the integrand of the blend-stage cache."""
+        """(c'' - b'') phi_eps, the second derivative of the blend stage.
+
+        c'' and b'' are evaluated only where phi_eps > 0, so that a c
+        undefined below the blending window never meets 0 * nan.
+        """
         t = np.asarray(t)
-        return (self.input.cpp(t) - self.input.bpp(t)) * step_phi(self.eps, self.R, t)
+        phi = np.asarray(step_phi(self.eps, self.R, t))
+        out = np.zeros_like(phi)
+        inside = phi > 0.0
+        if np.any(inside):
+            x = t[inside]
+            out[inside] = (self.input.cpp(x) - self.input.bpp(x)) * phi[inside]
+        return out
+
+    def _blend_totals(self) -> tuple[float, float]:
+        """int (c'' - b'') phi_eps (t - R)^j over [R - eps, R] for j = 0, 1.
+
+        One pass of the panel rule, with beta read from the ramp tables at
+        its nodes.  The by-parts cache is not used here: its boundary terms
+        carry the rounding by which the inputs b', b fail to be exact
+        antiderivatives of b'', of order 1e-16 |b''(R)| eps, which exceeds
+        the check tolerance once sinh(R) is large (R above about 18 for the
+        tube pair).  The seam residuals at R absorb that difference.
+        """
+        tab = _ramp_tables()
+        eps = np.longdouble(self.eps)
+        x = eps * (tab.blend_x - 1)
+        t = np.longdouble(self.R) + x
+        h = (self.input.cpp(t) - self.input.bpp(t)) * tab.blend_beta
+        return tuple(float(eps * (tab.blend_half @ (h * x**j @ _GL_WEIGHTS_LD))) for j in (0, 1))
+
+    def _blend_integrand(self, t):
+        """w_k phi_eps' for w = (D1, D1 (t - R), D0), D1 = c' - b' and
+        D0 = c - b, stacked on a new last axis: the blend cache's integrand."""
+        inp = self.input
+        dt = t.dtype
+        x = t - np.asarray(self.R, dt)
+        eps = np.asarray(self.eps, dt)
+        dphi = _ramp_beta_prime(x / eps + np.asarray(1.0, dt)) / eps
+        d1 = (inp.cp(t) - inp.bp(t)) * dphi
+        return np.stack([d1, d1 * x, (inp.c(t) - inp.b(t)) * dphi], axis=-1)
 
     def _plateaus(self, s, order: int):
         """The two collar plateaus (order 0) or their first or second
@@ -327,9 +429,21 @@ class SmoothedJunction:
         return self._plateaus(s, order) @ coef.astype(s.dtype)
 
     def _blend_parts(self, s):
-        """(u_blend', u_blend) on the collar: int (c'' - b'') phi_eps once and twice."""
-        m = self._blend(s)
-        return m[..., 0], (s - np.asarray(self.R, dtype=s.dtype)) * m[..., 0] - m[..., 1]
+        """(u_blend', u_blend): int (c'' - b'') phi_eps once and twice from
+        R - eps, integrated by parts (see the module docstring).  Both vanish
+        where phi_eps does, and c, c' are evaluated only where it does not."""
+        s = np.asarray(s)
+        phi = np.asarray(step_phi(self.eps, self.R, s))
+        du, u = np.zeros_like(phi), np.zeros_like(phi)
+        inside = phi > 0.0
+        if np.any(inside):
+            inp = self.input
+            t, p = s[inside], phi[inside]
+            i = self._blend(t)
+            du[inside] = (inp.cp(t) - inp.bp(t)) * p - i[..., 0]
+            u[inside] = ((inp.c(t) - inp.b(t)) * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
+                         + i[..., 1] - i[..., 2])
+        return du, u
 
     def _collar_a(self, s):
         return self._blend_parts(s)[1] + self._correction(s, 2, self._coef)
@@ -354,8 +468,7 @@ class SmoothedJunction:
 
     def eta_prime(self, r):
         """Blended second derivative b''(1 - phi_eps) + c'' phi_eps."""
-        r = np.asarray(r)
-        return self.input.bpp(r) + (self.input.cpp(r) - self.input.bpp(r)) * step_phi(self.eps, self.R, r)
+        return self.input.bpp(r) + self._second_blend_delta(r)
 
     def eta(self, r):
         """First integral of eta_prime, anchored to b'(R - eps)."""
@@ -403,8 +516,8 @@ class SmoothedJunction:
         return {
             "slope_knots": len(self._blend._knots_f8),
             "value_knots": len(self._blend._knots_f8),
-            "slope_total": self._blend.totals[0],
-            "value_total": self._blend.totals[1],
+            "slope_total": self._totals[0],
+            "value_total": self._totals[1],
         }
 
     def __repr__(self) -> str:
@@ -428,22 +541,6 @@ def second_derivative_envelope(s: SmoothedJunction, grid_n: int = 4096) -> tuple
     return float(vals.min()), float(vals.max())
 
 
-def _kerckhoff_formulas(R: float):
-    """The six exponential-extension callables, valid on the whole line."""
-    cth = coth(R)
-    tnh = math.tanh(R)
-    sh = math.sinh(R)
-    ch = math.cosh(R)
-    return (
-        lambda r: sh * np.exp(cth * (np.asarray(r) - R)),
-        lambda r: (sh * cth) * np.exp(cth * (np.asarray(r) - R)),
-        lambda r: (sh * cth * cth) * np.exp(cth * (np.asarray(r) - R)),
-        lambda r: ch * np.exp(tnh * (np.asarray(r) - R)),
-        lambda r: (ch * tnh) * np.exp(tnh * (np.asarray(r) - R)),
-        lambda r: (ch * tnh * tnh) * np.exp(tnh * (np.asarray(r) - R)),
-    )
-
-
 @dataclass(frozen=True)
 class SmoothedWarpingFamily:
     """One member of the smoothed metric family at tube radius R.
@@ -463,34 +560,16 @@ class SmoothedWarpingFamily:
     k_eps: float
 
 
-def _golden_max(fun: Callable[[float], float], lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section maximum of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    best = max(fun(a), fun(b), f1, f2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-        best = max(best, f1, f2)
-    return best
-
-
 def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float, grid_n: int) -> float:
-    """Grid supremum of max(-Ric)/2 with golden-section refinement at the peak.
+    """Grid supremum of max(-Ric)/2, refined on bracket grids at the peak.
 
     The refinement guards against the uniform grid aliasing the narrow
-    collar features where the supremum lives.  A warping function that is
-    not positive on the grid is rejected: the collar corrections outweighed
-    b there, which happens when eps is large for a small R.
+    collar features where the supremum lives.  Each round samples the two
+    cells around the running argmax with _BRACKET_POINTS points and keeps
+    the best value seen; it stops once the bracket no longer shrinks.  A
+    warping function that is not positive on the grid is rejected: the
+    collar corrections outweighed b there, which happens when eps is large
+    for a small R.
     """
     rs = np.linspace(lo, hi, grid_n)
     fv = np.asarray(pair.f(rs), float)
@@ -500,27 +579,19 @@ def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float, grid_n: int) -> flo
             f"{pair.name}: a smoothed warping function vanishes inside [{lo:.6g}, {hi:.6g}]; "
             f"use a smaller eps"
         )
-    fp = np.asarray(pair.fp(rs), float)
-    gp = np.asarray(pair.gp(rs), float)
-    fpp = np.asarray(pair.fpp(rs), float)
-    gpp = np.asarray(pair.gpp(rs), float)
-    krt = fpp / fv
-    krl = gpp / gv
-    ktl = fp * gp / (fv * gv)
-    neg_ric = 0.5 * np.maximum(np.maximum(krt + krl, krt + ktl), krl + ktl)
-    i = int(np.argmax(neg_ric))
-    coarse = float(neg_ric[i])
-
-    def point(r: float) -> float:
-        fr, gr = float(pair.f(r)), float(pair.g(r))
-        a = float(pair.fpp(r)) / fr
-        b = float(pair.gpp(r)) / gr
-        c = float(pair.fp(r)) * float(pair.gp(r)) / (fr * gr)
-        return 0.5 * max(a + b, a + c, b + c)
-
-    w_lo = rs[max(i - 1, 0)]
-    w_hi = rs[min(i + 1, grid_n - 1)]
-    return max(coarse, _golden_max(point, float(w_lo), float(w_hi)))
+    vals = _half_neg_ricci(pair, rs, fv, gv)
+    i = int(np.argmax(vals))
+    best = float(vals[i])
+    width = math.inf
+    while True:
+        b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
+        if not b_hi - b_lo < width:
+            return best
+        width = b_hi - b_lo
+        rs = np.linspace(b_lo, b_hi, _BRACKET_POINTS)
+        vals = _half_neg_ricci(pair, rs, np.asarray(pair.f(rs), float), np.asarray(pair.g(rs), float))
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
 
 
 def smoothed_metric(
@@ -543,14 +614,14 @@ def smoothed_metric(
             f"blending window [R-eps, R] reaches the tube core r = 0 (R={R:g}, eps={eps:g}); "
             f"use eps < R"
         )
-    bf, bfp, bfpp, bg, bgp, bgpp = _kerckhoff_formulas(R)
+    ext = kerckhoff_extension(R)
     jf = smooth_junction(
-        JunctionInput(b=bf, bp=bfp, bpp=bfpp, c=np.sinh, cp=np.cosh, cpp=np.sinh,
+        JunctionInput(b=ext.f, bp=ext.fp, bpp=ext.fpp, c=np.sinh, cp=np.cosh, cpp=np.sinh,
                       R=R, name=f"f-junction(R={R:g})"),
         eps,
     )
     jg = smooth_junction(
-        JunctionInput(b=bg, bp=bgp, bpp=bgpp, c=np.cosh, cp=np.sinh, cpp=np.cosh,
+        JunctionInput(b=ext.g, bp=ext.gp, bpp=ext.gpp, c=np.cosh, cp=np.sinh, cpp=np.cosh,
                       R=R, name=f"g-junction(R={R:g})"),
         eps,
     )
@@ -573,7 +644,7 @@ def smoothed_metric(
 def k_eps(R: float, eps: float, grid_n: int = 4096, margin: float = 1.0) -> float:
     """Ricci lower bound constant of the smoothed pair at (R, eps).
 
-    Sampled over [R - delta - 1, R + margin] with golden-section refinement;
+    Sampled over [R - delta - 1, R + margin] with bracket-grid refinement;
     bounded below by the exact constant coth(R) coth(2R) attained on the
     extension region.
     """

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, ParameterError, QuadratureError, SingularAxisError
 
@@ -54,6 +53,14 @@ RadialFunc = Callable[[float], float]
 def coth(x: float) -> float:
     """Hyperbolic cotangent."""
     return math.cosh(x) / math.sinh(x)
+
+
+def _require_sinh(x: float, what: str) -> None:
+    """Reject an argument whose sinh, and with it coth, overflows."""
+    try:
+        math.sinh(x)
+    except OverflowError:
+        raise ParameterError(f"{what} is too large: sinh({x:g}) overflows") from None
 
 
 @dataclass(frozen=True)
@@ -203,16 +210,20 @@ def ricci_lower_bound_constant(
     w.require(r_hi)
 
     rs = np.linspace(r_lo, r_hi, grid_n)
-    fv, fpp = np.asarray(w.f(rs), float), np.asarray(w.fpp(rs), float)
-    gv, gpp = np.asarray(w.g(rs), float), np.asarray(w.gpp(rs), float)
-    fp, gp = np.asarray(w.fp(rs), float), np.asarray(w.gp(rs), float)
+    fv, gv = np.asarray(w.f(rs), float), np.asarray(w.g(rs), float)
     if np.any(fv == 0.0) or np.any(gv == 0.0):
         raise SingularAxisError(f"{w.name}: warping function vanishes inside {interval}")
-    krt = fpp / fv
-    krl = gpp / gv
-    ktl = fp * gp / (fv * gv)
-    neg_ric = np.maximum(np.maximum(krt + krl, krt + ktl), krl + ktl)
-    return 0.5 * float(neg_ric.max())
+    return float(_half_neg_ricci(w, rs, fv, gv).max())
+
+
+def _half_neg_ricci(w: WarpingPair, rs: np.ndarray, fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """Half the largest negated Ricci eigenvalue of ``w`` at each radius of
+    ``rs``, where f and g take the values ``fv`` and ``gv``: the pointwise
+    smallest k with Ric >= -2k."""
+    krt = np.asarray(w.fpp(rs), float) / fv
+    krl = np.asarray(w.gpp(rs), float) / gv
+    ktl = np.asarray(w.fp(rs), float) * np.asarray(w.gp(rs), float) / (fv * gv)
+    return 0.5 * np.maximum(np.maximum(krt + krl, krt + ktl), krl + ktl)
 
 
 def hyperbolic_tube() -> WarpingPair:
@@ -242,6 +253,7 @@ def kerckhoff_extension(R: float) -> WarpingPair:
     """
     if not (R > 0.0) or not np.isfinite(R):
         raise ParameterError(f"extension radius must be positive and finite, got {R}")
+    _require_sinh(R, f"extension radius {R:g}")
     cth = coth(R)
     tnh = math.tanh(R)
     sh = math.sinh(R)
@@ -347,6 +359,8 @@ def warped_volume_quadrature(
         tail_bound = TWO_PI * l * fg / rate
     w.require(lo)
     w.require(r_hi)
+
+    from scipy.integrate import quad
 
     val, abserr = quad(
         lambda t: float(w.f(t)) * float(w.g(t)), lo, r_hi,

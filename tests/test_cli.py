@@ -1,10 +1,13 @@
 """Command line interface: dispatch, machine block, errors, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import FIXTURE_CSV, parse_kv
+from conftest import FIXTURE_CSV, REPO_ROOT, parse_kv
 from drillvol.cli import run
 
 
@@ -44,6 +47,19 @@ class TestUsage:
         code, out, err = invoke(capsys, "analyze", "--input", str(tmp_path / "nope.csv"))
         assert code == 1
         assert err.startswith("error:io:")
+
+    @pytest.mark.parametrize("env,argv,code,category", [
+        ({}, ("bound", "--vol", "2", "--length", "0.5", "--R", "800"), 1, "parameter"),
+        ({}, ("curvature", "--R", "800"), 1, "parameter"),
+        ({"DRILLVOL_PRECISION": "abc"}, ("minvol",), 2, "usage"),
+        ({}, ("smooth", "--R", "0.8", "--eps", "1e-2", "--samples", "-3"), 2, "usage"),
+    ], ids=["bound-overflow", "curvature-overflow", "precision-env", "negative-samples"])
+    def test_error_line_instead_of_traceback(self, capsys, monkeypatch, env, argv, code, category):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        got, out, err = invoke(capsys, *argv)
+        assert got == code
+        assert err.startswith(f"error:{category}:")
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +275,39 @@ def test_version_flag(capsys):
     assert run(["--version"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("drillvol ")
+
+
+SRC_ENV = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+
+# Runs the CLI in a fresh interpreter and reports on stderr whether scipy was
+# imported; sys.argv[1:] are the CLI's arguments.
+SCIPY_PROBE = """\
+import runpy, sys
+sys.argv[0] = "drillvol"
+try:
+    runpy.run_module("drillvol", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(f"scipy_loaded={'scipy' in sys.modules} code={code}", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--version",),
+    ("minvol",),
+    ("bound", "--vol", "0.943", "--length", "0.5", "--R", "0.8"),
+    ("curvature", "--R", "0.8", "--validate", "--samples", "10"),
+    ("analyze", "--input", str(FIXTURE_CSV)),
+])
+def test_scipy_loads_only_to_integrate(argv):
+    """Subcommands that integrate nothing never import scipy."""
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == "scipy_loaded=False code=0"
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, drillvol; print('scipy' in sys.modules)"],
+        env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False"

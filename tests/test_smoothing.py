@@ -21,16 +21,16 @@ from drillvol import (
     smoothed_metric,
     step_phi,
 )
-from drillvol.smoothing import _kerckhoff_formulas, _ramp_beta_prime
-from drillvol.warped import WarpingPair
+from drillvol.smoothing import _ramp_beta_prime
+from drillvol.warped import WarpingPair, kerckhoff_extension
 
 EPS_SEQ = (1e-1, 1e-2, 1e-3)
 
 
 def sinh_junction(R: float) -> JunctionInput:
     """Exponential extension against sinh: the f-side junction."""
-    bf, bfp, bfpp, _, _, _ = _kerckhoff_formulas(R)
-    return JunctionInput(b=bf, bp=bfp, bpp=bfpp, c=np.sinh, cp=np.cosh, cpp=np.sinh,
+    ext = kerckhoff_extension(R)
+    return JunctionInput(b=ext.f, bp=ext.fp, bpp=ext.fpp, c=np.sinh, cp=np.cosh, cpp=np.sinh,
                          R=R, name="f-junction")
 
 
@@ -314,3 +314,52 @@ class TestSmoothedMetric:
         cache = family_08.junction_f.cache
         assert cache["slope_knots"] == 257
         assert cache["value_knots"] == 257
+
+
+# ---------------------------------------------------------------------------
+# Blend totals and the refined Ricci constant
+# ---------------------------------------------------------------------------
+
+CRITERION_7_GRID = [(R, eps) for R in (0.5, 0.8, 1.2) for eps in EPS_SEQ]
+
+
+def half_neg_ricci(pair, rs):
+    """max(-Ric)/2 at each radius of rs, from the pair's six callables."""
+    f, g = np.asarray(pair.f(rs), float), np.asarray(pair.g(rs), float)
+    krt = np.asarray(pair.fpp(rs), float) / f
+    krl = np.asarray(pair.gpp(rs), float) / g
+    ktl = np.asarray(pair.fp(rs), float) * np.asarray(pair.gp(rs), float) / (f * g)
+    return 0.5 * np.maximum(np.maximum(krt + krl, krt + ktl), krl + ktl)
+
+
+@pytest.mark.parametrize("R,eps", CRITERION_7_GRID)
+def test_blend_totals_match_adaptive_quadrature(R, eps):
+    """The cached slope and value totals are int (c'' - b'') phi_eps (t - R)^j."""
+    from scipy.integrate import quad
+
+    fam = cached_family(R, eps)
+    for junction in (fam.junction_f, fam.junction_g):
+        inp = junction.input
+        for j, key in enumerate(("slope_total", "value_total")):
+            ref, _ = quad(lambda t: float((inp.cpp(t) - inp.bpp(t)) * step_phi(eps, R, t)) * (t - R) ** j,
+                          R - eps, R, epsabs=1e-13, epsrel=1e-12, limit=400)
+            assert abs(junction.cache[key] - ref) <= 5e-12
+
+
+@pytest.mark.parametrize("R,eps", CRITERION_7_GRID)
+def test_refined_k_eps_not_below_grid(R, eps):
+    fam = cached_family(R, eps)
+    grid = ricci_lower_bound_constant(fam.pair, (R - fam.delta - 1.0, R + fam.margin), 4096)
+    assert fam.k_eps >= grid
+
+
+@pytest.mark.parametrize("R,eps", [(0.5, 1e-1), (0.8, 1e-2), (1.2, 1e-3)])
+def test_refined_k_eps_is_the_local_supremum(R, eps):
+    """k_eps equals the maximum of -Ric/2 on a 10^5-point grid over the two
+    coarse cells around the 4096-point grid's argmax."""
+    fam = cached_family(R, eps)
+    rs = np.linspace(R - fam.delta - 1.0, R + fam.margin, 4096)
+    i = int(np.argmax(half_neg_ricci(fam.pair, rs)))
+    dense = np.linspace(rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)], 100_001)
+    sup = max(float(half_neg_ricci(fam.pair, chunk).max()) for chunk in np.array_split(dense, 10))
+    assert fam.k_eps == pytest.approx(sup, rel=1e-12, abs=0.0)
