@@ -59,7 +59,6 @@ from .smoothing import (
     SmoothedJunction,
     SmoothedWarpingFamily,
     bump_alpha,
-    k_eps,
     ramp_beta,
     second_derivative_envelope,
     smooth_junction,

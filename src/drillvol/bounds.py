@@ -99,8 +99,11 @@ def drilled_volume_bound(vol_parent: float, l: float, R: float) -> DrillEstimate
     k = coth(R) * coth(2.0 * R)
     tube_vol = math.pi * l * math.sinh(R) ** 2
     ratio = coth(R) / coth(2.0 * R)
-    tight = k ** 1.5 * (vol_parent + tube_vol * (ratio - 1.0))
-    coarse = coarse_factor(R) * vol_parent
+    try:
+        tight = k ** 1.5 * (vol_parent + tube_vol * (ratio - 1.0))
+        coarse = coarse_factor(R) * vol_parent
+    except OverflowError:  # k grows like 1/R^2 as R -> 0
+        raise ParameterError(f"tube radius {R:g} is too small: the bounds overflow") from None
     fits = tube_vol <= vol_parent
     warn: tuple[str, ...] = ()
     if not fits:

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .bounds import drilled_volume_bound, min_volume_corollary
 from .data import analyze_records, emit_plot, emit_report, parse_records
-from .errors import ToolkitError, UsageError
+from .errors import ToolkitError, UsageError, ValidationError
 from .oracle import validate_lemma_curvature
 from .smoothing import smoothed_metric
 from .warped import (
@@ -98,7 +98,7 @@ def build_parser() -> _Parser:
                    help="cross-check closed forms against the finite-difference oracle")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--tol", type=_scalar, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
 
     p = sub.add_parser("smooth", help="smoothed junction summary and samples")
     p.add_argument("--R", type=_scalar, required=True, help="tube radius")
@@ -154,7 +154,10 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
             f"validate_{tag}_pass": report.passed,
         })
         ok = ok and report.passed
-    return 0 if ok else 1
+    if not ok:
+        raise ValidationError(f"closed-form curvatures disagree with the oracle "
+                              f"beyond tolerance {args.tol:g}")
+    return 0
 
 
 def _cmd_smooth(args, cfg: CliConfig, out) -> int:

@@ -262,6 +262,7 @@ def validate_lemma_curvature(
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
     m = DiagonalMetric.from_warping_pair(w, h=h)
+    _check_step(m)
     lo, hi = window if window is not None else _sample_window(w, m.h)
     if not (lo < hi):
         raise ParameterError(f"empty sampling window ({lo}, {hi})")

@@ -1,37 +1,33 @@
 """Smooth interpolation between two functions meeting to first order.
 
-Given b and c with b(R) = c(R) and b'(R) = c'(R), the staged construction
-produces a C-infinity function a_eps equal to b below R - delta(eps) and to
-c above R, with second derivative controlled by those of b and c at R:
+Given b and c with b(R) = c(R) and b'(R) = c'(R), the construction produces
+a C-infinity function a_eps equal to b below R - delta(eps) and to c above
+R, with second derivative controlled by those of b and c at R.  On the
+collar [R - W, R], W(eps) = 2 eps^(1/3), it is one moment-matched
+correction of the blended second derivative:
 
-    1. blend the second derivatives:  eta' = b'' (1 - phi_eps) + c'' phi_eps
-    2. integrate once from R - eps:   eta  = b'(R - eps) + int eta'
-    3. repair the slope gap c'(R) - eta(R) with a flat correction of that
-       mass and zero first moment about R, on the collar [R - W, R]
-    4. integrate again from R - W:    kappa = b(R - W) + int kappa'
-    5. repair the value gap c(R) - kappa(R) with a flat correction of zero
-       mass and that first moment about R, on the same collar
+    a'' = b'' (1 - phi_eps) + c'' phi_eps + lambda_1 psi_1 + lambda_2 psi_2
 
-The collar width is W(eps) = 2 eps^(1/3).  Both corrections are
-combinations of the same two plateaus, one on each side of R - 2W/3, so
-a'' = eta' + lambda_1 psi_1 + lambda_2 psi_2 with lambda from the 2x2 solve
-of int u'' = 0 and int (R - s) u'' = 0 for u = a - b.  The corrections
-carry a slope of order eps across the collar, so their amplitude is
+The plateaus psi_1 and psi_2 lie on either side of R - 2W/3, and lambda
+solves int u'' = 0 and int (R - s) u'' = 0 for u = a - b, which closes the
+slope and value gaps that the blend leaves at R.  The correction carries a
+slope of order eps across the collar, so its amplitude is
 O(eps / W) = O(eps^(2/3)); it and W both tend to 0 with eps.  The plateau
 moments and antiderivatives come in closed form from the module-wide ramp
-tables.  The stage widths are iota = W and omega = W for a nonzero slope and
+tables.  The widths are iota = W and omega = W for a nonzero slope and
 value gap (0 for a zero gap), and delta(eps) = max(eps, iota, omega).  The
 collar may reach below r = 0: only the blending window [R - eps, R] has to
-stay off the tube core, since below R the corrections act on b alone.  When
-eps is large for a small R they can outweigh b and drive a warping function
+stay off the tube core, since below R the correction acts on b alone.  When
+eps is large for a small R it can outweigh b and drive a warping function
 through 0; smoothed_metric rejects such a pair.
 Applied to the exponential tube extension against (sinh, cosh) this yields
 the smoothed negatively-curved metric family whose Ricci lower bound
 constant tends to coth(R) coth(2R).
 
-Numerics: every stage integral has one quadrature level.  The blend stage
-is integrated by parts, so that with D1 = c' - b', D0 = c - b and
-I_k(s) = int_{R-eps}^s w_k phi_eps' dt for w = (D1, D1 (t - R), D0)
+Numerics: a, a' and a'' share one evaluator, and every integral has one
+quadrature level.  The blend is integrated by parts, so that with
+D1 = c' - b', D0 = c - b and I_k(s) = int_{R-eps}^s w_k phi_eps' dt for
+w = (D1, D1 (t - R), D0)
 
     u_blend'(s) = D1(s) phi_eps(s) - I0(s)
     u_blend(s)  = D0(s) phi_eps(s) - (s - R) I0(s) + I1(s) - I2(s)
@@ -42,7 +38,7 @@ holds its antiderivatives on a monotone knot grid; panel values and point
 evaluations use one fixed Gauss-Legendre rule in extended precision, so
 evaluation is seamless across knots (a requirement for the value-only
 finite-difference oracle) and costs O(log n) after construction.  The blend
-totals int (c'' - b'') phi_eps (t - R)^j, which size the corrections, take
+totals int (c'' - b'') phi_eps (t - R)^j, which size the correction, take
 one pass of the same panel rule with beta tabulated once at its nodes.  At
 build time the ramp moments and the blend totals are verified against
 adaptive quadrature of the original integrands.  The Ricci constant is the
@@ -60,8 +56,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import JunctionError, ParameterError, QuadratureError, SingularAxisError, WidthError
-from .warped import WarpingPair, _half_neg_ricci, kerckhoff_extension
+from .errors import JunctionError, ParameterError, QuadratureError, WidthError
+from .warped import WarpingPair, _require_sinh, _ricci_grid, kerckhoff_extension
 
 __all__ = [
     "bump_alpha",
@@ -73,7 +69,6 @@ __all__ = [
     "second_derivative_envelope",
     "SmoothedWarpingFamily",
     "smoothed_metric",
-    "k_eps",
 ]
 
 _GL_NODES_F8, _GL_WEIGHTS_F8 = np.polynomial.legendre.leggauss(24)
@@ -95,6 +90,11 @@ _COLLAR_RAMP = 0.05
 
 # Knots of the blend stage's panel rule on the blending window.
 _BLEND_KNOTS = 257
+
+# The smoothed pair's domain reaches _MARGIN past R, and its Ricci supremum
+# is sampled on _K_GRID_N points of [R - delta - 1, R + _MARGIN].
+_MARGIN = 1.0
+_K_GRID_N = 4096
 
 # Points of each bracket grid in the refinement of the Ricci supremum: 32
 # cells across the two around the running argmax, so the bracket shrinks
@@ -302,9 +302,12 @@ class JunctionInput:
     name: str = "junction"
 
     def validate(self) -> None:
-        v = abs(float(self.b(self.R)) - float(self.c(self.R)))
-        d = abs(float(self.bp(self.R)) - float(self.cp(self.R)))
-        if v > 1e-12 or d > 1e-12:
+        # relative where |c|, |c'| > 1: from R = 10 on, one float64 rounding
+        # of cosh R exceeds an absolute 1e-12
+        c, cp = float(self.c(self.R)), float(self.cp(self.R))
+        v = abs(float(self.b(self.R)) - c)
+        d = abs(float(self.bp(self.R)) - cp)
+        if v > 1e-12 * max(1.0, abs(c)) or d > 1e-12 * max(1.0, abs(cp)):
             raise JunctionError(
                 f"{self.name}: b and c must match to first order at R={self.R}: "
                 f"|b-c|={v:.3e}, |b'-c'|={d:.3e}"
@@ -312,12 +315,13 @@ class JunctionInput:
 
 
 class SmoothedJunction:
-    """The staged interpolant for one junction at one smoothing width.
+    """The moment-matched interpolant for one junction at one smoothing width.
 
-    Exposes the stage functions (eta_prime, eta, kappa_prime, kappa) and the
-    final interpolant a with its first two derivatives.  All evaluators
-    accept scalars or arrays, preserve extended-precision inputs, and equal
-    b / c bit-exactly below the collar [R - delta, R] and to rounding above.
+    Exposes the interpolant a with its first two derivatives, the slope and
+    value gaps that the blend leaves at R, and the widths iota, omega and
+    delta.  The evaluators accept scalars or arrays, preserve
+    extended-precision inputs, and equal b bit-exactly below the collar
+    [R - delta, R] and c to rounding above it.
     """
 
     def __init__(self, inp: JunctionInput, eps: float):
@@ -335,13 +339,11 @@ class SmoothedJunction:
 
         self._blend = _Cumulative(self._blend_integrand, R - eps, R, _BLEND_KNOTS)
         self._totals = self._blend_totals()
-        _check_moments(f"{inp.name}: blend stage", self._totals, self._second_blend_delta,
+        _check_moments(f"{inp.name}: blend stage", self._totals, lambda t: self._blend_stage(t, 2),
                        R - eps, R, origin=R)
         slope_total, value_total = self._totals
-        self.eta_R = float(inp.bp(R)) + slope_total
-        self.slope_gap = float(inp.cp(R)) - self.eta_R
-        self.kappa_R = float(inp.b(R)) - value_total
-        self.value_gap = float(inp.c(R)) - self.kappa_R
+        self.slope_gap = float(inp.cp(R)) - (float(inp.bp(R)) + slope_total)
+        self.value_gap = float(inp.c(R)) - (float(inp.b(R)) - value_total)
         width = _COLLAR_SCALE * self.eps ** _COLLAR_POWER
         self.iota = width if self.slope_gap != 0.0 else 0.0
         self.omega = width if self.value_gap != 0.0 else 0.0
@@ -358,34 +360,38 @@ class SmoothedJunction:
         cut = R - _COLLAR_SPLIT * width
         self._ramp_w = ramp
         self._ramp_starts = np.array([R - width, cut - ramp, cut, R - ramp])
-        # unit corrections: mass 1 with zero first moment about R, and the reverse
+        # the slope gap times the unit correction of mass 1 and zero first
+        # moment about R, plus the value gap times the reverse
         R_ld = np.longdouble(R)
         (m00, m01), (m10, m11) = self._plateaus(R_ld, 1), self._plateaus(R_ld, 2)
         det = m00 * m11 - m01 * m10
-        unit_slope = np.array([m11, -m10]) / det
-        unit_value = np.array([-m01, m00]) / det
-        self._slope_coef = np.longdouble(self.slope_gap) * unit_slope
-        self._coef = self._slope_coef + np.longdouble(self.value_gap) * unit_value
+        self._coef = (np.longdouble(self.slope_gap) * (np.array([m11, -m10]) / det)
+                      + np.longdouble(self.value_gap) * (np.array([-m01, m00]) / det))
         # rounding left by the moment match, carried above R so that a stays
         # seamless at R for the value-only oracle
-        self._res1 = inp.bp(R_ld) + self._collar_a_prime(R_ld) - inp.cp(R_ld)
-        self._res0 = inp.b(R_ld) + self._collar_a(R_ld) - inp.c(R_ld)
+        self._res1 = inp.bp(R_ld) + self._collar(R_ld, 1) - inp.cp(R_ld)
+        self._res0 = inp.b(R_ld) + self._collar(R_ld, 0) - inp.c(R_ld)
 
-    # -- stage machinery ----------------------------------------------------
-
-    def _second_blend_delta(self, t):
-        """(c'' - b'') phi_eps, the second derivative of the blend stage.
-
-        c'' and b'' are evaluated only where phi_eps > 0, so that a c
-        undefined below the blending window never meets 0 * nan.
-        """
-        t = np.asarray(t)
-        phi = np.asarray(step_phi(self.eps, self.R, t))
+    def _blend_stage(self, s, order: int):
+        """(c'' - b'') phi_eps (order 2), or its integral once (1) or twice
+        (0) from R - eps by parts (see the module docstring).  b and c are
+        evaluated only where phi_eps > 0, so that a c undefined below the
+        blending window never meets 0 * nan."""
+        s = np.asarray(s)
+        phi = np.asarray(step_phi(self.eps, self.R, s))
         out = np.zeros_like(phi)
         inside = phi > 0.0
         if np.any(inside):
-            x = t[inside]
-            out[inside] = (self.input.cpp(x) - self.input.bpp(x)) * phi[inside]
+            inp = self.input
+            t, p = s[inside], phi[inside]
+            if order == 2:
+                out[inside] = (inp.cpp(t) - inp.bpp(t)) * p
+            elif order == 1:
+                out[inside] = (inp.cp(t) - inp.bp(t)) * p - self._blend(t)[..., 0]
+            else:
+                i = self._blend(t)
+                out[inside] = ((inp.c(t) - inp.b(t)) * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
+                               + i[..., 1] - i[..., 2])
         return out
 
     def _blend_totals(self) -> tuple[float, float]:
@@ -425,90 +431,41 @@ class SmoothedJunction:
         g = _ramp_antiderivative((s[..., None] - self._ramp_starts.astype(dt)) / w, order) * w**order
         return np.stack([g[..., 0] - g[..., 1], g[..., 2] - g[..., 3]], axis=-1)
 
-    def _correction(self, s, order: int, coef):
-        return self._plateaus(s, order) @ coef.astype(s.dtype)
+    def _collar(self, s, order: int):
+        """a - b, or its first or second derivative, on the collar: the blend
+        stage plus the plateau correction."""
+        return self._blend_stage(s, order) + self._plateaus(s, 2 - order) @ self._coef.astype(s.dtype)
 
-    def _blend_parts(self, s):
-        """(u_blend', u_blend): int (c'' - b'') phi_eps once and twice from
-        R - eps, integrated by parts (see the module docstring).  Both vanish
-        where phi_eps does, and c, c' are evaluated only where it does not."""
-        s = np.asarray(s)
-        phi = np.asarray(step_phi(self.eps, self.R, s))
-        du, u = np.zeros_like(phi), np.zeros_like(phi)
-        inside = phi > 0.0
-        if np.any(inside):
-            inp = self.input
-            t, p = s[inside], phi[inside]
-            i = self._blend(t)
-            du[inside] = (inp.cp(t) - inp.bp(t)) * p - i[..., 0]
-            u[inside] = ((inp.c(t) - inp.b(t)) * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
-                         + i[..., 1] - i[..., 2])
-        return du, u
-
-    def _collar_a(self, s):
-        return self._blend_parts(s)[1] + self._correction(s, 2, self._coef)
-
-    def _collar_a_prime(self, s):
-        return self._blend_parts(s)[0] + self._correction(s, 1, self._coef)
-
-    def _glue(self, r, lower, upper, collar):
-        """lower(r) below R - delta, lower(r) + collar(r) on [R - delta, R],
-        upper(r) above R."""
+    def _eval(self, r, order: int):
+        """a's derivative of the given order at r: b's below R - delta, b's
+        plus the collar's on [R - delta, R], and c's plus the seam residuals
+        above R."""
         r = np.asarray(r)
         if r.dtype.kind != "f":
             r = r.astype(np.float64)
-        R = np.asarray(self.R, dtype=r.dtype)
-        out = np.where(r > R, upper(r), lower(r))
-        inside = (r >= np.asarray(self.R - self.delta, dtype=r.dtype)) & (r <= R)
+        inp = self.input
+        dt = r.dtype
+        R = np.asarray(self.R, dtype=dt)
+        upper = (inp.c, inp.cp, inp.cpp)[order](r)
+        if order == 0:
+            upper = upper + self._res0.astype(dt) + self._res1.astype(dt) * (r - R)
+        elif order == 1:
+            upper = upper + self._res1.astype(dt)
+        out = np.where(r > R, upper, (inp.b, inp.bp, inp.bpp)[order](r))
+        inside = (r >= np.asarray(self.R - self.delta, dtype=dt)) & (r <= R)
         if np.any(inside):
-            out[inside] += collar(r[inside])
+            out[inside] += self._collar(r[inside], order)
         return out if out.shape else out[()]
 
-    # -- stage functions ------------------------------------------------------
-
-    def eta_prime(self, r):
-        """Blended second derivative b''(1 - phi_eps) + c'' phi_eps."""
-        return self.input.bpp(r) + self._second_blend_delta(r)
-
-    def eta(self, r):
-        """First integral of eta_prime, anchored to b'(R - eps)."""
-        inp = self.input
-        return self._glue(r, inp.bp, lambda t: inp.cp(t) - np.asarray(self.slope_gap, t.dtype),
-                          lambda t: self._blend_parts(t)[0])
-
-    def kappa_prime(self, r):
-        """eta plus the slope correction's first integral."""
-        inp = self.input
-        return self._glue(r, inp.bp, inp.cp,
-                          lambda t: self._blend_parts(t)[0] + self._correction(t, 1, self._slope_coef))
-
-    def kappa(self, r):
-        """Second integral of kappa'', anchored to b(R - delta)."""
-        inp = self.input
-        return self._glue(r, inp.b, lambda t: inp.c(t) - np.asarray(self.value_gap, t.dtype),
-                          lambda t: self._blend_parts(t)[1] + self._correction(t, 2, self._slope_coef))
-
     def a(self, r):
-        """The interpolant: kappa plus the value correction's second integral."""
-        inp = self.input
-        return self._glue(
-            r, inp.b,
-            lambda t: inp.c(t) + self._res0.astype(t.dtype)
-            + self._res1.astype(t.dtype) * (t - np.asarray(self.R, t.dtype)),
-            self._collar_a,
-        )
+        """The interpolant: b below R - delta, c above R."""
+        return self._eval(r, 0)
 
     def a_prime(self, r):
-        inp = self.input
-        return self._glue(r, inp.bp, lambda t: inp.cp(t) + self._res1.astype(t.dtype),
-                          self._collar_a_prime)
+        return self._eval(r, 1)
 
     def a_second(self, r):
-        inp = self.input
-        return self._glue(
-            r, inp.bpp, inp.cpp,
-            lambda t: self._second_blend_delta(t) + self._correction(t, 0, self._coef),
-        )
+        return self._eval(r, 2)
 
     @property
     def cache(self) -> dict:
@@ -528,7 +485,7 @@ class SmoothedJunction:
 
 
 def smooth_junction(inp: JunctionInput, eps: float) -> SmoothedJunction:
-    """Build the staged interpolant for ``inp`` at smoothing width ``eps``."""
+    """Build the moment-matched interpolant for ``inp`` at smoothing width ``eps``."""
     return SmoothedJunction(inp, eps)
 
 
@@ -560,26 +517,19 @@ class SmoothedWarpingFamily:
     k_eps: float
 
 
-def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float, grid_n: int) -> float:
+def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float) -> float:
     """Grid supremum of max(-Ric)/2, refined on bracket grids at the peak.
 
     The refinement guards against the uniform grid aliasing the narrow
     collar features where the supremum lives.  Each round samples the two
     cells around the running argmax with _BRACKET_POINTS points and keeps
     the best value seen; it stops once the bracket no longer shrinks.  A
-    warping function that is not positive on the grid is rejected: the
+    warping function that is not positive on a grid is rejected: the
     collar corrections outweighed b there, which happens when eps is large
     for a small R.
     """
-    rs = np.linspace(lo, hi, grid_n)
-    fv = np.asarray(pair.f(rs), float)
-    gv = np.asarray(pair.g(rs), float)
-    if not (np.all(fv > 0.0) and np.all(gv > 0.0)):
-        raise SingularAxisError(
-            f"{pair.name}: a smoothed warping function vanishes inside [{lo:.6g}, {hi:.6g}]; "
-            f"use a smaller eps"
-        )
-    vals = _half_neg_ricci(pair, rs, fv, gv)
+    rs = np.linspace(lo, hi, _K_GRID_N)
+    vals = _ricci_grid(pair, rs)
     i = int(np.argmax(vals))
     best = float(vals[i])
     width = math.inf
@@ -589,22 +539,17 @@ def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float, grid_n: int) -> flo
             return best
         width = b_hi - b_lo
         rs = np.linspace(b_lo, b_hi, _BRACKET_POINTS)
-        vals = _half_neg_ricci(pair, rs, np.asarray(pair.f(rs), float), np.asarray(pair.g(rs), float))
+        vals = _ricci_grid(pair, rs)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
 
 
-def smoothed_metric(
-    R: float,
-    eps: float,
-    margin: float = 1.0,
-    k_grid_n: int = 4096,
-) -> SmoothedWarpingFamily:
+def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
     """Smooth the exponential extension into (sinh, cosh) at radius R.
 
-    Applies the staged construction to both warping functions and packages
-    the result as a warping pair on (-inf, R + margin], together with its
-    sampled Ricci lower bound constant.
+    Applies the moment-matched construction to both warping functions and
+    packages the result as a warping pair on (-inf, R + margin], together
+    with its sampled Ricci lower bound constant.
     """
     if not (R > 0.0) or not np.isfinite(R):
         raise ParameterError(f"tube radius must be positive and finite, got {R}")
@@ -615,6 +560,8 @@ def smoothed_metric(
             f"use eps < R"
         )
     ext = kerckhoff_extension(R)
+    # f g = sinh(2r)/2 on the Ricci grid up to R + margin
+    _require_sinh(2.0 * (R + _MARGIN), f"tube radius {R:g}")
     jf = smooth_junction(
         JunctionInput(b=ext.f, bp=ext.fp, bpp=ext.fpp, c=np.sinh, cp=np.cosh, cpp=np.sinh,
                       R=R, name=f"f-junction(R={R:g})"),
@@ -629,23 +576,13 @@ def smoothed_metric(
     pair = WarpingPair(
         f=jf.a, fp=jf.a_prime, fpp=jf.a_second,
         g=jg.a, gp=jg.a_prime, gpp=jg.a_second,
-        domain=(-math.inf, R + margin),
+        domain=(-math.inf, R + _MARGIN),
         fd_step=_FD_STEP_HINT,
         name=f"smoothed(R={R:g}, eps={eps:g})",
     )
-    k = _ricci_sup_half(pair, R - delta - 1.0, R + margin, k_grid_n)
+    k = _ricci_sup_half(pair, R - delta - 1.0, R + _MARGIN)
     return SmoothedWarpingFamily(
-        R=R, eps=eps, margin=margin,
+        R=R, eps=eps, margin=_MARGIN,
         junction_f=jf, junction_g=jg,
         pair=pair, delta=delta, k_eps=k,
     )
-
-
-def k_eps(R: float, eps: float, grid_n: int = 4096, margin: float = 1.0) -> float:
-    """Ricci lower bound constant of the smoothed pair at (R, eps).
-
-    Sampled over [R - delta - 1, R + margin] with bracket-grid refinement;
-    bounded below by the exact constant coth(R) coth(2R) attained on the
-    extension region.
-    """
-    return smoothed_metric(R, eps, margin=margin, k_grid_n=grid_n).k_eps

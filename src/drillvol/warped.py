@@ -56,11 +56,14 @@ def coth(x: float) -> float:
 
 
 def _require_sinh(x: float, what: str) -> None:
-    """Reject an argument whose sinh, and with it coth, overflows."""
+    """Reject an argument whose sinh, and with it coth, overflows or is
+    infinite: 2R is inf for a finite R near the float64 limit."""
     try:
-        math.sinh(x)
+        if math.isfinite(math.sinh(x)):
+            return
     except OverflowError:
-        raise ParameterError(f"{what} is too large: sinh({x:g}) overflows") from None
+        pass
+    raise ParameterError(f"{what} is too large: sinh({x:g}) overflows")
 
 
 @dataclass(frozen=True)
@@ -209,17 +212,18 @@ def ricci_lower_bound_constant(
     w.require(r_lo)
     w.require(r_hi)
 
-    rs = np.linspace(r_lo, r_hi, grid_n)
-    fv, gv = np.asarray(w.f(rs), float), np.asarray(w.g(rs), float)
-    if np.any(fv == 0.0) or np.any(gv == 0.0):
-        raise SingularAxisError(f"{w.name}: warping function vanishes inside {interval}")
-    return float(_half_neg_ricci(w, rs, fv, gv).max())
+    return float(_ricci_grid(w, np.linspace(r_lo, r_hi, grid_n)).max())
 
 
-def _half_neg_ricci(w: WarpingPair, rs: np.ndarray, fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
+def _ricci_grid(w: WarpingPair, rs: np.ndarray) -> np.ndarray:
     """Half the largest negated Ricci eigenvalue of ``w`` at each radius of
-    ``rs``, where f and g take the values ``fv`` and ``gv``: the pointwise
-    smallest k with Ric >= -2k."""
+    ``rs``, the pointwise smallest k with Ric >= -2k; f and g must be
+    positive there."""
+    fv, gv = np.asarray(w.f(rs), float), np.asarray(w.g(rs), float)
+    if not (np.all(fv > 0.0) and np.all(gv > 0.0)):
+        raise SingularAxisError(
+            f"{w.name}: a warping function is not positive inside [{rs[0]:.6g}, {rs[-1]:.6g}]"
+        )
     krt = np.asarray(w.fpp(rs), float) / fv
     krl = np.asarray(w.gpp(rs), float) / gv
     ktl = np.asarray(w.fp(rs), float) * np.asarray(w.gp(rs), float) / (fv * gv)
@@ -351,6 +355,8 @@ def warped_volume_quadrature(
         lo = r_hi - truncation_depth
         truncated_at = lo
         fg = float(w.f(lo)) * float(w.g(lo))
+        if fg == 0.0:
+            raise QuadratureError(f"{w.name}: integrand underflows to 0 at the truncation point r={lo}")
         rate = (float(w.fp(lo)) * float(w.g(lo)) + float(w.f(lo)) * float(w.gp(lo))) / fg
         if rate <= 0.0:
             raise QuadratureError(

@@ -1,14 +1,20 @@
 """Command line interface: dispatch, machine block, errors, determinism."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_CSV, REPO_ROOT, parse_kv
-from drillvol.cli import run
+from drillvol.cli import PRECISION_ENV, run
 
 
 def invoke(capsys, *argv):
@@ -53,7 +59,13 @@ class TestUsage:
         ({}, ("curvature", "--R", "800"), 1, "parameter"),
         ({"DRILLVOL_PRECISION": "abc"}, ("minvol",), 2, "usage"),
         ({}, ("smooth", "--R", "0.8", "--eps", "1e-2", "--samples", "-3"), 2, "usage"),
-    ], ids=["bound-overflow", "curvature-overflow", "precision-env", "negative-samples"])
+        ({}, ("bound", "--vol", "1", "--length", "1", "--R", "1e-9", "--quadrature-check"),
+         1, "numeric"),
+        ({}, ("--depth", "800", "bound", "--vol", "1", "--length", "1", "--R", "0.5",
+              "--quadrature-check"), 1, "numeric"),
+        ({}, ("smooth", "--R", "400", "--eps", "1e-2"), 1, "parameter"),
+    ], ids=["bound-overflow", "curvature-overflow", "precision-env", "negative-samples",
+            "tiny-radius-underflow", "deep-truncation-underflow", "smooth-overflow"])
     def test_error_line_instead_of_traceback(self, capsys, monkeypatch, env, argv, code, category):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -311,3 +323,90 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", "import sys, drillvol; print('scipy' in sys.modules)"],
         env=SRC_ENV, capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing argv and the environment
+# ---------------------------------------------------------------------------
+
+EDGE_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e-9", "400", "800", "1e308",
+                "ln3/2", "ln3", "junk", "")
+
+
+def numbers(lo: float, hi: float):
+    """An edge token or a plain decimal in [lo, hi]."""
+    return st.one_of(st.sampled_from(EDGE_NUMBERS), st.floats(lo, hi).map(repr))
+
+
+def optional(flag: str, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+COUNTS = st.integers(-2, 50).map(str)
+
+CURVATURE = st.tuples(
+    st.just(["curvature"]), optional("--R", numbers(0.01, 5.0)),
+    st.sampled_from([[], ["--validate"]]), optional("--samples", COUNTS),
+    optional("--tol", numbers(0.0, 1.0)), optional("--seed", st.integers(-2, 5).map(str)))
+
+# smooth's R stays below 8: from there to 354 one build takes seconds
+SMOOTH = st.tuples(
+    st.just(["smooth"]), optional("--R", numbers(0.01, 7.9)),
+    optional("--eps", numbers(1e-4, 1.0)), optional("--samples", COUNTS),
+    optional("--lo", numbers(-5.0, 10.0)), optional("--hi", numbers(-5.0, 10.0)))
+
+BOUND = st.tuples(
+    st.just(["bound"]), optional("--vol", numbers(0.0, 10.0)),
+    optional("--length", numbers(0.0, 5.0)), optional("--R", numbers(0.0, 5.0)),
+    st.sampled_from([[], ["--quadrature-check"]]))
+
+ANALYZE = st.tuples(
+    st.just(["analyze"]),
+    optional("--input", st.sampled_from([str(FIXTURE_CSV), str(REPO_ROOT / "no-such.csv"),
+                                         str(REPO_ROOT / "data")])),
+    st.sampled_from([[], ["--style", "log10"], ["--style", "bogus"]]),
+    st.sampled_from([[], ["--plot", os.devnull]]))
+
+# token soup: flags and numbers in any order; --samples is left out so that
+# no drawn list asks for hundreds of oracle samples
+JUNK = st.lists(st.sampled_from(("curvature", "smooth", "bound", "minvol", "analyze",
+                                 "--R", "--eps", "--vol", "--length", "--validate", "--tol",
+                                 "--precision", "--depth", "--help", "--version", "-x")
+                                + EDGE_NUMBERS), max_size=6).map(lambda t: (t,))
+
+ARGV = st.tuples(
+    optional("--precision", st.sampled_from(["-3", "0", "5", "17", "40", "x"])),
+    optional("--depth", numbers(0.0, 60.0)),
+    st.one_of(CURVATURE, SMOOTH, BOUND, ANALYZE, st.just((["minvol"],)), JUNK),
+).map(lambda parts: parts[0] + parts[1] + [tok for part in parts[2] for tok in part])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=ARGV, precision_env=st.sampled_from([None, "abc", "-2", "3", "99", ""]))
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e-9", "--quadrature-check"],
+         precision_env=None)
+@example(argv=["--depth", "800", "bound", "--vol", "1", "--length", "1", "--R", "0.5",
+               "--quadrature-check"], precision_env=None)
+@example(argv=["smooth", "--R", "400", "--eps", "1e-2"], precision_env=None)
+@example(argv=["curvature", "--R", "0.8", "--validate", "--samples", "5", "--seed", "-1"],
+         precision_env=None)
+@example(argv=["curvature", "--R", "0.8", "--validate", "--samples", "5", "--tol", "0"],
+         precision_env=None)
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e308"], precision_env=None)
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e-151"], precision_env=None)
+def test_any_argv_ends_with_exit_code_and_error_line(argv, precision_env):
+    """Every input exits 0, 1 or 2, a nonzero exit prints an ``error:`` line,
+    and no exception escapes ``run``."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        os.environ.pop(PRECISION_ENV, None)
+        if precision_env is not None:
+            os.environ[PRECISION_ENV] = precision_env
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines()), \
+            err.getvalue()

@@ -170,6 +170,11 @@ class TestValidate:
         with pytest.raises(ParameterError):
             validate_lemma_curvature(tube, samples=0)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-4])
+    def test_needs_positive_step(self, tube, h):
+        with pytest.raises(ParameterError):
+            validate_lemma_curvature(tube, samples=5, h=h)
+
 
 def test_halving_step_reduces_error(tube, kerckhoff08):
     """Second-order convergence: h -> h/2 shrinks the error on >= 90% of samples."""

@@ -151,11 +151,11 @@ class TestJunctionStages:
 
     def test_stage_anchors(self):
         s = smooth_junction(sinh_junction(0.8), 1e-2)
-        # eta equals b' below the blending window and c' + const above R
-        r = 0.8 - s.eps - 0.05
-        assert float(s.eta(r)) == pytest.approx(float(s.input.bp(r)), abs=1e-14)
-        assert float(s.kappa_prime(0.85)) == pytest.approx(math.cosh(0.85), abs=1e-12)
-        assert float(s.kappa(0.8)) == pytest.approx(s.kappa_R, abs=1e-12)
+        # a' equals b' below the collar and c' above R; a meets c at R
+        r = 0.8 - s.delta - 0.05
+        assert float(s.a_prime(r)) == pytest.approx(float(s.input.bp(r)), abs=1e-12)
+        assert float(s.a_prime(0.85)) == pytest.approx(math.cosh(0.85), abs=1e-12)
+        assert float(s.a(0.8)) == pytest.approx(math.sinh(0.8), abs=1e-12)
         # both corrections span the advertised collar width 2 eps^(1/3)
         assert s.iota == pytest.approx(2.0 * s.eps ** (1.0 / 3.0), abs=1e-15)
         assert s.omega == pytest.approx(2.0 * s.eps ** (1.0 / 3.0), abs=1e-15)
@@ -204,6 +204,13 @@ class TestJunctionStages:
             fd2 = (float(s.a_prime(r + h)) - float(s.a_prime(r - h))) / (2 * h)
             assert abs(fd1 - float(s.a_prime(r))) < 1e-5
             assert abs(fd2 - float(s.a_second(r))) < 1e-5
+
+    def test_junction_tolerance_scales_with_cosh(self):
+        """At R = 12 the roundings of sinh R and cosh R alone leave b and c
+        more than an absolute 1e-12 apart; the family still builds."""
+        fam = smoothed_metric(12.0, 1e-2)
+        assert fam.k_eps >= coth(12.0) * coth(24.0)
+        assert math.isfinite(fam.k_eps)
 
     def test_junction_hypothesis_enforced(self):
         bad = JunctionInput(b=np.sinh, bp=np.cosh, bpp=np.sinh,
