@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError, ParameterError
-from .warped import _require_sinh, coth
+from .warped import TubeParams, _require_sinh, coth, extended_tube_volume, tube_volume
 
 __all__ = [
     "CONSTANTS",
@@ -97,13 +97,20 @@ def drilled_volume_bound(vol_parent: float, l: float, R: float) -> DrillEstimate
     _require_positive(vol_parent=vol_parent, l=l)
     _require_radius(R)
     k = coth(R) * coth(2.0 * R)
-    tube_vol = math.pi * l * math.sinh(R) ** 2
+    params = TubeParams(R=R, l=l)
+    tube_vol = tube_volume(params)
     ratio = coth(R) / coth(2.0 * R)
     try:
         tight = k ** 1.5 * (vol_parent + tube_vol * (ratio - 1.0))
         coarse = coarse_factor(R) * vol_parent
     except OverflowError:  # k grows like 1/R^2 as R -> 0
         raise ParameterError(f"tube radius {R:g} is too small: the bounds overflow") from None
+    values = {"tube volume": tube_vol, "extended tube volume": extended_tube_volume(params),
+              "tight bound": tight, "coarse bound": coarse}
+    overflow = [name for name, value in values.items() if not math.isfinite(value)]
+    if overflow:
+        raise ParameterError(f"{', '.join(overflow)} not finite for vol={vol_parent:g}, "
+                             f"l={l:g}, R={R:g}")
     fits = tube_vol <= vol_parent
     warn: tuple[str, ...] = ()
     if not fits:

@@ -6,7 +6,11 @@ second-order differences, differences those again for the curvature tensor,
 and never touches the analytic derivatives carried by a warping pair.
 
 The metric depends on r alone, so every derivative stencil is
-one-dimensional.  Internal arithmetic runs in extended precision
+one-dimensional, and one array path serves any number of radii: each
+component is called once on the stencil points of all of them, and the
+symbols and the tensor are array expressions over the radii;
+``christoffel_fd``, ``riemann_fd`` and ``sectional_fd`` are its one-radius
+calls.  Internal arithmetic runs in extended precision
 (``numpy.longdouble``): with float64 arithmetic the nested differencing is
 roundoff-limited near the default step and halving the step would not reduce
 the error, while in extended precision the scheme stays cleanly second
@@ -18,12 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .warped import WarpingPair, sectional_curvatures
+from .warped import WarpingPair, _sectional_grid
 
 __all__ = [
     "DiagonalMetric",
@@ -39,6 +43,8 @@ _LD = np.longdouble
 # Frame index convention: 0 = r, 1 = theta, 2 = lambda.
 PLANES = ((0, 1), (0, 2), (1, 2))
 PLANE_NAMES = {(0, 1): "r_theta", (0, 2): "r_lambda", (1, 2): "theta_lambda"}
+_PLANE_AXES = tuple(np.array(PLANES).T)  # (i of each plane, j of each plane)
+_STENCIL = np.array([-1, 0, 1], dtype=_LD)
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,9 @@ class DiagonalMetric:
     """Three diagonal component functions of r, plus the difference step h.
 
     ``comps`` holds (g_rr, g_theta_theta, g_lambda_lambda); g_rr is
-    identically 1 for the metrics treated here.  Components must be strictly
-    positive wherever they are evaluated.
+    identically 1 for the metrics treated here.  Each component is called
+    on a longdouble array of radii of any shape and must return its values
+    elementwise (a scalar broadcasts), strictly positive wherever evaluated.
     """
 
     comps: tuple[Callable, Callable, Callable]
@@ -59,8 +66,8 @@ class DiagonalMetric:
     def from_warping_pair(cls, w: WarpingPair, h: Optional[float] = None) -> "DiagonalMetric":
         """Squared-component metric of a warping pair.
 
-        Uses the pair's ``fd_step`` hint when ``h`` is not given; analytic
-        pairs default to 1e-4.
+        Uses the pair's ``fd_step`` hint when ``h`` is not given; pairs
+        without one default to 1e-4.
         """
         if h is None:
             h = w.fd_step if w.fd_step is not None else 1e-4
@@ -83,43 +90,47 @@ class DiagonalMetric:
             )
 
 
-def _component_values(m: DiagonalMetric, points: Sequence) -> np.ndarray:
-    """Evaluate all three components at all stencil points, extended precision."""
-    out = np.empty((len(points), 3), dtype=_LD)
-    for i, r in enumerate(points):
-        for k, c in enumerate(m.comps):
-            out[i, k] = c(r)
-    return out
+def _riemann_ld(m: DiagonalMetric, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Christoffel symbols Gamma[..., k, i, j], lowered curvature tensor
+    R[..., rho, sig, mu, nu] and metric diagonal at each radius of the
+    longdouble array ``r``.
 
-
-def _christoffel_from_values(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    """Levi-Civita symbols of a diagonal r-dependent metric.
-
-    G and dG are the diagonal components and their r-derivatives at one
-    point.  Gamma^k_{ij} = (1/2) g^{kk} (d_i g_{jk} + d_j g_{ik} - d_k g_{ij})
-    with only the r-derivative (index 0) nonzero.
+    Each component is called once, on the points (r + a h) + b h for a, b in
+    {-1, 0, 1}: the b-differences give Gamma at r + a h, and the
+    a-differences of those give its r-derivative.
     """
-    gam = np.zeros((3, 3, 3), dtype=_LD)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                t = _LD(0)
-                if i == 0 and j == k:
-                    t += dG[k]
-                if j == 0 and i == k:
-                    t += dG[k]
-                if k == 0 and i == j:
-                    t -= dG[i]
-                if t != 0:
-                    gam[k, i, j] = t / (2 * G[k])
-    return gam
-
-
-def _christoffel_ld(m: DiagonalMetric, r) -> np.ndarray:
     h = _LD(m.h)
-    vals = _component_values(m, (r - h, r, r + h))
-    dG = (vals[2] - vals[0]) / (2 * h)
-    return _christoffel_from_values(vals[1], dG)
+    step = _STENCIL * h
+    pts = (r[..., None] + step)[..., None] + step  # [..., a, b]
+    vals = np.stack([np.broadcast_to(np.asarray(c(pts), dtype=_LD), pts.shape)
+                     for c in m.comps], axis=-1)
+    G = vals[..., 1, :]
+    dG = (vals[..., 2, :] - vals[..., 0, :]) / (2 * h)
+    # Gamma^k_ij = (1/2) g^kk (d_i g_jk + d_j g_ik - d_k g_ij), only d_r nonzero:
+    # Gamma^k_rk = Gamma^k_kr = d_r g_kk / (2 g_kk), Gamma^r_ii = -d_r g_ii / (2 g_rr)
+    k = np.arange(3)
+    gam = np.zeros(G.shape + (3, 3), dtype=_LD)  # [..., a, k, i, j]
+    gam[..., k, 0, k] = gam[..., k, k, 0] = dG / (2 * G)
+    gam[..., 0, k[1:], k[1:]] = -dG[..., 1:] / (2 * G[..., :1])
+    dgam = (gam[..., 2, :, :, :] - gam[..., 0, :, :, :]) / (2 * h)
+    gam, G = gam[..., 1, :, :, :], G[..., 1, :]
+
+    # R^rho_{sig mu nu} = d_mu Gamma^rho_{nu sig} - d_nu Gamma^rho_{mu sig}
+    #                     + Gamma^rho_{mu lam} Gamma^lam_{nu sig} - (mu <-> nu)
+    dgam_t, gam_t = np.swapaxes(dgam, -1, -2), np.swapaxes(gam, -1, -2)  # [..., k, j, i]
+    up = np.zeros(G.shape + (3, 3, 3), dtype=_LD)  # [..., rho, sig, mu, nu]
+    up[..., 0, :] = dgam_t
+    up[..., 0] -= dgam_t
+    for lam in range(3):  # summed in index order, like the scalar reference in the tests
+        p = gam[..., :, None, :, None, lam] * gam_t[..., lam, None, :, None, :]
+        up += p - np.swapaxes(p, -1, -2)
+    return gam, G[..., :, None, None, None] * up, G
+
+
+def _sectional_ld(m: DiagonalMetric, r: np.ndarray, i, j) -> np.ndarray:
+    """Sectional curvature of the frame plane (i, j) at each radius of ``r``."""
+    _, low, G = _riemann_ld(m, r)
+    return low[..., i, j, i, j] / (G[..., i] * G[..., j])
 
 
 def christoffel_fd(m: DiagonalMetric, r: float) -> np.ndarray:
@@ -129,53 +140,14 @@ def christoffel_fd(m: DiagonalMetric, r: float) -> np.ndarray:
     """
     m.require_margin(r)
     _check_step(m)
-    return np.asarray(_christoffel_ld(m, _LD(r)), dtype=float)
-
-
-def _riemann_ld(m: DiagonalMetric, r) -> tuple[np.ndarray, np.ndarray]:
-    """Lowered curvature tensor R[rho, sig, mu, nu] and metric diagonal at r."""
-    h = _LD(m.h)
-    gam_m = _christoffel_ld(m, r - h)
-    gam_0 = _christoffel_ld(m, r)
-    gam_p = _christoffel_ld(m, r + h)
-    dgam = (gam_p - gam_m) / (2 * h)
-    G = _component_values(m, (r,))[0]
-
-    up = np.zeros((3, 3, 3, 3), dtype=_LD)
-    for rho in range(3):
-        for sig in range(3):
-            for mu in range(3):
-                for nu in range(3):
-                    t = _LD(0)
-                    if mu == 0:
-                        t += dgam[rho, nu, sig]
-                    if nu == 0:
-                        t -= dgam[rho, mu, sig]
-                    for lam in range(3):
-                        t += (
-                            gam_0[rho, mu, lam] * gam_0[lam, nu, sig]
-                            - gam_0[rho, nu, lam] * gam_0[lam, mu, sig]
-                        )
-                    up[rho, sig, mu, nu] = t
-    low = G[:, None, None, None] * up
-    return low, G
+    return np.asarray(_riemann_ld(m, np.asarray(r, dtype=_LD))[0], dtype=float)
 
 
 def riemann_fd(m: DiagonalMetric, r: float) -> np.ndarray:
     """Lowered curvature tensor R_{rho sig mu nu} at r (float64)."""
     m.require_margin(r)
     _check_step(m)
-    low, _ = _riemann_ld(m, _LD(r))
-    return np.asarray(low, dtype=float)
-
-
-def frame_riemann_fd(m: DiagonalMetric, r: float) -> np.ndarray:
-    """Curvature tensor in the orthonormal frame e_k = X_k / sqrt(g_kk)."""
-    m.require_margin(r)
-    low, G = _riemann_ld(m, _LD(r))
-    s = np.sqrt(G)
-    norm = s[:, None, None, None] * s[None, :, None, None] * s[None, None, :, None] * s[None, None, None, :]
-    return np.asarray(low / norm, dtype=float)
+    return np.asarray(_riemann_ld(m, np.asarray(r, dtype=_LD))[1], dtype=float)
 
 
 def sectional_fd(m: DiagonalMetric, r: float, plane: tuple[int, int]) -> float:
@@ -189,8 +161,7 @@ def sectional_fd(m: DiagonalMetric, r: float, plane: tuple[int, int]) -> float:
         raise ParameterError(f"plane must be two distinct indices in 0..2, got {plane}")
     m.require_margin(r)
     _check_step(m)
-    low, G = _riemann_ld(m, _LD(r))
-    return float(low[i, j, i, j] / (G[i] * G[j]))
+    return float(_sectional_ld(m, np.asarray(r, dtype=_LD), i, j))
 
 
 def _check_step(m: DiagonalMetric) -> None:
@@ -266,17 +237,12 @@ def validate_lemma_curvature(
     lo, hi = window if window is not None else _sample_window(w, m.h)
     if not (lo < hi):
         raise ParameterError(f"empty sampling window ({lo}, {hi})")
-    rng = np.random.default_rng(seed)
-    radii = rng.uniform(lo, hi, samples)
+    w.require(lo)
+    w.require(hi)
+    radii = np.random.default_rng(seed).uniform(lo, hi, samples)
 
-    closed = np.empty((samples, 3))
-    orac = np.empty((samples, 3))
-    for i, r in enumerate(radii):
-        k = sectional_curvatures(w, float(r))
-        closed[i] = (k.k_rtheta, k.k_rlambda, k.k_thetalambda)
-        low, G = _riemann_ld(m, _LD(float(r)))
-        for j, (a, b) in enumerate(PLANES):
-            orac[i, j] = float(low[a, b, a, b] / (G[a] * G[b]))
+    closed = np.stack(_sectional_grid(w, radii), axis=-1)
+    orac = np.asarray(_sectional_ld(m, radii.astype(_LD), *_PLANE_AXES), dtype=float)
     abs_err = np.abs(closed - orac)
     rel_err = abs_err / np.maximum(np.abs(closed), 1e-3)
     max_rel = float(rel_err.max())

@@ -109,7 +109,8 @@ class WarpingPair:
     ``axis_curvature`` supplies the analytic curvature limit at the axis.
 
     ``fd_step`` is an optional hint for value-only finite differencing of
-    this pair; table-backed pairs set it to resolve their narrowest feature.
+    this pair; table-backed pairs set it to resolve their narrowest feature,
+    and the exponential extension shrinks it with its rate coth R.
     """
 
     f: RadialFunc
@@ -164,22 +165,28 @@ def sectional_curvatures(w: WarpingPair, r: float) -> SectionalCurvatures:
     """Closed-form curvatures of the coordinate planes of ``w`` at radius ``r``.
 
     At a smooth axis (f = 0) the analytic limit is returned for pairs that
-    declare one; for any other vanishing of f or g this raises
+    declare one; where f or g is not positive otherwise this raises
     :class:`SingularAxisError`.
     """
     w.require(r)
-    fr = float(w.f(r))
-    gr = float(w.g(r))
-    if fr == 0.0 or gr == 0.0:
-        if w.axis_curvature is not None:
-            return w.axis_curvature
+    if w.axis_curvature is not None and (float(w.f(r)) == 0.0 or float(w.g(r)) == 0.0):
+        return w.axis_curvature
+    return SectionalCurvatures(*(float(k) for k in _sectional_grid(w, np.asarray(r, float))))
+
+
+def _sectional_grid(w: WarpingPair, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K_rtheta, K_rlambda and K_thetalambda of ``w`` at each radius of
+    ``rs``; f and g must be positive there."""
+    fv, gv = np.asarray(w.f(rs), float), np.asarray(w.g(rs), float)
+    if not (np.all(fv > 0.0) and np.all(gv > 0.0)):
         raise SingularAxisError(
-            f"{w.name}: warping function vanishes at r={r}; curvature undefined"
+            f"{w.name}: a warping function is not positive inside "
+            f"[{np.min(rs):.6g}, {np.max(rs):.6g}]"
         )
-    return SectionalCurvatures(
-        k_rtheta=-float(w.fpp(r)) / fr,
-        k_rlambda=-float(w.gpp(r)) / gr,
-        k_thetalambda=-float(w.fp(r)) * float(w.gp(r)) / (fr * gr),
+    return (
+        -np.asarray(w.fpp(rs), float) / fv,
+        -np.asarray(w.gpp(rs), float) / gv,
+        -np.asarray(w.fp(rs), float) * np.asarray(w.gp(rs), float) / (fv * gv),
     )
 
 
@@ -219,15 +226,8 @@ def _ricci_grid(w: WarpingPair, rs: np.ndarray) -> np.ndarray:
     """Half the largest negated Ricci eigenvalue of ``w`` at each radius of
     ``rs``, the pointwise smallest k with Ric >= -2k; f and g must be
     positive there."""
-    fv, gv = np.asarray(w.f(rs), float), np.asarray(w.g(rs), float)
-    if not (np.all(fv > 0.0) and np.all(gv > 0.0)):
-        raise SingularAxisError(
-            f"{w.name}: a warping function is not positive inside [{rs[0]:.6g}, {rs[-1]:.6g}]"
-        )
-    krt = np.asarray(w.fpp(rs), float) / fv
-    krl = np.asarray(w.gpp(rs), float) / gv
-    ktl = np.asarray(w.fp(rs), float) * np.asarray(w.gp(rs), float) / (fv * gv)
-    return 0.5 * np.maximum(np.maximum(krt + krl, krt + ktl), krl + ktl)
+    krt, krl, ktl = _sectional_grid(w, rs)
+    return -0.5 * np.minimum(np.minimum(krt + krl, krt + ktl), krl + ktl)
 
 
 def hyperbolic_tube() -> WarpingPair:
@@ -284,6 +284,8 @@ def kerckhoff_extension(R: float) -> WarpingPair:
     return WarpingPair(
         f=f, fp=fp, fpp=fpp, g=g, gp=gp, gpp=gpp,
         domain=(-math.inf, R),
+        # the fastest rate is coth R: keep h coth R near 1e-3 as R -> 0
+        fd_step=min(1e-4, 1e-3 * tnh),
         name=f"kerckhoff_extension(R={R:g})",
     )
 

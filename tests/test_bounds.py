@@ -60,6 +60,11 @@ class TestDrilledVolumeBound:
         with pytest.raises(ParameterError):
             drilled_volume_bound(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("vol,l,R", [(1e308, 1.0, 0.5), (1.0, 1e308, 3.0), (1.0, 1e308, 30.0)])
+    def test_rejects_infinite_results(self, vol, l, R):
+        with pytest.raises(ParameterError, match="not finite"):
+            drilled_volume_bound(vol, l, R)
+
     @given(
         vol=st.floats(0.1, 50.0),
         l=st.floats(0.01, 5.0),

@@ -395,9 +395,12 @@ ARGV = st.tuples(
          precision_env=None)
 @example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e308"], precision_env=None)
 @example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e-151"], precision_env=None)
+@example(argv=["bound", "--vol", "1e308", "--length", "1", "--R", "0.5"], precision_env=None)
+@example(argv=["bound", "--vol", "1", "--length", "1e308", "--R", "3"], precision_env=None)
 def test_any_argv_ends_with_exit_code_and_error_line(argv, precision_env):
     """Every input exits 0, 1 or 2, a nonzero exit prints an ``error:`` line,
-    and no exception escapes ``run``."""
+    a zero exit prints no infinite or NaN ``key=value``, and no exception
+    escapes ``run``."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -410,3 +413,7 @@ def test_any_argv_ends_with_exit_code_and_error_line(argv, precision_env):
     if code:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines()), \
             err.getvalue()
+    else:
+        non_finite = [line for line in out.getvalue().splitlines()
+                      if line.partition("=")[2] in ("inf", "-inf", "nan")]
+        assert not non_finite, non_finite

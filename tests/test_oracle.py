@@ -1,6 +1,8 @@
 """Finite-difference oracle: Christoffel symbols, curvature tensor, validation."""
 
+import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +19,8 @@ from drillvol import (
     sectional_fd,
     validate_lemma_curvature,
 )
-from drillvol.oracle import PLANES, frame_riemann_fd
+from drillvol.cli import run
+from drillvol.oracle import PLANES
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +114,56 @@ def test_riemann_symmetries(pair_name, request):
         assert np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))) < 1e-6
 
 
+def _scalar_loops(m, r):
+    """Christoffel symbols and lowered curvature tensor at r from scalar
+    component calls and index loops: the reference for the array path."""
+    ld = np.longdouble
+    h, r = ld(m.h), ld(r)
+
+    def christoffel(x):
+        G = [np.array([c(p) for c in m.comps], dtype=ld) for p in (x - h, x, x + h)]
+        dG = (G[2] - G[0]) / (2 * h)
+        gam = np.zeros((3, 3, 3), dtype=ld)
+        for k, i, j in itertools.product(range(3), repeat=3):
+            t = ld(0)
+            if i == 0 and j == k:
+                t += dG[k]
+            if j == 0 and i == k:
+                t += dG[k]
+            if k == 0 and i == j:
+                t -= dG[i]
+            if t != 0:
+                gam[k, i, j] = t / (2 * G[1][k])
+        return gam
+
+    gam = christoffel(r)
+    dgam = (christoffel(r + h) - christoffel(r - h)) / (2 * h)
+    up = np.zeros((3, 3, 3, 3), dtype=ld)
+    for rho, sig, mu, nu in itertools.product(range(3), repeat=4):
+        t = ld(0)
+        if mu == 0:
+            t += dgam[rho, nu, sig]
+        if nu == 0:
+            t -= dgam[rho, mu, sig]
+        for lam in range(3):
+            t += gam[rho, mu, lam] * gam[lam, nu, sig] - gam[rho, nu, lam] * gam[lam, mu, sig]
+        up[rho, sig, mu, nu] = t
+    G = np.array([c(r) for c in m.comps], dtype=ld)
+    return np.asarray(gam, float), np.asarray(G[:, None, None, None] * up, float)
+
+
+def test_array_path_equals_scalar_loops(flat_metric, tube, kerckhoff08, family_08):
+    """The same arithmetic in the same order: equal to the last bit."""
+    cases = [(flat_metric, (1.7, 2.0)), (DiagonalMetric.from_warping_pair(tube), (0.3, 1.0, 2.9)),
+             (DiagonalMetric.from_warping_pair(kerckhoff08), (-2.0, 0.5, 0.79)),
+             (DiagonalMetric.from_warping_pair(family_08.pair), (0.45, 0.79, 0.81))]
+    for m, radii in cases:
+        for r in radii:
+            gam, low = _scalar_loops(m, r)
+            assert np.array_equal(christoffel_fd(m, r), gam)
+            assert np.array_equal(riemann_fd(m, r), low)
+
+
 def test_off_diagonal_frame_components(tube, kerckhoff08, family_08):
     """R(e_i, e_k, e_i, e_j) vanishes for j != k: the Ricci tensor is diagonal."""
     rng = np.random.default_rng(9)
@@ -122,7 +175,8 @@ def test_off_diagonal_frame_components(tube, kerckhoff08, family_08):
     for w, radii in cases:
         m = DiagonalMetric.from_warping_pair(w)
         for r in radii:
-            F = frame_riemann_fd(m, float(r))
+            s = np.sqrt([float(c(r)) for c in m.comps])  # e_k = X_k / sqrt(g_kk)
+            F = riemann_fd(m, float(r)) / np.einsum("i,j,k,l->ijkl", s, s, s, s)
             for i in range(3):
                 for k in range(3):
                     for j in range(3):
@@ -133,6 +187,26 @@ def test_off_diagonal_frame_components(tube, kerckhoff08, family_08):
 # ---------------------------------------------------------------------------
 # Validation runs
 # ---------------------------------------------------------------------------
+
+
+def _counted(w):
+    """A copy of ``w`` whose six callables count their calls, and the counts."""
+    calls = collections.Counter()
+
+    def counted(name):
+        fun = getattr(w, name)
+
+        def call(r):
+            calls[name] += 1
+            return fun(r)
+        return call
+
+    names = ("f", "fp", "fpp", "g", "gp", "gpp")
+    return dataclasses.replace(w, **{n: counted(n) for n in names}), calls
+
+
+# pairs for whole validation runs, the smoothed one over its collar
+RUNS = [("tube", None), ("kerckhoff08", None), ("family_08", (0.3, 0.9))]
 
 
 class TestValidate:
@@ -175,6 +249,37 @@ class TestValidate:
         with pytest.raises(ParameterError):
             validate_lemma_curvature(tube, samples=5, h=h)
 
+    @pytest.mark.parametrize("pair_name,window", [("tube", (-1e-9, 1.0)),
+                                                  ("kerckhoff08", (0.0, 0.8001))])
+    def test_window_outside_domain(self, pair_name, window, request):
+        w = request.getfixturevalue(pair_name)
+        with pytest.raises(DomainError):
+            validate_lemma_curvature(w, samples=5, window=window)
+
+    @pytest.mark.parametrize("pair_name,window", RUNS)
+    def test_component_calls_do_not_grow_with_samples(self, pair_name, window, request):
+        """Both sides evaluate every radius of every sample in one call per
+        warping callable."""
+        w = request.getfixturevalue(pair_name)
+        w = getattr(w, "pair", w)
+        counts = []
+        for samples in (5, 50):
+            wrapped, calls = _counted(w)
+            validate_lemma_curvature(wrapped, samples=samples, window=window)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert max(counts[0].values()) <= 2
+
+    @pytest.mark.parametrize("pair_name,window", RUNS)
+    def test_sectional_fd_is_the_report_oracle(self, pair_name, window, request):
+        w = request.getfixturevalue(pair_name)
+        w = getattr(w, "pair", w)
+        report = validate_lemma_curvature(w, samples=20, window=window)
+        m = DiagonalMetric.from_warping_pair(w)
+        fd = np.array([[sectional_fd(m, float(r), plane) for plane in PLANES]
+                       for r in report.radii])
+        assert np.array_equal(fd, report.oracle)
+
 
 def test_halving_step_reduces_error(tube, kerckhoff08):
     """Second-order convergence: h -> h/2 shrinks the error on >= 90% of samples."""
@@ -193,6 +298,18 @@ def test_halving_step_reduces_error(tube, kerckhoff08):
                 improved += e5 < e4
                 total += 1
     assert improved >= 0.9 * total
+
+
+@pytest.mark.parametrize("R,h", [(0.01, 1e-3 * math.tanh(0.01)), (0.1, 1e-3 * math.tanh(0.1)),
+                                 (0.1004, 1e-4), (0.8, 1e-4), (3.0, 1e-4)])
+def test_extension_step_follows_its_rate(R, h):
+    assert kerckhoff_extension(R).fd_step == h
+
+
+def test_small_radius_extension_validates(capsys):
+    """At R = 0.01 the rate coth R is 100; the default step resolves it."""
+    assert run(["curvature", "--R", "0.01", "--validate"]) == 0
+    assert "validate_extension_pass=true" in capsys.readouterr().out
 
 
 def test_fd_step_hint_respected(family_08):
