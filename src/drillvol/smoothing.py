@@ -19,7 +19,8 @@ value gap (0 for a zero gap), and delta(eps) = max(eps, iota, omega).  The
 collar may reach below r = 0: only the blending window [R - eps, R] has to
 stay off the tube core, since below R the correction acts on b alone.  When
 eps is large for a small R it can outweigh b and drive a warping function
-through 0; smoothed_metric rejects such a pair.
+through 0; smoothed_metric rejects such a pair, and an eps whose ramps
+collapse below the float64 spacing at R.
 Applied to the exponential tube extension against (sinh, cosh) this yields
 the smoothed negatively-curved metric family whose Ricci lower bound
 constant tends to coth(R) coth(2R).
@@ -39,20 +40,22 @@ evaluations use one fixed Gauss-Legendre rule in extended precision, so
 evaluation is seamless across knots (a requirement for the value-only
 finite-difference oracle) and costs O(log n) after construction.  The blend
 totals int (c'' - b'') phi_eps (t - R)^j, which size the correction, take
-one pass of the same panel rule with beta tabulated once at its nodes.  At
-build time the ramp moments and the blend totals are verified against
-adaptive quadrature of the original integrands.  The Ricci constant is the
-supremum over a uniform grid, refined by bracket grids of 33 points across
-the two cells around the running argmax until the bracket stops shrinking.
+one pass of the same panel rule with beta tabulated once at its nodes, and
+are checked at build time, like the ramp moments, against that rule on 16
+panels of the original integrands (8 panels give its error).  The Ricci
+constant is the supremum over a uniform grid, refined by bracket grids of
+33 points across the two cells around the running argmax until the bracket
+stops shrinking.
 The bump function is evaluated in log space with a hard cutoff to 0 below
 exp(-700) to avoid denormals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -172,37 +175,28 @@ class _Cumulative:
         return out if ld else out.astype(np.float64, copy=False)
 
 
-def _check_moments(label: str, totals, fun: Callable, lo: float, hi: float, origin: float) -> None:
-    """Compare totals[j] with adaptive quadrature of fun(t) (t - origin)^j
-    on [lo, hi]; raise QuadratureError on a disagreement.
+def _moments(fun: Callable, origin: float, count: int) -> Callable:
+    """t -> fun(t) (t - origin)^j for j < count, stacked on a new last axis."""
+    def stacked(t):
+        v, x = fun(t), t - np.asarray(origin, t.dtype)
+        return np.stack([v * x**j for j in range(count)], axis=-1)
+    return stacked
 
-    The moments' rules mostly sample the same points, so fun's values are
-    memoized across them.
-    """
-    from scipy.integrate import quad
 
-    values: dict[float, float] = {}
-
-    def scalar(t: float) -> float:
-        if t not in values:
-            values[t] = float(fun(t))
-        return values[t]
-
-    for j, total in enumerate(totals):
-        ref, ref_err = quad(lambda t: scalar(t) * (t - origin) ** j, lo, hi,
-                            epsabs=1e-13, epsrel=1e-12, limit=400)
-        drift = abs(total - ref)
-        if drift > max(5e-12, 10.0 * ref_err):
+def _check_moments(label: str, totals, moments: Callable, lo: float, hi: float):
+    """Compare totals[j] with the reference integral of the j-th component of
+    moments over [lo, hi]: the panel rule on 16 equal panels, with its
+    distance from the rule on 8 as error estimate.  Raises QuadratureError on
+    a disagreement; returns the references and their errors."""
+    refs, coarse = (_Cumulative(moments, lo, hi, n + 1)._cum[-1] for n in (16, 8))
+    errs = np.abs(refs - coarse)
+    for j, (total, ref, err) in enumerate(zip(totals, refs, errs)):
+        drift = float(abs(total - ref))
+        if drift > max(5e-12, 10.0 * float(err)):
             raise QuadratureError(
-                f"{label}: panel quadrature of moment {j} disagrees with adaptive "
-                f"reference by {drift:.3e} on [{lo}, {hi}] (reference error {ref_err:.1e})"
-            )
-
-
-def _alpha_moments(t):
-    """alpha(t) t^j for j = 0, 1, 2, stacked on a new last axis."""
-    a = bump_alpha(t)
-    return np.stack([a, a * t, a * (t * t)], axis=-1)
+                f"{label}: panel quadrature of moment {j} disagrees with the 16-panel "
+                f"reference by {drift:.3e} on [{lo}, {hi}] (reference error {float(err):.1e})")
+    return refs, errs
 
 
 class _RampTables:
@@ -210,10 +204,9 @@ class _RampTables:
     j < 3, and beta at the nodes of the blend-total rule."""
 
     def __init__(self) -> None:
-        self.cum = _Cumulative(_alpha_moments, 0.0, 1.0, n_knots=1025)
+        self.cum = _Cumulative(_moments(bump_alpha, 0.0, 3), 0.0, 1.0, n_knots=1025)
         self.norm = self.cum._cum[-1, 0]
-        _check_moments("ramp moments", [float(v) for v in self.cum._cum[-1]], bump_alpha,
-                       0.0, 1.0, origin=0.0)
+        _check_moments("ramp moments", self.cum._cum[-1], self.cum.fun, 0.0, 1.0)
         # x = (t - R)/eps + 1 maps every blending window onto [0, 1], so the
         # blend totals of all junctions share these nodes and beta there.
         # beta is looked up in float64, a quarter of the extended-precision
@@ -222,14 +215,9 @@ class _RampTables:
         self.blend_beta = self.cum(self.blend_x.astype(np.float64))[..., 0] / float(self.norm)
 
 
-_tables: Optional[_RampTables] = None
-
-
+@functools.cache
 def _ramp_tables() -> _RampTables:
-    global _tables
-    if _tables is None:
-        _tables = _RampTables()
-    return _tables
+    return _RampTables()
 
 
 def _ramp_antiderivative(x, order: int):
@@ -339,8 +327,8 @@ class SmoothedJunction:
 
         self._blend = _Cumulative(self._blend_integrand, R - eps, R, _BLEND_KNOTS)
         self._totals = self._blend_totals()
-        _check_moments(f"{inp.name}: blend stage", self._totals, lambda t: self._blend_stage(t, 2),
-                       R - eps, R, origin=R)
+        _check_moments(f"{inp.name}: blend stage", self._totals,
+                       _moments(lambda t: self._blend_stage(t, 2), R, 2), R - eps, R)
         slope_total, value_total = self._totals
         self.slope_gap = float(inp.cp(R)) - (float(inp.bp(R)) + slope_total)
         self.value_gap = float(inp.c(R)) - (float(inp.b(R)) - value_total)
@@ -360,6 +348,9 @@ class SmoothedJunction:
         cut = R - _COLLAR_SPLIT * width
         self._ramp_w = ramp
         self._ramp_starts = np.array([R - width, cut - ramp, cut, R - ramp])
+        if not np.all(np.diff(self._ramp_starts, append=R) > 0.0):
+            raise WidthError(f"{inp.name}: collar width W={width:.3g} (eps={eps:g}) is below "
+                             f"the float64 resolution at R={R:g}: the plateau ramps collapse")
         # the slope gap times the unit correction of mass 1 and zero first
         # moment about R, plus the value gap times the reverse
         R_ld = np.longdouble(R)

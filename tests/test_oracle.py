@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,9 +308,25 @@ def test_extension_step_follows_its_rate(R, h):
 
 
 def test_small_radius_extension_validates(capsys):
-    """At R = 0.01 the rate coth R is 100; the default step resolves it."""
-    assert run(["curvature", "--R", "0.01", "--validate"]) == 0
-    assert "validate_extension_pass=true" in capsys.readouterr().out
+    """At R = 0.01 the rate coth R is 100; the default step resolves it.  At
+    R = 0.005 the default window also shortens, so that f stays normal."""
+    for R in ("0.01", "0.005"):
+        assert run(["curvature", "--R", R, "--validate"]) == 0
+        assert "validate_extension_pass=true" in capsys.readouterr().out
+
+
+def test_oracle_memory_is_flat_in_samples(kerckhoff08):
+    """Samples are evaluated in blocks, so the peak does not grow with their
+    number beyond the reported arrays."""
+    peaks = []
+    for samples in (2000, 16000):
+        tracemalloc.start()
+        try:
+            validate_lemma_curvature(kerckhoff08, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_fd_step_hint_respected(family_08):

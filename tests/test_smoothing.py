@@ -1,6 +1,7 @@
 """The staged junction smoothing and the smoothed metric family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from drillvol import (
     JunctionError,
     JunctionInput,
     ParameterError,
+    QuadratureError,
     SingularAxisError,
+    SmoothedJunction,
     WidthError,
     bump_alpha,
     coth,
@@ -21,7 +24,7 @@ from drillvol import (
     smoothed_metric,
     step_phi,
 )
-from drillvol.smoothing import _ramp_beta_prime
+from drillvol.smoothing import _check_moments, _moments, _ramp_beta_prime, _ramp_tables
 from drillvol.warped import WarpingPair, kerckhoff_extension
 
 EPS_SEQ = (1e-1, 1e-2, 1e-3)
@@ -229,6 +232,16 @@ class TestJunctionStages:
         with pytest.raises(WidthError):
             smooth_junction(inp, 1e-1)
 
+    @pytest.mark.parametrize("R,eps", [(0.8, 1e-50), (0.05, 1e-50), (3.0, 1e-44), (20.0, 1e-60)])
+    def test_collar_below_float_resolution_rejected(self, R, eps):
+        """A collar W = 2 eps^(1/3) so narrow that its ramps collapse onto R
+        is rejected before the plateau moments are solved, without a warning
+        from a singular solve."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WidthError, match="float64 resolution"):
+                smoothed_metric(R, eps)
+
 
 # ---------------------------------------------------------------------------
 # Smoothed metric family
@@ -341,16 +354,45 @@ def half_neg_ricci(pair, rs):
 
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID)
 def test_blend_totals_match_adaptive_quadrature(R, eps):
-    """The cached slope and value totals are int (c'' - b'') phi_eps (t - R)^j."""
+    """The cached slope and value totals are int (c'' - b'') phi_eps (t - R)^j,
+    and so is the build check's 16-panel reference, whose distance from the
+    8-panel rule is at most 5e-13."""
     from scipy.integrate import quad
 
     fam = cached_family(R, eps)
     for junction in (fam.junction_f, fam.junction_g):
         inp = junction.input
+        check, errs = _check_moments("blend", junction._totals,
+                                     _moments(lambda t: junction._blend_stage(t, 2), R, 2), R - eps, R)
         for j, key in enumerate(("slope_total", "value_total")):
             ref, _ = quad(lambda t: float((inp.cpp(t) - inp.bpp(t)) * step_phi(eps, R, t)) * (t - R) ** j,
                           R - eps, R, epsabs=1e-13, epsrel=1e-12, limit=400)
             assert abs(junction.cache[key] - ref) <= 5e-12
+            assert abs(float(check[j]) - ref) <= 5e-12
+            assert errs[j] <= 5e-13
+
+
+def test_perturbed_blend_total_rejected(monkeypatch):
+    """A blend total off by 1e-10 fails the build check."""
+    totals = SmoothedJunction._blend_totals
+
+    def perturbed(self):
+        slope, value = totals(self)
+        return slope + 1e-10, value
+
+    monkeypatch.setattr(SmoothedJunction, "_blend_totals", perturbed)
+    with pytest.raises(QuadratureError, match="moment 0"):
+        smooth_junction(sinh_junction(0.8), 1e-2)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_perturbed_ramp_moment_rejected(j):
+    """The ramp moments pass the check, and fail it when one is off by 1e-10."""
+    totals = [float(v) for v in _ramp_tables().cum._cum[-1]]
+    _check_moments("ramp moments", totals, _ramp_tables().cum.fun, 0.0, 1.0)
+    totals[j] += 1e-10
+    with pytest.raises(QuadratureError, match=f"moment {j}"):
+        _check_moments("ramp moments", totals, _ramp_tables().cum.fun, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID)
