@@ -27,8 +27,6 @@ from .data import (
     AnalysisRow,
     GeodesicRecord,
     analyze_records,
-    bound_consistency_check,
-    bridgeman_check,
     emit_plot,
     emit_report,
     parse_records,

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .bounds import drilled_volume_bound, min_volume_corollary
 from .data import analyze_records, emit_plot, emit_report, parse_records
-from .errors import ToolkitError, UsageError, ValidationError
+from .errors import ParameterError, ToolkitError, UsageError, ValidationError
 from .oracle import validate_lemma_curvature
 from .smoothing import smoothed_metric
 from .warped import (
@@ -161,17 +161,25 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
 
 
 def _cmd_smooth(args, cfg: CliConfig, out) -> int:
+    for flag in ("lo", "hi"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"--{flag} must be finite, got {value}")
     fam = smoothed_metric(args.R, args.eps)
     jf, jg = fam.junction_f, fam.junction_g
+    lo = args.lo if args.lo is not None else fam.R - fam.delta - 0.5
+    hi = args.hi if args.hi is not None else fam.R + 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        rs = np.linspace(lo, hi, args.samples)
+        cols = [np.asarray(fn(rs), float) for fn in (jf.a, jf.a_prime, jf.a_second)]
+    if not all(np.all(np.isfinite(col)) for col in [rs] + cols):
+        raise ParameterError(f"the sample range [{lo:g}, {hi:g}] gives a non-finite "
+                             f"r, a, a' or a''")
     _emit(cfg, out, R=fam.R, eps=fam.eps,
           iota_f=jf.iota, omega_f=jf.omega, delta_f=jf.delta,
           iota_g=jg.iota, omega_g=jg.omega, delta_g=jg.delta,
           delta=fam.delta, k_eps=fam.k_eps)
-    lo = args.lo if args.lo is not None else fam.R - fam.delta - 0.5
-    hi = args.hi if args.hi is not None else fam.R + 0.5
-    rs = np.linspace(lo, hi, args.samples)
-    rows = zip(rs, np.asarray(jf.a(rs), float), np.asarray(jf.a_prime(rs), float),
-               np.asarray(jf.a_second(rs), float))
+    rows = zip(rs, *cols)
     lines = ["r,a,a_prime,a_second"]
     lines += [",".join(cfg.fmt(float(v)) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
@@ -236,7 +244,7 @@ def _cmd_analyze(args, cfg: CliConfig, out) -> int:
           max_violation_margin=report.max_violation_margin
           if report.max_violation_margin is not None else "",
           anomalies=report.anomaly_count,
-          skipped_checks=len(report.notices))
+          skipped_checks=report.skipped_check_count)
     for notice in report.notices:
         _emit(cfg, out, notice=notice)
     if args.output:

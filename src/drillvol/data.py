@@ -8,19 +8,21 @@ Comma separated, dot decimal, UTF-8, first line header, empty cell means an
 optional value is absent (tube_radius and vol_drilled are optional).  Extra
 columns after the six are ignored, so emitted reports parse back.
 
-The analysis flags records violating the conjectured drilling bound
-vol_drilled <= vol_parent + pi * length (strict inequality flags, equality
-conforms) and cross-checks vol_drilled against the tight drilled-volume
-bound wherever a tube radius is present.  Reports append five computed
-columns, and the scatter plots mirror the two standard views: raw volumes
-against the conjectured bound, and log10 volumes against the coarse bound.
+The analysis is one pass that gives each record one row.  It flags records
+violating the conjectured drilling bound vol_drilled <= vol_parent + pi *
+length (strict inequality flags, equality conforms) and cross-checks
+vol_drilled against the tight drilled-volume bound wherever a tube radius is
+present.  A check that cannot run leaves its column empty and a notice; the
+bound's warnings are notices too.  Reports append five computed columns, and
+the scatter plots mirror the two standard views: raw volumes against the
+conjectured bound, and log10 volumes against the coarse bound.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Union
 
 from .bounds import bridgeman_bound, drilled_volume_bound
@@ -33,8 +35,6 @@ __all__ = [
     "AnalysisRow",
     "AnalysisReport",
     "parse_records",
-    "bridgeman_check",
-    "bound_consistency_check",
     "analyze_records",
     "emit_report",
     "emit_plot",
@@ -184,75 +184,45 @@ class AnalysisReport:
         return sum(1 for row in self.rows if row.consistent is False)
 
     @property
+    def skipped_check_count(self) -> int:
+        """Checks that could not run: empty ``violation`` or ``consistent``."""
+        return sum((row.violation is None) + (row.consistent is None) for row in self.rows)
+
+    @property
     def notices(self) -> tuple[str, ...]:
         return tuple(n for row in self.rows for n in row.notices)
 
 
-def bridgeman_check(records: Iterable[GeodesicRecord]) -> AnalysisReport:
-    """Flag records with vol_drilled strictly above vol_parent + pi * length.
+def analyze_records(records: Iterable[GeodesicRecord]) -> AnalysisReport:
+    """Check each record against both bounds in one pass.
 
-    Records without a drilled volume are skipped with a notice.
-    """
-    rows = []
-    for rec in records:
-        bound = bridgeman_bound(rec.vol_parent, rec.length)
-        if rec.vol_drilled is None:
-            rows.append(AnalysisRow(
-                record=rec, bridgeman_bound=bound,
-                notices=(f"index {rec.index}: skipped conjecture check, vol_drilled absent",),
-            ))
-            continue
-        margin = rec.vol_drilled - bound
-        rows.append(AnalysisRow(
-            record=rec, bridgeman_bound=bound,
-            violation=margin > 0.0, margin=margin,
-        ))
-    return AnalysisReport(rows=tuple(rows))
-
-
-def bound_consistency_check(records: Iterable[GeodesicRecord]) -> AnalysisReport:
-    """Check vol_drilled <= tight bound wherever a tube radius is present.
-
-    A violation marks the record as a data anomaly: the tight bound is a
+    vol_drilled above the tight bound marks a data anomaly: that bound is a
     theorem whenever the reported radius is a genuine embedded tube radius.
     """
     rows = []
     for rec in records:
+        bound = bridgeman_bound(rec.vol_parent, rec.length)
+        margin = violation = tight = coarse = consistent = None
+        notices = []
+        if rec.vol_drilled is None:
+            notices.append(f"index {rec.index}: skipped conjecture check, vol_drilled absent")
+        else:
+            margin = rec.vol_drilled - bound
+            violation = margin > 0.0
         if rec.tube_radius is None or rec.vol_drilled is None:
             missing = "tube_radius" if rec.tube_radius is None else "vol_drilled"
-            rows.append(AnalysisRow(
-                record=rec,
-                notices=(f"index {rec.index}: skipped bound check, {missing} absent",),
-            ))
-            continue
-        est = drilled_volume_bound(rec.vol_parent, rec.length, rec.tube_radius)
-        notices = tuple(f"index {rec.index}: {w}" for w in est.warnings)
+            notices.append(f"index {rec.index}: skipped bound check, {missing} absent")
+        else:
+            est = drilled_volume_bound(rec.vol_parent, rec.length, rec.tube_radius)
+            tight, coarse = est.bound_tight, est.bound_coarse
+            consistent = rec.vol_drilled <= tight
+            notices += [f"index {rec.index}: {w}" for w in est.warnings]
         rows.append(AnalysisRow(
-            record=rec,
-            bound_tight=est.bound_tight,
-            bound_coarse=est.bound_coarse,
-            consistent=rec.vol_drilled <= est.bound_tight,
-            notices=notices,
+            record=rec, bridgeman_bound=bound, violation=violation, margin=margin,
+            bound_tight=tight, bound_coarse=coarse, consistent=consistent,
+            notices=tuple(notices),
         ))
     return AnalysisReport(rows=tuple(rows))
-
-
-def analyze_records(records: Iterable[GeodesicRecord]) -> AnalysisReport:
-    """Run both checks and merge their columns row by row."""
-    records = list(records)
-    brid = bridgeman_check(records).rows
-    cons = bound_consistency_check(records).rows
-    merged = tuple(
-        replace(
-            b,
-            bound_tight=c.bound_tight,
-            bound_coarse=c.bound_coarse,
-            consistent=c.consistent,
-            notices=b.notices + c.notices,
-        )
-        for b, c in zip(brid, cons)
-    )
-    return AnalysisReport(rows=merged)
 
 
 def _cell(value) -> str:

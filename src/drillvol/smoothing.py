@@ -437,12 +437,17 @@ class SmoothedJunction:
         inp = self.input
         dt = r.dtype
         R = np.asarray(self.R, dtype=dt)
-        upper = (inp.c, inp.cp, inp.cpp)[order](r)
+        above = r > R
+        # b and c each only on their own side: c may overflow far below R
+        ru = r[above]
+        upper = (inp.c, inp.cp, inp.cpp)[order](ru)
         if order == 0:
-            upper = upper + self._res0.astype(dt) + self._res1.astype(dt) * (r - R)
+            upper = upper + self._res0.astype(dt) + self._res1.astype(dt) * (ru - R)
         elif order == 1:
             upper = upper + self._res1.astype(dt)
-        out = np.where(r > R, upper, (inp.b, inp.bp, inp.bpp)[order](r))
+        lower = (inp.b, inp.bp, inp.bpp)[order](r[~above])
+        out = np.empty(r.shape, np.result_type(upper, lower))
+        out[above], out[~above] = upper, lower
         inside = (r >= np.asarray(self.R - self.delta, dtype=dt)) & (r <= R)
         if np.any(inside):
             out[inside] += self._collar(r[inside], order)

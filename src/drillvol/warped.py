@@ -125,40 +125,30 @@ class WarpingPair:
     fd_step: Optional[float] = None
     name: str = "pair"
 
-    def contains(self, r: float) -> bool:
-        lo, hi = self.domain
-        return lo <= r <= hi
-
     def require(self, r: float) -> None:
+        lo, hi = self.domain
         if not np.isfinite(r):
             raise DomainError(f"{self.name}: radius must be finite, got {r!r}")
-        if not self.contains(r):
-            raise DomainError(
-                f"{self.name}: radius {r} outside domain [{self.domain[0]}, {self.domain[1]}]"
-            )
+        if not lo <= r <= hi:
+            raise DomainError(f"{self.name}: radius {r} outside domain [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
 class TubeParams:
-    """Tube radius, core geodesic length and rotational holonomy angle.
+    """Tube radius and core geodesic length.
 
-    The holonomy ``phi`` identifies the ends of the tube; it is carried for
-    completeness and normalized into [0, 2*pi).  No volume or curvature
+    The tube's rotational holonomy is not carried: no volume or curvature
     computed here depends on it.
     """
 
     R: float
     l: float
-    phi: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.R > 0.0):
             raise ParameterError(f"tube radius must be positive, got {self.R}")
         if not (self.l > 0.0):
             raise ParameterError(f"core length must be positive, got {self.l}")
-        if not np.isfinite(self.phi):
-            raise ParameterError(f"holonomy angle must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
 
 
 def sectional_curvatures(w: WarpingPair, r: float) -> SectionalCurvatures:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drillvol import (
@@ -115,9 +115,10 @@ class TestCoarseFactor:
     @given(st.floats(0.05, 5.0), st.floats(0.05, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_pairs(self, r1, r2):
-        if r1 == r2:
-            return
+        # adjacent floats may round to the same factor: strict decrease is
+        # only asserted for pairs at least 1e-9 apart relatively
         lo, hi = sorted((r1, r2))
+        assume(hi - lo >= 1e-9 * hi)
         assert coarse_factor(lo) > coarse_factor(hi)
 
 

@@ -254,6 +254,20 @@ class TestAnalyze:
         assert svg.count('class="marker"') == 4
         assert "log10 coarse bound" in svg
 
+    def test_skipped_checks_leave_out_warnings(self, capsys, tmp_path):
+        # row 1's tube volume exceeds the parent volume: a warning notice, but
+        # both checks run; row 2 has no radius, so its bound check is skipped
+        src = tmp_path / "warned.csv"
+        src.write_text(
+            "manifold,index,length,tube_radius,vol_parent,vol_drilled\n"
+            "m,1,0.5,3.0,0.94,2.0\n"
+            "m,2,0.5,,0.94,2.0\n"
+        )
+        code, out, _ = invoke(capsys, "analyze", "--input", str(src))
+        assert code == 0
+        assert parse_kv(out)["skipped_checks"] == "1"
+        assert sum(line.startswith("notice=") for line in out.splitlines()) == 2
+
     def test_log10_plot_without_radius_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -339,6 +353,7 @@ def test_large_radius_smooth_is_quiet():
 # Fuzzing argv and the environment
 # ---------------------------------------------------------------------------
 
+NON_FINITE = {"inf", "-inf", "nan"}
 EDGE_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e-9", "400", "800", "1e308",
                 "ln3/2", "ln3", "junk", "")
 
@@ -406,10 +421,18 @@ ARGV = st.tuples(
 @example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e-151"], precision_env=None)
 @example(argv=["bound", "--vol", "1e308", "--length", "1", "--R", "0.5"], precision_env=None)
 @example(argv=["bound", "--vol", "1", "--length", "1e308", "--R", "3"], precision_env=None)
+@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--lo", "nan", "--samples", "3"],
+         precision_env=None)
+@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--lo=-inf", "--samples", "3"],
+         precision_env=None)
+@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "inf", "--samples", "3"],
+         precision_env=None)
+@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "1e300", "--samples", "3"],
+         precision_env=None)
 def test_any_argv_ends_with_exit_code_and_error_line(argv, precision_env):
     """Every input exits 0, 1 or 2, a nonzero exit prints an ``error:`` line,
-    a zero exit prints no infinite or NaN ``key=value``, and no exception
-    escapes ``run``."""
+    a zero exit prints no infinite or NaN ``key=value`` nor CSV cell after
+    the blank line, and no exception escapes ``run``."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -423,6 +446,8 @@ def test_any_argv_ends_with_exit_code_and_error_line(argv, precision_env):
         assert any(line.startswith("error:") for line in err.getvalue().splitlines()), \
             err.getvalue()
     else:
-        non_finite = [line for line in out.getvalue().splitlines()
-                      if line.partition("=")[2] in ("inf", "-inf", "nan")]
+        lines = out.getvalue().splitlines()
+        rows = lines[lines.index("") + 1:] if "" in lines else []
+        non_finite = [line for line in lines if line.partition("=")[2] in NON_FINITE]
+        non_finite += [line for line in rows if NON_FINITE & set(line.split(","))]
         assert not non_finite, non_finite

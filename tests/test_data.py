@@ -12,8 +12,6 @@ from drillvol import (
     PlotError,
     ValidationError,
     analyze_records,
-    bound_consistency_check,
-    bridgeman_check,
     emit_plot,
     emit_report,
     parse_records,
@@ -98,7 +96,7 @@ class TestParse:
 
 
 # ---------------------------------------------------------------------------
-# Conjecture check
+# Analysis: the conjecture check and the tight-bound check
 # ---------------------------------------------------------------------------
 
 
@@ -106,19 +104,19 @@ class TestBridgemanCheck:
     def test_flags_exactly_constructed_violations(self):
         records = [make_record(index=i, offset=0.01 if i % 3 == 0 else -0.01)
                    for i in range(1, 13)]
-        report = bridgeman_check(records)
+        report = analyze_records(records)
         flagged = {row.record.index for row in report.rows if row.violation}
         assert flagged == {3, 6, 9, 12}
         assert report.violation_count == 4
         assert report.max_violation_margin == pytest.approx(0.01, abs=1e-12)
 
     def test_equality_conforms(self):
-        report = bridgeman_check([make_record(offset=0.0)])
+        report = analyze_records([make_record(offset=0.0)])
         assert report.rows[0].violation is False
 
     def test_missing_drilled_skipped_with_notice(self):
         rec = GeodesicRecord("m", 1, 0.5, None, 0.9, None)
-        report = bridgeman_check([rec])
+        report = analyze_records([rec])
         assert report.rows[0].violation is None
         assert "skipped" in report.rows[0].notices[0]
         assert report.violation_count == 0
@@ -126,25 +124,25 @@ class TestBridgemanCheck:
 
 class TestBoundConsistencyCheck:
     def test_consistent_record(self):
-        report = bound_consistency_check([make_record(offset=-0.1)])
+        report = analyze_records([make_record(offset=-0.1)])
         assert report.rows[0].consistent is True
         assert report.rows[0].bound_tight is not None
 
     def test_inflated_record_flagged(self):
         rec = GeodesicRecord("m", 1, 0.6, 0.5, 0.9427, 50.0)
-        report = bound_consistency_check([rec])
+        report = analyze_records([rec])
         assert report.rows[0].consistent is False
         assert report.anomaly_count == 1
 
     def test_oversized_tube_warns_but_evaluates(self):
         rec = GeodesicRecord("m", 1, 5.0, 2.0, 0.1, 0.5)
-        report = bound_consistency_check([rec])
+        report = analyze_records([rec])
         assert report.rows[0].consistent is not None
         assert any("tube volume" in n for n in report.rows[0].notices)
 
     def test_missing_radius_skipped(self):
         rec = GeodesicRecord("m", 1, 0.5, None, 0.9, 2.0)
-        report = bound_consistency_check([rec])
+        report = analyze_records([rec])
         assert report.rows[0].consistent is None
         assert "skipped" in report.rows[0].notices[0]
 

@@ -257,6 +257,16 @@ class TestSmoothedMetric:
         assert float(fam.pair.f(r_lo)) == pytest.approx(
             float(fam.junction_f.input.b(r_lo)), abs=1e-12)
 
+    def test_each_side_evaluated_alone(self):
+        """Far below R only the extension is evaluated: sinh(-800) would
+        overflow, and every derivative stays finite and quiet."""
+        jf = cached_family(0.8, 1e-2).junction_f
+        rs = np.linspace(-800.0, 1.3, 3)
+        with np.errstate(over="raise", invalid="raise"):
+            values = [jf.a(rs), jf.a_prime(rs), jf.a_second(rs)]
+        assert all(np.all(np.isfinite(v)) for v in values)
+        assert values[0][0] == 0.0 and values[0][-1] == pytest.approx(math.sinh(1.3))
+
     def test_collar_shrinks(self):
         assert cached_family(0.8, 1e-1).delta > cached_family(0.8, 1e-3).delta
 

@@ -261,22 +261,11 @@ def test_gauss_bonnet_annulus(tube):
     assert abs(interior + boundary) < 1e-6
 
 
-def test_phi_invariance():
-    """No computed quantity depends on the holonomy angle."""
-    a = TubeParams(R=0.8, l=0.5, phi=0.3)
-    b = TubeParams(R=0.8, l=0.5, phi=5.9)
-    assert tube_volume(a) == tube_volume(b)
-    assert extended_tube_volume(a) == extended_tube_volume(b)
-
-
 def test_tube_params_validation():
     with pytest.raises(ParameterError):
         TubeParams(R=0.0, l=1.0)
     with pytest.raises(ParameterError):
         TubeParams(R=1.0, l=0.0)
-    with pytest.raises(ParameterError):
-        TubeParams(R=1.0, l=1.0, phi=math.inf)
-    assert TubeParams(R=1.0, l=1.0, phi=7.0).phi == pytest.approx(7.0 - 2.0 * math.pi)
 
 
 @pytest.mark.parametrize("pair_name", ["tube", "kerckhoff08"])
