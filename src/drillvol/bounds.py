@@ -272,4 +272,7 @@ def bridgeman_bound(vol_parent: float, l: float) -> float:
         raise ParameterError(f"vol_parent must be positive and finite, got {vol_parent}")
     if l < 0.0 or not math.isfinite(l):
         raise ParameterError(f"length must be nonnegative and finite, got {l}")
-    return vol_parent + math.pi * l
+    bound = vol_parent + math.pi * l
+    if not math.isfinite(bound):
+        raise ParameterError(f"conjectured bound not finite for vol={vol_parent:g}, l={l:g}")
+    return bound

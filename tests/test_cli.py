@@ -1,5 +1,6 @@
 """Command line interface: dispatch, machine block, errors, determinism."""
 
+import ast
 import contextlib
 import io
 import math
@@ -325,9 +326,10 @@ print(f"scipy_loaded={'scipy' in sys.modules} code={code}", file=sys.stderr)
     ("curvature", "--R", "0.8", "--validate", "--samples", "10"),
     ("analyze", "--input", str(FIXTURE_CSV)),
     ("smooth", "--R", "0.8", "--eps", "1e-2"),
+    ("bound", "--vol", "0.943", "--length", "0.5", "--R", "0.8", "--quadrature-check"),
 ])
-def test_scipy_loads_only_to_integrate(argv):
-    """Subcommands that integrate nothing never import scipy."""
+def test_cli_never_loads_scipy(argv):
+    """No subcommand imports scipy, the volume quadrature included."""
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=SRC_ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr.splitlines()[-1] == "scipy_loaded=False code=0"
@@ -340,6 +342,22 @@ def test_import_does_not_load_scipy():
          "import sys, drillvol; drillvol.ramp_beta(0.5); print('scipy' in sys.modules)"],
         env=SRC_ENV, capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "False"
+
+
+def test_runtime_imports_only_numpy():
+    """Besides the standard library, the package imports numpy alone, at
+    module level or inside a function."""
+    third_party = set()
+    for path in (REPO_ROOT / "src" / "drillvol").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            third_party |= {name.partition(".")[0] for name in names} - sys.stdlib_module_names
+    assert third_party == {"numpy"}
 
 
 def test_large_radius_smooth_is_quiet():
@@ -411,6 +429,10 @@ ARGV = st.tuples(
 @example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e-9", "--quadrature-check"],
          precision_env=None)
 @example(argv=["--depth", "800", "bound", "--vol", "1", "--length", "1", "--R", "0.5",
+               "--quadrature-check"], precision_env=None)
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "354", "--quadrature-check"],
+         precision_env=None)
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "0.05410567693730635",
                "--quadrature-check"], precision_env=None)
 @example(argv=["smooth", "--R", "400", "--eps", "1e-2"], precision_env=None)
 @example(argv=["curvature", "--R", "0.8", "--validate", "--samples", "5", "--seed", "-1"],

@@ -8,6 +8,7 @@ import pytest
 from conftest import FIXTURE_CSV, TEMPLATE_CSV
 from drillvol import (
     GeodesicRecord,
+    ParameterError,
     ParseError,
     PlotError,
     ValidationError,
@@ -120,6 +121,12 @@ class TestBridgemanCheck:
         assert report.rows[0].violation is None
         assert "skipped" in report.rows[0].notices[0]
         assert report.violation_count == 0
+
+    def test_overflowing_bound_rejected(self):
+        # vol_parent + pi * 1e308 is inf: no report may carry it
+        rec = parse_records(HEADER + "\nm,1,1e308,,0.9,2.0\n")[0]
+        with pytest.raises(ParameterError, match="not finite"):
+            analyze_records([rec])
 
 
 class TestBoundConsistencyCheck:

@@ -1,5 +1,6 @@
 """Tube metric curvatures, the exponential extension, and volume integrals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from drillvol import (
     WarpingPair,
     coth,
     extended_tube_volume,
+    hyperbolic_tube,
     kerckhoff_extension,
     ricci_diagonal,
     ricci_lower_bound_constant,
@@ -222,9 +224,13 @@ class TestWarpedVolumeQuadrature:
         q = warped_volume_quadrature(tube, 0.0, 1.0, 1.0)
         assert float(q) == q.value
 
-    def test_nonconvergent_integrand_raises(self):
-        import warnings
+    def test_scalar_valued_pair(self, flat_cylinder):
+        # g = 1 given as a float, not an array: the volume of a flat cylinder
+        pair = dataclasses.replace(flat_cylinder, g=lambda r: 1.0)
+        q = warped_volume_quadrature(pair, 0.0, 2.0, 0.5)
+        assert q.value == pytest.approx(2.0 * math.pi * 0.5 * 2.0, rel=1e-14)
 
+    def test_nonconvergent_integrand_raises(self):
         from drillvol import QuadratureError
 
         # an oscillating discontinuous integrand defeats the error contract
@@ -238,10 +244,61 @@ class TestWarpedVolumeQuadrature:
             domain=(0.0, 1.0),
             name="noisy",
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(QuadratureError):
-                warped_volume_quadrature(noisy, 0.0, 1.0, 1.0)
+        with pytest.raises(QuadratureError):
+            warped_volume_quadrature(noisy, 0.0, 1.0, 1.0)
+
+    def test_agrees_with_scipy_quad(self):
+        """The QUADPACK port returns scipy quad's value bit for bit, its error
+        estimate to 1 %, and the same accept/reject outcome, on the tube and
+        its extension from R = 0.0541 (whose cut underflows) to 354."""
+        from drillvol import QuadratureError
+
+        l = 0.5
+        radii = np.concatenate([np.geomspace(0.0541, 354.0, 40),
+                                np.random.default_rng(9).uniform(0.05, 3.0, 20)])
+        rejected = 0
+        for R in radii.tolist():
+            for w, r_lo in ((hyperbolic_tube(), 0.0), (kerckhoff_extension(R), -math.inf)):
+                truncated = math.isinf(r_lo)
+                lo = R - 40.0 if truncated else r_lo
+                val, abserr = quad(lambda t: float(w.f(t)) * float(w.g(t)), lo, R,
+                                   epsabs=1e-12, epsrel=1e-12, limit=400)
+                ref, ref_err = 2.0 * math.pi * l * val, 2.0 * math.pi * l * abserr
+                underflows = truncated and float(w.f(lo)) * float(w.g(lo)) == 0.0
+                ref_ok = not underflows and ref_err <= 1e-10 * max(abs(ref), 1.0)
+                try:
+                    q = warped_volume_quadrature(w, r_lo, R, l)
+                except QuadratureError:
+                    q = None
+                assert (q is not None) == ref_ok, (R, w.name)
+                if q is None:
+                    rejected += 1
+                    continue
+                assert repr(q.value) == repr(ref), (R, w.name)
+                assert abs(q.error_estimate - ref_err) <= 0.01 * ref_err, (R, w.name)
+        assert rejected == 1
+
+    @pytest.mark.parametrize("R", [0.8, 20.0])
+    def test_one_array_call_per_step(self, R):
+        """f and g are each called once per dqk21 step, on a float64 array of
+        its nodes (21 at first, then 42 for the two halves of a bisection),
+        as many times as scipy's quad makes intervals."""
+        for w, lo in ((hyperbolic_tube(), 0.0), (kerckhoff_extension(R), R - 40.0)):
+            calls = {"f": [], "g": []}
+
+            def spy(name, fn):
+                def wrapped(r):
+                    calls[name].append(r)
+                    return fn(r)
+                return wrapped
+
+            spied = dataclasses.replace(w, f=spy("f", w.f), g=spy("g", w.g))
+            warped_volume_quadrature(spied, lo, R, 1.0)
+            *_, info = quad(lambda t: float(w.f(t)) * float(w.g(t)), lo, R,
+                            epsabs=1e-12, epsrel=1e-12, limit=400, full_output=1)
+            for rs in calls.values():
+                assert all(isinstance(r, np.ndarray) and r.dtype == np.float64 for r in rs)
+                assert [r.shape for r in rs] == [(21,)] + [(42,)] * (info["last"] - 1)
 
 
 # ---------------------------------------------------------------------------
