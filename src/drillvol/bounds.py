@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError, ParameterError
-from .warped import TubeParams, _require_sinh, coth, extended_tube_volume, tube_volume
+from .warped import (TubeParams, _require_positive, _require_sinh, coth,
+                     extended_tube_volume, tube_volume)
 
 __all__ = [
     "CONSTANTS",
@@ -29,6 +30,7 @@ __all__ = [
     "GmtCase",
     "MinVolumeReport",
     "coarse_factor",
+    "k_limit",
     "drilled_volume_bound",
     "parent_volume_lower_bound",
     "solve_radius_bound",
@@ -54,15 +56,9 @@ CONSTANTS: dict[str, tuple[float, str]] = {
 }
 
 
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not (value > 0.0) or not math.isfinite(value):
-            raise ParameterError(f"{name} must be positive and finite, got {value}")
-
-
 def _require_radius(R: float) -> None:
     """A tube radius R > 0 for which coth(2R) is finite."""
-    _require_positive(R=R)
+    _require_positive("R", R)
     _require_sinh(2.0 * R, f"tube radius {R:g}")
 
 
@@ -72,20 +68,31 @@ def coarse_factor(R: float) -> float:
     return coth(R) ** 2.5 * coth(2.0 * R) ** 0.5
 
 
+def k_limit(R: float) -> float:
+    """k = coth R coth 2R of the tight bound, the limit of the smoothed
+    metrics' Ricci lower bound constant."""
+    _require_radius(R)
+    return coth(R) * coth(2.0 * R)
+
+
 @dataclass(frozen=True)
 class DrillEstimate:
     """Both drilled-volume bounds for one (volume, length, radius) triple.
 
-    ``tube_fits`` records whether pi l sinh^2 R <= vol_parent; the tight
-    bound is guaranteed below the coarse one only in that case, so when the
-    flag is false the estimate carries a warning instead of an ordering
-    claim.
+    ``tube_volume`` is pi l sinh^2 R and ``extended_tube_volume`` the
+    volume of the extended region under the exponential pair.
+    ``tube_fits`` records whether the tube volume is at most vol_parent; the
+    tight bound is guaranteed below the coarse one only in that case, so
+    when the flag is false the estimate carries a warning instead of an
+    ordering claim.
     """
 
     vol_parent: float
     l: float
     R: float
     k: float
+    tube_volume: float
+    extended_tube_volume: float
     bound_tight: float
     bound_coarse: float
     tube_fits: bool
@@ -94,18 +101,18 @@ class DrillEstimate:
 
 def drilled_volume_bound(vol_parent: float, l: float, R: float) -> DrillEstimate:
     """Evaluate both volume bounds for drilling a geodesic of length l."""
-    _require_positive(vol_parent=vol_parent, l=l)
-    _require_radius(R)
-    k = coth(R) * coth(2.0 * R)
+    _require_positive("vol_parent", vol_parent)
+    _require_positive("l", l)
+    k = k_limit(R)
     params = TubeParams(R=R, l=l)
-    tube_vol = tube_volume(params)
+    tube_vol, ext_vol = tube_volume(params), extended_tube_volume(params)
     ratio = coth(R) / coth(2.0 * R)
     try:
         tight = k ** 1.5 * (vol_parent + tube_vol * (ratio - 1.0))
         coarse = coarse_factor(R) * vol_parent
     except OverflowError:  # k grows like 1/R^2 as R -> 0
         raise ParameterError(f"tube radius {R:g} is too small: the bounds overflow") from None
-    values = {"tube volume": tube_vol, "extended tube volume": extended_tube_volume(params),
+    values = {"tube volume": tube_vol, "extended tube volume": ext_vol,
               "tight bound": tight, "coarse bound": coarse}
     overflow = [name for name, value in values.items() if not math.isfinite(value)]
     if overflow:
@@ -120,6 +127,7 @@ def drilled_volume_bound(vol_parent: float, l: float, R: float) -> DrillEstimate
         )
     return DrillEstimate(
         vol_parent=vol_parent, l=l, R=R, k=k,
+        tube_volume=tube_vol, extended_tube_volume=ext_vol,
         bound_tight=tight, bound_coarse=coarse,
         tube_fits=fits, warnings=warn,
     )
@@ -127,22 +135,19 @@ def drilled_volume_bound(vol_parent: float, l: float, R: float) -> DrillEstimate
 
 def parent_volume_lower_bound(vol_drilled: float, R: float) -> float:
     """Invert the coarse bound: the parent volume exceeds drilled / factor."""
-    _require_positive(vol_drilled=vol_drilled, R=R)
+    _require_positive("vol_drilled", vol_drilled)
     return vol_drilled / coarse_factor(R)
 
 
-def solve_radius_bound(
-    vol_drilled_min: float,
-    vol_parent_max: float,
-    tol: float = 1e-12,
-) -> float:
+def solve_radius_bound(vol_drilled_min: float, vol_parent_max: float) -> float:
     """Unique R0 with coarse_factor(R0) * vol_parent_max = vol_drilled_min.
 
     The factor decreases strictly from +inf to 1, so a root exists exactly
-    when vol_drilled_min > vol_parent_max > 0.  Bisection on [1e-6, 50]:
-    unconditionally convergent and trivially auditable.
+    when vol_drilled_min > vol_parent_max > 0.  Bisection on [1e-6, 50] to a
+    bracket of 1e-12: unconditionally convergent and trivially auditable.
     """
-    _require_positive(vol_drilled_min=vol_drilled_min, vol_parent_max=vol_parent_max)
+    _require_positive("vol_drilled_min", vol_drilled_min)
+    _require_positive("vol_parent_max", vol_parent_max)
     target = vol_drilled_min / vol_parent_max
     if target <= 1.0:
         raise DomainError(
@@ -153,7 +158,7 @@ def solve_radius_bound(
     if coarse_factor(hi) >= target:
         raise DomainError(f"ratio {target:.6g} too close to 1 for the bracket [{lo}, {hi}]")
     f_lo = coarse_factor(lo) - target
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         f_mid = coarse_factor(mid) - target
         if f_lo * f_mid <= 0.0:
@@ -244,16 +249,14 @@ def min_volume_corollary() -> MinVolumeReport:
     weeks = CONSTANTS["weeks_volume"][0]
     eq_vol = CONSTANTS["weeks_volume_rounded"][0]
     thresh = CONSTANTS["gmt_radius_threshold"][0]
-    factor = coarse_factor(thresh)
-    lower = cusped / factor
     case3 = CONSTANTS["gmt_case3_volume"][0]
     return MinVolumeReport(
         cusped_volume_min=cusped,
         weeks_volume=weeks,
         equation_volume=eq_vol,
         radius_threshold=thresh,
-        coarse_factor_at_threshold=factor,
-        lower_bound=lower,
+        coarse_factor_at_threshold=coarse_factor(thresh),
+        lower_bound=parent_volume_lower_bound(cusped, thresh),
         lower_bound_target=CONSTANTS["min_volume_target"][0],
         radius_bound=solve_radius_bound(cusped, eq_vol),
         radius_bound_weeks=solve_radius_bound(cusped, weeks),
@@ -268,8 +271,7 @@ def min_volume_corollary() -> MinVolumeReport:
 
 def bridgeman_bound(vol_parent: float, l: float) -> float:
     """Conjectured drilling bound vol_parent + pi * l (additive in l)."""
-    if not (vol_parent > 0.0) or not math.isfinite(vol_parent):
-        raise ParameterError(f"vol_parent must be positive and finite, got {vol_parent}")
+    _require_positive("vol_parent", vol_parent)
     if l < 0.0 or not math.isfinite(l):
         raise ParameterError(f"length must be nonnegative and finite, got {l}")
     bound = vol_parent + math.pi * l

@@ -26,23 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bounds import drilled_volume_bound, min_volume_corollary
+from .bounds import drilled_volume_bound, k_limit, min_volume_corollary
 from .data import analyze_records, emit_plot, emit_report, parse_records
 from .errors import ParameterError, ToolkitError, UsageError, ValidationError
 from .oracle import validate_lemma_curvature
 from .smoothing import smoothed_metric
-from .warped import (
-    TubeParams,
-    _require_sinh,
-    coth,
-    extended_tube_volume,
-    hyperbolic_tube,
-    kerckhoff_extension,
-    ricci_diagonal,
-    sectional_curvatures,
-    tube_volume,
-    warped_volume_quadrature,
-)
+from .warped import (hyperbolic_tube, kerckhoff_extension, ricci_diagonal,
+                     sectional_curvatures, warped_volume_quadrature)
 
 PRECISION_ENV = "DRILLVOL_PRECISION"
 
@@ -134,14 +124,14 @@ def _emit(cfg: CliConfig, out, **pairs) -> None:
 def _cmd_curvature(args, cfg: CliConfig, out) -> int:
     R = args.R
     ext = kerckhoff_extension(R)
-    _require_sinh(2.0 * R, f"tube radius {R:g}")  # k_limit takes coth(2R)
+    k_lim = k_limit(R)  # rejects an overflowing sinh(2R) before the curvatures overflow
     probe = R - max(0.1, 0.1 * R)
     k = sectional_curvatures(ext, probe)
     ric = ricci_diagonal(ext, probe)
     _emit(cfg, out, R=R,
           K_rtheta=k.k_rtheta, K_rlambda=k.k_rlambda, K_thetalambda=k.k_thetalambda,
           ric_1=ric.ric_1, ric_2=ric.ric_2, ric_3=ric.ric_3,
-          k_limit=coth(R) * coth(2.0 * R))
+          k_limit=k_lim)
     if not args.validate:
         return 0
     ok = True
@@ -194,10 +184,9 @@ def _cmd_smooth(args, cfg: CliConfig, out) -> int:
 
 def _cmd_bound(args, cfg: CliConfig, out) -> int:
     est = drilled_volume_bound(args.vol, args.length, args.R)
-    params = TubeParams(R=args.R, l=args.length)
     _emit(cfg, out, vol=est.vol_parent, length=est.l, R=est.R, k=est.k,
-          tube_volume=tube_volume(params),
-          extended_tube_volume=extended_tube_volume(params),
+          tube_volume=est.tube_volume,
+          extended_tube_volume=est.extended_tube_volume,
           bound_tight=est.bound_tight, bound_coarse=est.bound_coarse,
           tube_fits=est.tube_fits)
     for warning in est.warnings:
@@ -208,9 +197,9 @@ def _cmd_bound(args, cfg: CliConfig, out) -> int:
                                          args.length, truncation_depth=cfg.depth)
         _emit(cfg, out,
               tube_volume_quadrature=tube_q.value,
-              tube_volume_quadrature_err=abs(tube_q.value - tube_volume(params)),
+              tube_volume_quadrature_err=abs(tube_q.value - est.tube_volume),
               extended_volume_quadrature=ext_q.value,
-              extended_volume_quadrature_err=abs(ext_q.value - extended_tube_volume(params)),
+              extended_volume_quadrature_err=abs(ext_q.value - est.extended_tube_volume),
               extended_volume_tail_bound=ext_q.tail_bound)
     return 0
 

@@ -45,10 +45,14 @@ INPUT_COLUMNS = ("manifold", "index", "length", "tube_radius", "vol_parent", "vo
 REPORT_COLUMNS = INPUT_COLUMNS + ("bridgeman_bound", "violation", "bound_tight", "bound_coarse", "consistent")
 
 # Fixed 12-decimal writer: absolute round-trip error below 5e-13, under every
-# tolerance used here.  Trailing zeros are stripped for readability.
+# tolerance used here.  Trailing zeros are stripped for readability.  A
+# nonzero value that would print as 0, and one of 1e16 or more, which would
+# print every integer digit, are written as the shortest round-trip repr.
 def _format_number(value: float) -> str:
     text = f"{value:.12f}".rstrip("0").rstrip(".")
-    return text if text else "0"
+    if (value != 0.0 and text in ("0", "-0")) or abs(value) >= 1e16:
+        return repr(float(value))
+    return text
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,20 @@ Every error carries a short machine-readable ``category`` that the CLI uses
 to prefix messages as ``error:<category>: ...``.
 """
 
+__all__ = [
+    "ToolkitError",
+    "ParameterError",
+    "DomainError",
+    "SingularAxisError",
+    "JunctionError",
+    "WidthError",
+    "QuadratureError",
+    "ParseError",
+    "ValidationError",
+    "PlotError",
+    "UsageError",
+]
+
 
 class ToolkitError(Exception):
     """Base class for all errors raised by this package."""

@@ -65,26 +65,24 @@ class DiagonalMetric:
 
     @classmethod
     def from_warping_pair(cls, w: WarpingPair, h: Optional[float] = None) -> "DiagonalMetric":
-        """Squared-component metric of a warping pair.
-
-        Uses the pair's ``fd_step`` hint when ``h`` is not given; pairs
-        without one default to 1e-4.
-        """
-        if h is None:
-            h = w.fd_step if w.fd_step is not None else 1e-4
+        """Squared-component metric of a warping pair, with the pair's
+        ``fd_step`` as h unless ``h`` is given."""
         return cls(
             comps=(
                 lambda r: np.asarray(r) * 0 + 1.0,
                 lambda r: w.f(r) ** 2,
                 lambda r: w.g(r) ** 2,
             ),
-            h=h,
+            h=w.fd_step if h is None else h,
             domain=w.domain,
             name=w.name,
         )
 
     def require_margin(self, r: float) -> None:
+        """Reject a non-finite radius, or one within 2h of the domain boundary."""
         lo, hi = self.domain
+        if not np.isfinite(r):
+            raise DomainError(f"{self.name}: radius must be finite, got {r!r}")
         if not (lo + 2 * self.h <= r <= hi - 2 * self.h):
             raise DomainError(
                 f"{self.name}: r={r} closer than 2h={2 * self.h:g} to the domain boundary"
@@ -242,8 +240,8 @@ def validate_lemma_curvature(
     lo, hi = window if window is not None else _sample_window(w, m.h)
     if not (lo < hi):
         raise ParameterError(f"empty sampling window ({lo}, {hi})")
-    w.require(lo)
-    w.require(hi)
+    m.require_margin(lo)
+    m.require_margin(hi)
     radii = np.random.default_rng(seed).uniform(lo, hi, samples)
 
     closed, orac = np.empty((samples, 3)), np.empty((samples, 3))

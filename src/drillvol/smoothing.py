@@ -60,7 +60,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import JunctionError, ParameterError, QuadratureError, WidthError
-from .warped import WarpingPair, _require_sinh, _ricci_grid, kerckhoff_extension
+from .warped import (WarpingPair, _require_positive, _require_sinh, _ricci_grid,
+                     kerckhoff_extension)
 
 __all__ = [
     "bump_alpha",
@@ -69,7 +70,6 @@ __all__ = [
     "JunctionInput",
     "SmoothedJunction",
     "smooth_junction",
-    "second_derivative_envelope",
     "SmoothedWarpingFamily",
     "smoothed_metric",
 ]
@@ -270,11 +270,6 @@ def step_phi(eps: float, R: float, r):
     return ramp_beta((r - np.asarray(R, dtype=dt)) / np.asarray(eps, dtype=dt) + np.asarray(1.0, dtype=dt))
 
 
-def _check_width(eps: float) -> None:
-    if not (eps > 0.0) or not np.isfinite(eps):
-        raise ParameterError(f"smoothing width must be positive and finite, got {eps}")
-
-
 @dataclass(frozen=True)
 class JunctionInput:
     """Two functions b, c with derivatives, meeting to first order at R."""
@@ -313,7 +308,7 @@ class SmoothedJunction:
     """
 
     def __init__(self, inp: JunctionInput, eps: float):
-        _check_width(eps)
+        _require_positive("smoothing width", eps)
         inp.validate()
         self.input = inp
         self.eps = float(eps)
@@ -463,16 +458,6 @@ class SmoothedJunction:
     def a_second(self, r):
         return self._eval(r, 2)
 
-    @property
-    def cache(self) -> dict:
-        """Summary of the memoized quadrature tables."""
-        return {
-            "slope_knots": len(self._blend._knots_f8),
-            "value_knots": len(self._blend._knots_f8),
-            "slope_total": self._totals[0],
-            "value_total": self._totals[1],
-        }
-
     def __repr__(self) -> str:
         return (
             f"SmoothedJunction({self.input.name}, eps={self.eps:g}, "
@@ -483,15 +468,6 @@ class SmoothedJunction:
 def smooth_junction(inp: JunctionInput, eps: float) -> SmoothedJunction:
     """Build the moment-matched interpolant for ``inp`` at smoothing width ``eps``."""
     return SmoothedJunction(inp, eps)
-
-
-def second_derivative_envelope(s: SmoothedJunction, grid_n: int = 4096) -> tuple[float, float]:
-    """Grid-sampled (inf, sup) of a'' over the collar [R - delta, R]."""
-    if grid_n < 16:
-        raise ParameterError(f"grid_n must be at least 16, got {grid_n}")
-    rs = np.linspace(s.R - s.delta, s.R, grid_n)
-    vals = np.asarray(s.a_second(rs), dtype=float)
-    return float(vals.min()), float(vals.max())
 
 
 @dataclass(frozen=True)
@@ -547,9 +523,8 @@ def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
     packages the result as a warping pair on (-inf, R + margin], together
     with its sampled Ricci lower bound constant.
     """
-    if not (R > 0.0) or not np.isfinite(R):
-        raise ParameterError(f"tube radius must be positive and finite, got {R}")
-    _check_width(eps)
+    _require_positive("tube radius", R)
+    _require_positive("smoothing width", eps)
     if eps >= R:
         raise WidthError(
             f"blending window [R-eps, R] reaches the tube core r = 0 (R={R:g}, eps={eps:g}); "

@@ -69,6 +69,12 @@ def _require_sinh(x: float, what: str) -> None:
     raise ParameterError(f"{what} is too large: sinh({x:g}) overflows")
 
 
+def _require_positive(what: str, value: float) -> None:
+    """Reject a value that is not positive, or not finite."""
+    if not (value > 0.0) or not math.isfinite(value):
+        raise ParameterError(f"{what} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SectionalCurvatures:
     """Sectional curvatures of the three coordinate 2-planes at one radius."""
@@ -111,9 +117,9 @@ class WarpingPair:
     the lower endpoint (a smooth axis with f' = 1 there) and
     ``axis_curvature`` supplies the analytic curvature limit at the axis.
 
-    ``fd_step`` is an optional hint for value-only finite differencing of
-    this pair; table-backed pairs set it to resolve their narrowest feature,
-    and the exponential extension shrinks it with its rate coth R.
+    ``fd_step`` is the step for value-only finite differencing of this
+    pair; table-backed pairs set it to resolve their narrowest feature, and
+    the exponential extension shrinks it with its rate coth R.
     """
 
     f: RadialFunc
@@ -125,7 +131,7 @@ class WarpingPair:
     domain: tuple[float, float] = (-math.inf, math.inf)
     axis_flag: bool = False
     axis_curvature: Optional[SectionalCurvatures] = None
-    fd_step: Optional[float] = None
+    fd_step: float = 1e-4
     name: str = "pair"
 
     def require(self, r: float) -> None:
@@ -148,10 +154,8 @@ class TubeParams:
     l: float
 
     def __post_init__(self) -> None:
-        if not (self.R > 0.0):
-            raise ParameterError(f"tube radius must be positive, got {self.R}")
-        if not (self.l > 0.0):
-            raise ParameterError(f"core length must be positive, got {self.l}")
+        _require_positive("tube radius", self.R)
+        _require_positive("core length", self.l)
 
 
 def sectional_curvatures(w: WarpingPair, r: float) -> SectionalCurvatures:
@@ -185,12 +189,13 @@ def _sectional_grid(w: WarpingPair, rs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def ricci_diagonal(w: WarpingPair, r: float) -> RicciDiagonal:
     """Diagonal Ricci eigenvalues, pairwise sums of the sectional curvatures."""
-    k = sectional_curvatures(w, r)
-    return RicciDiagonal(
-        ric_1=k.k_rtheta + k.k_rlambda,
-        ric_2=k.k_rtheta + k.k_thetalambda,
-        ric_3=k.k_rlambda + k.k_thetalambda,
-    )
+    return RicciDiagonal(*_ricci_sums(*sectional_curvatures(w, r).as_tuple()))
+
+
+def _ricci_sums(krt, krl, ktl):
+    """The Ricci eigenvalues (ric_1, ric_2, ric_3) from the sectional
+    curvatures K_rtheta, K_rlambda and K_thetalambda, scalars or arrays."""
+    return krt + krl, krt + ktl, krl + ktl
 
 
 def ricci_lower_bound_constant(
@@ -219,8 +224,8 @@ def _ricci_grid(w: WarpingPair, rs: np.ndarray) -> np.ndarray:
     """Half the largest negated Ricci eigenvalue of ``w`` at each radius of
     ``rs``, the pointwise smallest k with Ric >= -2k; f and g must be
     positive there."""
-    krt, krl, ktl = _sectional_grid(w, rs)
-    return -0.5 * np.minimum(np.minimum(krt + krl, krt + ktl), krl + ktl)
+    ric_1, ric_2, ric_3 = _ricci_sums(*_sectional_grid(w, rs))
+    return -0.5 * np.minimum(np.minimum(ric_1, ric_2), ric_3)
 
 
 def hyperbolic_tube() -> WarpingPair:
@@ -248,8 +253,7 @@ def kerckhoff_extension(R: float) -> WarpingPair:
     r -> -inf.  The resulting metric has constant sectional curvatures
     (-coth(R)^2, -tanh(R)^2, -1) on the coordinate planes.
     """
-    if not (R > 0.0) or not np.isfinite(R):
-        raise ParameterError(f"extension radius must be positive and finite, got {R}")
+    _require_positive("extension radius", R)
     _require_sinh(R, f"extension radius {R:g}")
     cth = coth(R)
     tnh = math.tanh(R)
@@ -466,8 +470,8 @@ def warped_volume_quadrature(
     evaluated on arrays of nodes.  Raises :class:`QuadratureError` if it does
     not converge, or cannot certify the result to one part in 1e10.
     """
-    if not (l >= 0.0):
-        raise ParameterError(f"length must be nonnegative, got {l}")
+    if not (l >= 0.0) or not math.isfinite(l):
+        raise ParameterError(f"length must be nonnegative and finite, got {l}")
     if r_lo > r_hi:
         raise ParameterError(f"inverted interval [{r_lo}, {r_hi}]")
     if r_lo == r_hi:

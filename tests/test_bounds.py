@@ -10,13 +10,18 @@ from drillvol import (
     CONSTANTS,
     DomainError,
     ParameterError,
+    TubeParams,
     bridgeman_bound,
     coarse_factor,
+    coth,
     drilled_volume_bound,
+    extended_tube_volume,
     gmt_cases,
+    k_limit,
     min_volume_corollary,
     parent_volume_lower_bound,
     solve_radius_bound,
+    tube_volume,
 )
 
 LN3_HALF = math.log(3.0) / 2.0
@@ -59,6 +64,13 @@ class TestDrilledVolumeBound:
             drilled_volume_bound(1.0, -1.0, 1.0)
         with pytest.raises(ParameterError):
             drilled_volume_bound(1.0, 1.0, 0.0)
+
+    def test_carries_tube_volumes_and_k(self):
+        est = drilled_volume_bound(0.943, 0.5, LN3_HALF)
+        params = TubeParams(R=LN3_HALF, l=0.5)
+        assert est.tube_volume == tube_volume(params)
+        assert est.extended_tube_volume == extended_tube_volume(params)
+        assert est.k == k_limit(LN3_HALF)
 
     @pytest.mark.parametrize("vol,l,R", [(1e308, 1.0, 0.5), (1.0, 1e308, 3.0), (1.0, 1e308, 30.0)])
     def test_rejects_infinite_results(self, vol, l, R):
@@ -122,6 +134,17 @@ class TestCoarseFactor:
         assert coarse_factor(lo) > coarse_factor(hi)
 
 
+class TestKLimit:
+    def test_closed_form(self):
+        assert k_limit(0.8) == coth(0.8) * coth(1.6)
+
+    @pytest.mark.parametrize("R,message", [(0.0, "R must be positive and finite, got 0.0"),
+                                           (400.0, "tube radius 400 is too large")])
+    def test_rejects_bad_radius(self, R, message):
+        with pytest.raises(ParameterError, match=message):
+            k_limit(R)
+
+
 class TestParentVolumeLowerBound:
     def test_corollary_value(self):
         v = parent_volume_lower_bound(2.0298, LN3_HALF)
@@ -176,6 +199,8 @@ class TestMinVolumeCorollary:
         assert rep.lower_bound == pytest.approx(exact, abs=1e-9)
         assert rep.lower_bound > 0.32
         assert rep.lower_bound < 0.33
+        assert rep.lower_bound == parent_volume_lower_bound(rep.cusped_volume_min,
+                                                            rep.radius_threshold)
 
     def test_radius_bound(self):
         rep = min_volume_corollary()

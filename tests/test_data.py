@@ -185,6 +185,16 @@ class TestEmitReport:
             assert back.vol_parent == pytest.approx(orig.vol_parent, abs=1e-12)
             assert back.vol_drilled == pytest.approx(orig.vol_drilled, abs=1e-12)
 
+    @pytest.mark.parametrize("row", ["m,1,1e-13,,0.9,2.0", "m,1,1e200,,0.9,"])
+    def test_extreme_lengths_round_trip(self, row):
+        """A length that 12 decimals would write as 0, or as 201 digits,
+        parses back to the same value."""
+        records = parse_records(HEADER + "\n" + row + "\n")
+        sink = io.StringIO()
+        emit_report(analyze_records(records), sink)
+        assert parse_records(sink.getvalue()) == records
+        assert len(sink.getvalue()) < 200
+
 
 # ---------------------------------------------------------------------------
 # SVG plots

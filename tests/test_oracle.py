@@ -68,6 +68,12 @@ class TestChristoffel:
         with pytest.raises(DomainError):
             christoffel_fd(flat_metric, 1e-5)
 
+    @pytest.mark.parametrize("r", [-math.inf, math.inf, math.nan])
+    def test_non_finite_radius(self, r):
+        m = DiagonalMetric.from_warping_pair(kerckhoff_extension(0.8))
+        with pytest.raises(DomainError, match="radius must be finite"):
+            m.require_margin(r)
+
 
 # ---------------------------------------------------------------------------
 # Sectional curvature
@@ -256,6 +262,11 @@ class TestValidate:
         w = request.getfixturevalue(pair_name)
         with pytest.raises(DomainError):
             validate_lemma_curvature(w, samples=5, window=window)
+
+    def test_window_keeps_stencil_inside_domain(self):
+        """A window that ends on the domain boundary would difference f past R."""
+        with pytest.raises(DomainError, match="closer than 2h"):
+            validate_lemma_curvature(kerckhoff_extension(0.8), samples=5, window=(0.0, 0.8))
 
     @pytest.mark.parametrize("pair_name,window", RUNS)
     def test_component_calls_do_not_grow_with_samples(self, pair_name, window, request):

@@ -19,7 +19,6 @@ from drillvol import (
     coth,
     ramp_beta,
     ricci_lower_bound_constant,
-    second_derivative_envelope,
     smooth_junction,
     smoothed_metric,
     step_phi,
@@ -35,6 +34,12 @@ def sinh_junction(R: float) -> JunctionInput:
     ext = kerckhoff_extension(R)
     return JunctionInput(b=ext.f, bp=ext.fp, bpp=ext.fpp, c=np.sinh, cp=np.cosh, cpp=np.sinh,
                          R=R, name="f-junction")
+
+
+def collar_envelope(s: SmoothedJunction, grid_n: int = 4096) -> tuple[float, float]:
+    """Grid-sampled (inf, sup) of a'' over the collar [R - delta, R]."""
+    vals = np.asarray(s.a_second(np.linspace(s.R - s.delta, s.R, grid_n)), dtype=float)
+    return float(vals.min()), float(vals.max())
 
 
 def identity_junction(R: float) -> JunctionInput:
@@ -127,7 +132,7 @@ class TestDegenerateJunction:
 
     def test_envelope_matches_b(self):
         s = smooth_junction(identity_junction(0.8), 1e-2)
-        lo, hi = second_derivative_envelope(s, grid_n=64)
+        lo, hi = collar_envelope(s, grid_n=64)
         window = np.sinh(np.linspace(0.8 - s.delta, 0.8, 64))
         assert lo == pytest.approx(float(window.min()), rel=1e-12)
         assert hi == pytest.approx(float(window.max()), rel=1e-12)
@@ -180,7 +185,7 @@ class TestJunctionStages:
         margins = []
         for eps in EPS_SEQ:
             s = smooth_junction(sinh_junction(R), eps)
-            _, sup = second_derivative_envelope(s)
+            _, sup = collar_envelope(s)
             margins.append(max(0.0, sup - top))
         assert margins == sorted(margins, reverse=True)
 
@@ -192,7 +197,7 @@ class TestJunctionStages:
         sup_gaps, inf_gaps = [], []
         for eps in EPS_SEQ:
             s = smooth_junction(sinh_junction(R), eps)
-            lo, hi = second_derivative_envelope(s)
+            lo, hi = collar_envelope(s)
             sup_gaps.append(abs(hi - max(b_pp, c_pp)))
             inf_gaps.append(abs(lo - min(b_pp, c_pp)))
         assert sup_gaps == sorted(sup_gaps, reverse=True)
@@ -340,11 +345,6 @@ class TestSmoothedMetric:
                 assert dv < prev_v and dd < prev_d
                 prev_v, prev_d = dv, dd
 
-    def test_cache_summary(self, family_08):
-        cache = family_08.junction_f.cache
-        assert cache["slope_knots"] == 257
-        assert cache["value_knots"] == 257
-
 
 # ---------------------------------------------------------------------------
 # Blend totals and the refined Ricci constant
@@ -374,10 +374,10 @@ def test_blend_totals_match_adaptive_quadrature(R, eps):
         inp = junction.input
         check, errs = _check_moments("blend", junction._totals,
                                      _moments(lambda t: junction._blend_stage(t, 2), R, 2), R - eps, R)
-        for j, key in enumerate(("slope_total", "value_total")):
+        for j in (0, 1):
             ref, _ = quad(lambda t: float((inp.cpp(t) - inp.bpp(t)) * step_phi(eps, R, t)) * (t - R) ** j,
                           R - eps, R, epsabs=1e-13, epsrel=1e-12, limit=400)
-            assert abs(junction.cache[key] - ref) <= 5e-12
+            assert abs(junction._totals[j] - ref) <= 5e-12
             assert abs(float(check[j]) - ref) <= 5e-12
             assert errs[j] <= 5e-13
 

@@ -220,6 +220,10 @@ class TestWarpedVolumeQuadrature:
         with pytest.raises(DomainError):
             warped_volume_quadrature(tube, -math.inf, 1.0, 1.0)
 
+    def test_rejects_infinite_length(self, tube):
+        with pytest.raises(ParameterError, match="length must be nonnegative and finite"):
+            warped_volume_quadrature(tube, 0.0, 1.0, math.inf)
+
     def test_float_conversion(self, tube):
         q = warped_volume_quadrature(tube, 0.0, 1.0, 1.0)
         assert float(q) == q.value
@@ -323,6 +327,14 @@ def test_tube_params_validation():
         TubeParams(R=0.0, l=1.0)
     with pytest.raises(ParameterError):
         TubeParams(R=1.0, l=0.0)
+    with pytest.raises(ParameterError, match="tube radius must be positive and finite, got inf"):
+        TubeParams(R=math.inf, l=1.0)
+    with pytest.raises(ParameterError, match="core length must be positive and finite, got nan"):
+        TubeParams(R=1.0, l=math.nan)
+
+
+def test_warping_pair_default_step(tube):
+    assert tube.fd_step == 1e-4
 
 
 @pytest.mark.parametrize("pair_name", ["tube", "kerckhoff08"])
