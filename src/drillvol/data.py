@@ -44,15 +44,14 @@ __all__ = [
 INPUT_COLUMNS = ("manifold", "index", "length", "tube_radius", "vol_parent", "vol_drilled")
 REPORT_COLUMNS = INPUT_COLUMNS + ("bridgeman_bound", "violation", "bound_tight", "bound_coarse", "consistent")
 
-# Fixed 12-decimal writer: absolute round-trip error below 5e-13, under every
-# tolerance used here.  Trailing zeros are stripped for readability.  A
-# nonzero value that would print as 0, and one of 1e16 or more, which would
+# Fixed 12-decimal writer, which keeps at least 9 significant digits from
+# 1e-4 on.  Trailing zeros are stripped for readability.  A nonzero value
+# below 1e-4, which would lose digits, and one of 1e16 or more, which would
 # print every integer digit, are written as the shortest round-trip repr.
 def _format_number(value: float) -> str:
-    text = f"{value:.12f}".rstrip("0").rstrip(".")
-    if (value != 0.0 and text in ("0", "-0")) or abs(value) >= 1e16:
+    if value != 0.0 and not 1e-4 <= abs(value) < 1e16:
         return repr(float(value))
-    return text
+    return f"{value:.12f}".rstrip("0").rstrip(".")
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,11 @@ class GeodesicRecord:
         for name in ("length", "vol_parent"):
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
-                raise ValidationError(f"{name} must be positive, got {v}")
+                raise ValidationError(f"{name} must be positive and finite, got {v}")
         for name in ("tube_radius", "vol_drilled"):
             v = getattr(self, name)
             if v is not None and (not (v > 0.0) or not math.isfinite(v)):
-                raise ValidationError(f"{name} must be positive when present, got {v}")
+                raise ValidationError(f"{name} must be positive and finite when present, got {v}")
 
 
 def _open_lines(source: Union[str, IO[str], Iterable[str]]) -> Iterable[str]:

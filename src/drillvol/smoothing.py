@@ -59,15 +59,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import JunctionError, ParameterError, QuadratureError, WidthError
+from .errors import JunctionError, QuadratureError, WidthError
 from .warped import (WarpingPair, _require_positive, _require_sinh, _ricci_grid,
-                     kerckhoff_extension)
+                     hyperbolic_tube, kerckhoff_extension)
 
 __all__ = [
     "bump_alpha",
     "ramp_beta",
     "step_phi",
-    "JunctionInput",
     "SmoothedJunction",
     "smooth_junction",
     "SmoothedWarpingFamily",
@@ -258,84 +257,51 @@ def _ramp_beta_prime(x):
 def step_phi(eps: float, R: float, r):
     """Ramp step beta((r - R)/eps + 1): 0 for r <= R - eps, 1 for r >= R.
 
-    eps = 0 gives the identically-zero step.
+    The width eps must be positive and finite.
     """
-    if eps < 0.0:
-        raise ParameterError(f"step width must be nonnegative, got {eps}")
+    _require_positive("step width", eps)
     r = np.asarray(r)
     dt = r.dtype if r.dtype.kind == "f" else np.float64
-    if eps == 0.0:
-        out = np.zeros(r.shape, dtype=dt)
-        return out if out.shape else out[()]
     return ramp_beta((r - np.asarray(R, dtype=dt)) / np.asarray(eps, dtype=dt) + np.asarray(1.0, dtype=dt))
-
-
-@dataclass(frozen=True)
-class JunctionInput:
-    """Two functions b, c with derivatives, meeting to first order at R."""
-
-    b: Callable
-    bp: Callable
-    bpp: Callable
-    c: Callable
-    cp: Callable
-    cpp: Callable
-    R: float
-    domain: tuple[float, float] = (-math.inf, math.inf)
-    name: str = "junction"
-
-    def validate(self) -> None:
-        # relative where |c|, |c'| > 1: from R = 10 on, one float64 rounding
-        # of cosh R exceeds an absolute 1e-12
-        c, cp = float(self.c(self.R)), float(self.cp(self.R))
-        v = abs(float(self.b(self.R)) - c)
-        d = abs(float(self.bp(self.R)) - cp)
-        if v > 1e-12 * max(1.0, abs(c)) or d > 1e-12 * max(1.0, abs(cp)):
-            raise JunctionError(
-                f"{self.name}: b and c must match to first order at R={self.R}: "
-                f"|b-c|={v:.3e}, |b'-c'|={d:.3e}"
-            )
 
 
 class SmoothedJunction:
     """The moment-matched interpolant for one junction at one smoothing width.
 
-    Exposes the interpolant a with its first two derivatives, the slope and
-    value gaps that the blend leaves at R, and the widths iota, omega and
-    delta.  The evaluators accept scalars or arrays, preserve
-    extended-precision inputs, and equal b bit-exactly below the collar
-    [R - delta, R] and c to rounding above it.
+    ``b`` and ``c`` are (value, first, second) derivative triples of two
+    functions that meet to first order at R; b is kept below the collar and
+    c above R.  Exposes the interpolant a with its first two derivatives,
+    the slope and value gaps that the blend leaves at R, and the widths
+    iota, omega and delta.  The evaluators accept scalars or arrays,
+    preserve extended-precision inputs, and equal b bit-exactly below the
+    collar [R - delta, R] and c to rounding above it.
     """
 
-    def __init__(self, inp: JunctionInput, eps: float):
+    def __init__(self, b: tuple[Callable, ...], c: tuple[Callable, ...], R: float, eps: float,
+                 name: str = "junction"):
         _require_positive("smoothing width", eps)
-        inp.validate()
-        self.input = inp
+        self.b, self.c, self.name = b, c, name
         self.eps = float(eps)
-        self.R = float(inp.R)
-        R = self.R
-        lo_dom = inp.domain[0]
-        if R - eps < lo_dom:
-            raise WidthError(
-                f"{inp.name}: blending window [R-eps, R] leaves the domain (R-eps={R - eps})"
-            )
+        self.R = R = float(R)
+        b0, b1, c0, c1 = (float(side[k](R)) for side in (b, c) for k in (0, 1))
+        # relative where |c|, |c'| > 1: from R = 10 on, one float64 rounding
+        # of cosh R exceeds an absolute 1e-12
+        v, d = abs(b0 - c0), abs(b1 - c1)
+        if v > 1e-12 * max(1.0, abs(c0)) or d > 1e-12 * max(1.0, abs(c1)):
+            raise JunctionError(f"{name}: b and c must match to first order at R={R}: "
+                                f"|b-c|={v:.3e}, |b'-c'|={d:.3e}")
 
         self._blend = _Cumulative(self._blend_integrand, R - eps, R, _BLEND_KNOTS)
         self._totals = self._blend_totals()
-        _check_moments(f"{inp.name}: blend stage", self._totals,
+        _check_moments(f"{name}: blend stage", self._totals,
                        _moments(lambda t: self._blend_stage(t, 2), R, 2), R - eps, R)
         slope_total, value_total = self._totals
-        self.slope_gap = float(inp.cp(R)) - (float(inp.bp(R)) + slope_total)
-        self.value_gap = float(inp.c(R)) - (float(inp.b(R)) - value_total)
+        self.slope_gap = c1 - (b1 + slope_total)
+        self.value_gap = c0 - (b0 - value_total)
         width = _COLLAR_SCALE * self.eps ** _COLLAR_POWER
         self.iota = width if self.slope_gap != 0.0 else 0.0
         self.omega = width if self.value_gap != 0.0 else 0.0
         self.delta = max(self.eps, self.iota, self.omega)
-        if R - self.delta < lo_dom:
-            raise WidthError(
-                f"{inp.name}: collar width delta={self.delta:.6g} leaves the domain "
-                f"(R-delta={R - self.delta:.6g} < {lo_dom:.6g})"
-            )
 
         # ramp starts: rise and fall of the plateau on [R - W, cut], then of
         # the one on [cut, R]
@@ -344,7 +310,7 @@ class SmoothedJunction:
         self._ramp_w = ramp
         self._ramp_starts = np.array([R - width, cut - ramp, cut, R - ramp])
         if not np.all(np.diff(self._ramp_starts, append=R) > 0.0):
-            raise WidthError(f"{inp.name}: collar width W={width:.3g} (eps={eps:g}) is below "
+            raise WidthError(f"{name}: collar width W={width:.3g} (eps={eps:g}) is below "
                              f"the float64 resolution at R={R:g}: the plateau ramps collapse")
         # the slope gap times the unit correction of mass 1 and zero first
         # moment about R, plus the value gap times the reverse
@@ -355,8 +321,11 @@ class SmoothedJunction:
                       + np.longdouble(self.value_gap) * (np.array([-m01, m00]) / det))
         # rounding left by the moment match, carried above R so that a stays
         # seamless at R for the value-only oracle
-        self._res1 = inp.bp(R_ld) + self._collar(R_ld, 1) - inp.cp(R_ld)
-        self._res0 = inp.b(R_ld) + self._collar(R_ld, 0) - inp.c(R_ld)
+        self._res0, self._res1 = (b[k](R_ld) + self._collar(R_ld, k) - c[k](R_ld) for k in (0, 1))
+
+    def _gap(self, t, order: int):
+        """c - b, or the difference of their first or second derivatives, at t."""
+        return self.c[order](t) - self.b[order](t)
 
     def _blend_stage(self, s, order: int):
         """(c'' - b'') phi_eps (order 2), or its integral once (1) or twice
@@ -368,15 +337,14 @@ class SmoothedJunction:
         out = np.zeros_like(phi)
         inside = phi > 0.0
         if np.any(inside):
-            inp = self.input
             t, p = s[inside], phi[inside]
             if order == 2:
-                out[inside] = (inp.cpp(t) - inp.bpp(t)) * p
+                out[inside] = self._gap(t, 2) * p
             elif order == 1:
-                out[inside] = (inp.cp(t) - inp.bp(t)) * p - self._blend(t)[..., 0]
+                out[inside] = self._gap(t, 1) * p - self._blend(t)[..., 0]
             else:
                 i = self._blend(t)
-                out[inside] = ((inp.c(t) - inp.b(t)) * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
+                out[inside] = (self._gap(t, 0) * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
                                + i[..., 1] - i[..., 2])
         return out
 
@@ -394,19 +362,18 @@ class SmoothedJunction:
         eps = np.longdouble(self.eps)
         x = eps * (tab.blend_x - 1)
         t = np.longdouble(self.R) + x
-        h = (self.input.cpp(t) - self.input.bpp(t)) * tab.blend_beta
+        h = self._gap(t, 2) * tab.blend_beta
         return tuple(float(eps * (tab.blend_half @ (h * x**j @ _GL_WEIGHTS_LD))) for j in (0, 1))
 
     def _blend_integrand(self, t):
         """w_k phi_eps' for w = (D1, D1 (t - R), D0), D1 = c' - b' and
         D0 = c - b, stacked on a new last axis: the blend cache's integrand."""
-        inp = self.input
         dt = t.dtype
         x = t - np.asarray(self.R, dt)
         eps = np.asarray(self.eps, dt)
         dphi = _ramp_beta_prime(x / eps + np.asarray(1.0, dt)) / eps
-        d1 = (inp.cp(t) - inp.bp(t)) * dphi
-        return np.stack([d1, d1 * x, (inp.c(t) - inp.b(t)) * dphi], axis=-1)
+        d1 = self._gap(t, 1) * dphi
+        return np.stack([d1, d1 * x, self._gap(t, 0) * dphi], axis=-1)
 
     def _plateaus(self, s, order: int):
         """The two collar plateaus (order 0) or their first or second
@@ -429,18 +396,17 @@ class SmoothedJunction:
         r = np.asarray(r)
         if r.dtype.kind != "f":
             r = r.astype(np.float64)
-        inp = self.input
         dt = r.dtype
         R = np.asarray(self.R, dtype=dt)
         above = r > R
         # b and c each only on their own side: c may overflow far below R
         ru = r[above]
-        upper = (inp.c, inp.cp, inp.cpp)[order](ru)
+        upper = self.c[order](ru)
         if order == 0:
             upper = upper + self._res0.astype(dt) + self._res1.astype(dt) * (ru - R)
         elif order == 1:
             upper = upper + self._res1.astype(dt)
-        lower = (inp.b, inp.bp, inp.bpp)[order](r[~above])
+        lower = self.b[order](r[~above])
         out = np.empty(r.shape, np.result_type(upper, lower))
         out[above], out[~above] = upper, lower
         inside = (r >= np.asarray(self.R - self.delta, dtype=dt)) & (r <= R)
@@ -458,16 +424,12 @@ class SmoothedJunction:
     def a_second(self, r):
         return self._eval(r, 2)
 
-    def __repr__(self) -> str:
-        return (
-            f"SmoothedJunction({self.input.name}, eps={self.eps:g}, "
-            f"iota={self.iota:.6g}, omega={self.omega:.6g}, delta={self.delta:.6g})"
-        )
 
-
-def smooth_junction(inp: JunctionInput, eps: float) -> SmoothedJunction:
-    """Build the moment-matched interpolant for ``inp`` at smoothing width ``eps``."""
-    return SmoothedJunction(inp, eps)
+def smooth_junction(b: tuple[Callable, ...], c: tuple[Callable, ...], R: float, eps: float,
+                    name: str = "junction") -> SmoothedJunction:
+    """Build the moment-matched interpolant from the derivative triple ``b``
+    to ``c`` at R, at smoothing width ``eps``."""
+    return SmoothedJunction(b, c, R, eps, name)
 
 
 @dataclass(frozen=True)
@@ -501,19 +463,16 @@ def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float) -> float:
     for a small R.
     """
     rs = np.linspace(lo, hi, _K_GRID_N)
-    vals = _ricci_grid(pair, rs)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    width = math.inf
+    best, width = -math.inf, math.inf
     while True:
+        vals = _ricci_grid(pair, rs)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
         b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
         if not b_hi - b_lo < width:
             return best
         width = b_hi - b_lo
         rs = np.linspace(b_lo, b_hi, _BRACKET_POINTS)
-        vals = _ricci_grid(pair, rs)
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
 
 
 def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
@@ -530,19 +489,13 @@ def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
             f"blending window [R-eps, R] reaches the tube core r = 0 (R={R:g}, eps={eps:g}); "
             f"use eps < R"
         )
-    ext = kerckhoff_extension(R)
+    ext, tube = kerckhoff_extension(R), hyperbolic_tube()
     # f g = sinh(2r)/2 on the Ricci grid up to R + margin
     _require_sinh(2.0 * (R + _MARGIN), f"tube radius {R:g}")
-    jf = smooth_junction(
-        JunctionInput(b=ext.f, bp=ext.fp, bpp=ext.fpp, c=np.sinh, cp=np.cosh, cpp=np.sinh,
-                      R=R, name=f"f-junction(R={R:g})"),
-        eps,
-    )
-    jg = smooth_junction(
-        JunctionInput(b=ext.g, bp=ext.gp, bpp=ext.gpp, c=np.cosh, cp=np.sinh, cpp=np.cosh,
-                      R=R, name=f"g-junction(R={R:g})"),
-        eps,
-    )
+    jf = smooth_junction((ext.f, ext.fp, ext.fpp), (tube.f, tube.fp, tube.fpp), R, eps,
+                         f"f-junction(R={R:g})")
+    jg = smooth_junction((ext.g, ext.gp, ext.gpp), (tube.g, tube.gp, tube.gpp), R, eps,
+                         f"g-junction(R={R:g})")
     delta = max(jf.delta, jg.delta)
     pair = WarpingPair(
         f=jf.a, fp=jf.a_prime, fpp=jf.a_second,

@@ -255,28 +255,16 @@ def kerckhoff_extension(R: float) -> WarpingPair:
     """
     _require_positive("extension radius", R)
     _require_sinh(R, f"extension radius {R:g}")
-    cth = coth(R)
     tnh = math.tanh(R)
-    sh = math.sinh(R)
-    ch = math.cosh(R)
 
-    def f(r):
-        return sh * np.exp(cth * (np.asarray(r) - R))
+    def exponential(scale: float, rate: float):
+        """scale exp(rate (r - R)) and its first two derivatives."""
+        def times(coef: float):
+            return lambda r: coef * np.exp(rate * (np.asarray(r) - R))
+        return times(scale), times(scale * rate), times(scale * rate * rate)
 
-    def fp(r):
-        return (sh * cth) * np.exp(cth * (np.asarray(r) - R))
-
-    def fpp(r):
-        return (sh * cth * cth) * np.exp(cth * (np.asarray(r) - R))
-
-    def g(r):
-        return ch * np.exp(tnh * (np.asarray(r) - R))
-
-    def gp(r):
-        return (ch * tnh) * np.exp(tnh * (np.asarray(r) - R))
-
-    def gpp(r):
-        return (ch * tnh * tnh) * np.exp(tnh * (np.asarray(r) - R))
+    f, fp, fpp = exponential(math.sinh(R), coth(R))
+    g, gp, gpp = exponential(math.cosh(R), tnh)
 
     return WarpingPair(
         f=f, fp=fp, fpp=fpp, g=g, gp=gp, gpp=gpp,

@@ -167,8 +167,8 @@ def test_criterion_07_smoothing_construction(capsys):
             jf, jg = fam.junction_f, fam.junction_g
             r_lo = R - fam.delta - 0.2
             below = max(
-                abs(float(jf.a(r_lo)) - float(jf.input.b(r_lo))),
-                abs(float(jg.a(r_lo)) - float(jg.input.b(r_lo))),
+                abs(float(jf.a(r_lo)) - float(jf.b[0](r_lo))),
+                abs(float(jg.a(r_lo)) - float(jg.b[0](r_lo))),
             )
             above = max(
                 abs(float(jf.a(R + 0.1)) - math.sinh(R + 0.1)),

@@ -61,6 +61,11 @@ class TestParse:
         with pytest.raises(ValidationError, match="line 2"):
             parse_records(HEADER + "\nweeks,1,-1,,0.9427,2.8\n")
 
+    def test_infinite_length_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="line 2: length must be positive and finite, got inf"):
+            parse_records(HEADER + "\nm,1,inf,,0.9,\n")
+
     def test_short_row_rejected(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_records(HEADER + "\nweeks,1,0.5,,0.9,2.8\nweeks,2,0.6\n")
@@ -185,10 +190,11 @@ class TestEmitReport:
             assert back.vol_parent == pytest.approx(orig.vol_parent, abs=1e-12)
             assert back.vol_drilled == pytest.approx(orig.vol_drilled, abs=1e-12)
 
-    @pytest.mark.parametrize("row", ["m,1,1e-13,,0.9,2.0", "m,1,1e200,,0.9,"])
+    @pytest.mark.parametrize("row", ["m,1,1e-13,,0.9,2.0", "m,1,1e200,,0.9,",
+                                     "m,1,6e-13,,0.9,2.0", "m,1,1.23456789e-7,,0.9,"])
     def test_extreme_lengths_round_trip(self, row):
-        """A length that 12 decimals would write as 0, or as 201 digits,
-        parses back to the same value."""
+        """A length that 12 decimals would write with few significant digits,
+        as 0, or as 201 digits, parses back to the same value."""
         records = parse_records(HEADER + "\n" + row + "\n")
         sink = io.StringIO()
         emit_report(analyze_records(records), sink)

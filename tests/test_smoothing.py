@@ -9,7 +9,6 @@ import pytest
 from conftest import cached_family
 from drillvol import (
     JunctionError,
-    JunctionInput,
     ParameterError,
     QuadratureError,
     SingularAxisError,
@@ -23,17 +22,21 @@ from drillvol import (
     smoothed_metric,
     step_phi,
 )
+from drillvol import smoothing
 from drillvol.smoothing import _check_moments, _moments, _ramp_beta_prime, _ramp_tables
 from drillvol.warped import WarpingPair, kerckhoff_extension
 
 EPS_SEQ = (1e-1, 1e-2, 1e-3)
 
 
-def sinh_junction(R: float) -> JunctionInput:
+SINH = (np.sinh, np.cosh, np.sinh)
+COSH = (np.cosh, np.sinh, np.cosh)
+
+
+def sinh_junction(R: float, eps: float) -> SmoothedJunction:
     """Exponential extension against sinh: the f-side junction."""
     ext = kerckhoff_extension(R)
-    return JunctionInput(b=ext.f, bp=ext.fp, bpp=ext.fpp, c=np.sinh, cp=np.cosh, cpp=np.sinh,
-                         R=R, name="f-junction")
+    return smooth_junction((ext.f, ext.fp, ext.fpp), SINH, R, eps, "f-junction")
 
 
 def collar_envelope(s: SmoothedJunction, grid_n: int = 4096) -> tuple[float, float]:
@@ -42,10 +45,9 @@ def collar_envelope(s: SmoothedJunction, grid_n: int = 4096) -> tuple[float, flo
     return float(vals.min()), float(vals.max())
 
 
-def identity_junction(R: float) -> JunctionInput:
+def identity_junction(R: float, eps: float) -> SmoothedJunction:
     """Degenerate case b = c (no actual corner)."""
-    return JunctionInput(b=np.sinh, bp=np.cosh, bpp=np.sinh,
-                         c=np.sinh, cp=np.cosh, cpp=np.sinh, R=R, name="degenerate")
+    return smooth_junction(SINH, SINH, R, eps, "degenerate")
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +106,13 @@ class TestStep:
         assert float(step_phi(eps, R, R - eps)) == 0.0
         assert float(step_phi(eps, R, R + 1.0)) == 1.0
 
-    def test_zero_width_is_zero_function(self):
-        rs = np.linspace(-2.0, 2.0, 17)
-        assert np.all(np.asarray(step_phi(0.0, 0.8, rs)) == 0.0)
-
     def test_midpoint(self):
         assert float(step_phi(0.05, 0.8, 0.8 - 0.025)) == pytest.approx(0.5, abs=1e-12)
 
-    def test_negative_width_rejected(self):
-        with pytest.raises(ParameterError):
-            step_phi(-1.0, 0.8, 0.5)
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.inf, math.nan])
+    def test_width_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ParameterError, match="step width must be positive and finite"):
+            step_phi(eps, 0.8, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +122,7 @@ class TestStep:
 
 class TestDegenerateJunction:
     def test_identity_passthrough(self):
-        s = smooth_junction(identity_junction(0.8), 1e-2)
+        s = identity_junction(0.8, 1e-2)
         assert s.iota == 0.0
         assert s.omega == 0.0
         assert s.delta == 1e-2
@@ -131,7 +130,7 @@ class TestDegenerateJunction:
         assert np.array_equal(np.asarray(s.a(rs), float), np.sinh(rs))
 
     def test_envelope_matches_b(self):
-        s = smooth_junction(identity_junction(0.8), 1e-2)
+        s = identity_junction(0.8, 1e-2)
         lo, hi = collar_envelope(s, grid_n=64)
         window = np.sinh(np.linspace(0.8 - s.delta, 0.8, 64))
         assert lo == pytest.approx(float(window.min()), rel=1e-12)
@@ -139,10 +138,8 @@ class TestDegenerateJunction:
 
     def test_unit_ricci_constant_for_all_widths(self):
         for eps in EPS_SEQ:
-            s = smooth_junction(identity_junction(0.8), eps)
-            c = smooth_junction(
-                JunctionInput(b=np.cosh, bp=np.sinh, bpp=np.cosh,
-                              c=np.cosh, cp=np.sinh, cpp=np.cosh, R=0.8), eps)
+            s = identity_junction(0.8, eps)
+            c = smooth_junction(COSH, COSH, 0.8, eps)
             pair = WarpingPair(f=s.a, fp=s.a_prime, fpp=s.a_second,
                                g=c.a, gp=c.a_prime, gpp=c.a_second,
                                domain=(0.01, math.inf), name="degenerate-tube")
@@ -152,16 +149,16 @@ class TestDegenerateJunction:
 
 class TestJunctionStages:
     def test_exact_outside_collar(self):
-        s = smooth_junction(sinh_junction(0.8), 1e-2)
+        s = sinh_junction(0.8, 1e-2)
         r_lo = 0.8 - s.delta - 0.1
-        assert float(s.a(r_lo)) == pytest.approx(float(s.input.b(r_lo)), abs=1e-10)
+        assert float(s.a(r_lo)) == pytest.approx(float(s.b[0](r_lo)), abs=1e-10)
         assert float(s.a(0.9)) == pytest.approx(math.sinh(0.9), abs=1e-10)
 
     def test_stage_anchors(self):
-        s = smooth_junction(sinh_junction(0.8), 1e-2)
+        s = sinh_junction(0.8, 1e-2)
         # a' equals b' below the collar and c' above R; a meets c at R
         r = 0.8 - s.delta - 0.05
-        assert float(s.a_prime(r)) == pytest.approx(float(s.input.bp(r)), abs=1e-12)
+        assert float(s.a_prime(r)) == pytest.approx(float(s.b[1](r)), abs=1e-12)
         assert float(s.a_prime(0.85)) == pytest.approx(math.cosh(0.85), abs=1e-12)
         assert float(s.a(0.8)) == pytest.approx(math.sinh(0.8), abs=1e-12)
         # both corrections span the advertised collar width 2 eps^(1/3)
@@ -170,7 +167,7 @@ class TestJunctionStages:
         assert s.delta == max(s.eps, s.iota, s.omega)
 
     def test_widths_shrink_with_eps(self):
-        widths = [smooth_junction(sinh_junction(0.8), eps) for eps in EPS_SEQ]
+        widths = [sinh_junction(0.8, eps) for eps in EPS_SEQ]
         iotas = [s.iota for s in widths]
         omegas = [s.omega for s in widths]
         deltas = [s.delta for s in widths]
@@ -184,7 +181,7 @@ class TestJunctionStages:
         top = max(float(np.sinh(R)) * coth(R) ** 2, math.sinh(R))
         margins = []
         for eps in EPS_SEQ:
-            s = smooth_junction(sinh_junction(R), eps)
+            s = sinh_junction(R, eps)
             _, sup = collar_envelope(s)
             margins.append(max(0.0, sup - top))
         assert margins == sorted(margins, reverse=True)
@@ -196,7 +193,7 @@ class TestJunctionStages:
         c_pp = math.sinh(R)
         sup_gaps, inf_gaps = [], []
         for eps in EPS_SEQ:
-            s = smooth_junction(sinh_junction(R), eps)
+            s = sinh_junction(R, eps)
             lo, hi = collar_envelope(s)
             sup_gaps.append(abs(hi - max(b_pp, c_pp)))
             inf_gaps.append(abs(lo - min(b_pp, c_pp)))
@@ -204,7 +201,7 @@ class TestJunctionStages:
         assert inf_gaps == sorted(inf_gaps, reverse=True)
 
     def test_derivative_consistency_in_collar(self):
-        s = smooth_junction(sinh_junction(0.8), 1e-2)
+        s = sinh_junction(0.8, 1e-2)
         rng = np.random.default_rng(4)
         h = 3e-6
         for r in rng.uniform(0.8 - s.delta, 0.8, 100):
@@ -221,21 +218,12 @@ class TestJunctionStages:
         assert math.isfinite(fam.k_eps)
 
     def test_junction_hypothesis_enforced(self):
-        bad = JunctionInput(b=np.sinh, bp=np.cosh, bpp=np.sinh,
-                            c=np.cosh, cp=np.sinh, cpp=np.cosh, R=0.8)
         with pytest.raises(JunctionError):
-            smooth_junction(bad, 1e-2)
+            smooth_junction(SINH, COSH, 0.8, 1e-2)
 
     def test_positive_width_required(self):
         with pytest.raises(ParameterError):
-            smooth_junction(sinh_junction(0.8), 0.0)
-
-    def test_domain_margin_enforced(self):
-        inp = JunctionInput(b=np.sinh, bp=np.cosh, bpp=np.sinh,
-                            c=np.sinh, cp=np.cosh, cpp=np.sinh,
-                            R=0.8, domain=(0.75, 2.0))
-        with pytest.raises(WidthError):
-            smooth_junction(inp, 1e-1)
+            sinh_junction(0.8, 0.0)
 
     @pytest.mark.parametrize("R,eps", [(0.8, 1e-50), (0.05, 1e-50), (3.0, 1e-44), (20.0, 1e-60)])
     def test_collar_below_float_resolution_rejected(self, R, eps):
@@ -260,7 +248,7 @@ class TestSmoothedMetric:
         assert float(fam.pair.g(1.0)) == pytest.approx(math.cosh(1.0), abs=1e-10)
         r_lo = 0.8 - fam.delta - 0.3
         assert float(fam.pair.f(r_lo)) == pytest.approx(
-            float(fam.junction_f.input.b(r_lo)), abs=1e-12)
+            float(fam.junction_f.b[0](r_lo)), abs=1e-12)
 
     def test_each_side_evaluated_alone(self):
         """Far below R only the extension is evaluated: sinh(-800) would
@@ -339,9 +327,9 @@ class TestSmoothedMetric:
                 jf = cached_family(R, eps).junction_f
                 rs = np.linspace(R - jf.delta, R, 1001)
                 dv = float(np.max(np.abs(np.asarray(jf.a(rs), float)
-                                         - np.asarray(jf.input.b(rs), float))))
+                                         - np.asarray(jf.b[0](rs), float))))
                 dd = float(np.max(np.abs(np.asarray(jf.a_prime(rs), float)
-                                         - np.asarray(jf.input.bp(rs), float))))
+                                         - np.asarray(jf.b[1](rs), float))))
                 assert dv < prev_v and dd < prev_d
                 prev_v, prev_d = dv, dd
 
@@ -371,11 +359,10 @@ def test_blend_totals_match_adaptive_quadrature(R, eps):
 
     fam = cached_family(R, eps)
     for junction in (fam.junction_f, fam.junction_g):
-        inp = junction.input
         check, errs = _check_moments("blend", junction._totals,
                                      _moments(lambda t: junction._blend_stage(t, 2), R, 2), R - eps, R)
         for j in (0, 1):
-            ref, _ = quad(lambda t: float((inp.cpp(t) - inp.bpp(t)) * step_phi(eps, R, t)) * (t - R) ** j,
+            ref, _ = quad(lambda t: float((junction.c[2](t) - junction.b[2](t)) * step_phi(eps, R, t)) * (t - R) ** j,
                           R - eps, R, epsabs=1e-13, epsrel=1e-12, limit=400)
             assert abs(junction._totals[j] - ref) <= 5e-12
             assert abs(float(check[j]) - ref) <= 5e-12
@@ -392,7 +379,25 @@ def test_perturbed_blend_total_rejected(monkeypatch):
 
     monkeypatch.setattr(SmoothedJunction, "_blend_totals", perturbed)
     with pytest.raises(QuadratureError, match="moment 0"):
-        smooth_junction(sinh_junction(0.8), 1e-2)
+        sinh_junction(0.8, 1e-2)
+
+
+def test_junction_builds_go_through_smooth_junction(monkeypatch):
+    """smoothed_metric builds both junctions through the module-level
+    smooth_junction, the name a profiler wraps to time junction builds."""
+    want = cached_family(0.8, 1e-2).k_eps
+    built = []
+    original = smoothing.smooth_junction
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(smoothing, "smooth_junction", recording)
+    fam = smoothed_metric(0.8, 1e-2)
+    assert [j.name for j in built] == ["f-junction(R=0.8)", "g-junction(R=0.8)"]
+    assert built[0] is fam.junction_f and built[1] is fam.junction_g
+    assert fam.k_eps == want
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
