@@ -12,6 +12,9 @@ i.e. pi l sinh^2 R <= V.  Inverting the coarse bound against the known
 minimal cusped volume yields the minimum-volume corollary: every orientable
 hyperbolic 3-manifold has volume > 0.32, and the shortest geodesic of a
 minimal-volume manifold has tube radius below 0.956.
+
+The tube's closed forms (``coth``, ``TubeParams`` and the two tube volumes)
+live here too: this module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError, ParameterError
-from .warped import (TubeParams, _require_positive, _require_sinh, coth,
-                     extended_tube_volume, tube_volume)
 
 __all__ = [
+    "TubeParams",
+    "tube_volume",
+    "extended_tube_volume",
+    "coth",
     "CONSTANTS",
     "DrillEstimate",
     "GmtCase",
@@ -54,6 +59,64 @@ CONSTANTS: dict[str, tuple[float, str]] = {
     "min_volume_target": (0.32, "claimed lower bound for the minimal orientable volume"),
     "radius_bound_target": (0.956, "claimed upper bound for the minimal-geodesic tube radius"),
 }
+
+
+TWO_PI = 2.0 * math.pi
+
+
+def coth(x: float) -> float:
+    """Hyperbolic cotangent."""
+    return math.cosh(x) / math.sinh(x)
+
+
+def _require_sinh(x: float, what: str) -> None:
+    """Reject an argument whose sinh, and with it coth, overflows or is
+    infinite: 2R is inf for a finite R near the float64 limit."""
+    try:
+        if math.isfinite(math.sinh(x)):
+            return
+    except OverflowError:
+        pass
+    raise ParameterError(f"{what} is too large: sinh({x:g}) overflows")
+
+
+def _require_positive(what: str, value: float) -> None:
+    """Reject a value that is not positive, or not finite."""
+    if not (value > 0.0) or not math.isfinite(value):
+        raise ParameterError(f"{what} must be positive and finite, got {value}")
+
+
+@dataclass(frozen=True)
+class TubeParams:
+    """Tube radius and core geodesic length.
+
+    The tube's rotational holonomy is not carried: no volume or curvature
+    computed here depends on it.
+    """
+
+    R: float
+    l: float
+
+    def __post_init__(self) -> None:
+        _require_positive("tube radius", self.R)
+        _require_positive("core length", self.l)
+
+
+def tube_volume(p: TubeParams) -> float:
+    """Volume pi * l * sinh(R)^2 of the solid tube of radius R, core length l."""
+    return math.pi * p.l * math.sinh(p.R) ** 2
+
+
+def extended_tube_volume(p: TubeParams) -> float:
+    """Volume of the extended region (-inf, R] under the exponential pair.
+
+    Closed form 2 pi l sinh(R) cosh(R) / (coth(R) + tanh(R)).  Subtracting
+    the solid-tube volume and adding this equals adding
+    pi l sinh(R)^2 (coth(R)/coth(2R) - 1).
+    """
+    sh = math.sinh(p.R)
+    ch = math.cosh(p.R)
+    return TWO_PI * p.l * sh * ch / (coth(p.R) + math.tanh(p.R))
 
 
 def _require_radius(R: float) -> None:

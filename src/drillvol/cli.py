@@ -18,21 +18,18 @@ DRILLVOL_PRECISION overrides the default 12 significant digits of output.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+# Each command imports what else it uses when it runs: --version, minvol,
+# bound and analyze need only the standard library, and numpy loads for
+# curvature, smooth and bound --quadrature-check alone.
 from . import __version__
 from .bounds import drilled_volume_bound, k_limit, min_volume_corollary
-from .data import analyze_records, emit_plot, emit_report, parse_records
 from .errors import ParameterError, ToolkitError, UsageError, ValidationError
-from .oracle import validate_lemma_curvature
-from .smoothing import smoothed_metric
-from .warped import (hyperbolic_tube, kerckhoff_extension, ricci_diagonal,
-                     sectional_curvatures, warped_volume_quadrature)
 
 PRECISION_ENV = "DRILLVOL_PRECISION"
 
@@ -122,6 +119,8 @@ def _emit(cfg: CliConfig, out, **pairs) -> None:
 
 
 def _cmd_curvature(args, cfg: CliConfig, out) -> int:
+    from .warped import hyperbolic_tube, kerckhoff_extension, ricci_diagonal, sectional_curvatures
+
     R = args.R
     ext = kerckhoff_extension(R)
     k_lim = k_limit(R)  # rejects an overflowing sinh(2R) before the curvatures overflow
@@ -134,6 +133,8 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
           k_limit=k_lim)
     if not args.validate:
         return 0
+    from .oracle import validate_lemma_curvature
+
     ok = True
     for pair in (hyperbolic_tube(), ext):
         report = validate_lemma_curvature(pair, samples=args.samples,
@@ -151,6 +152,10 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
 
 
 def _cmd_smooth(args, cfg: CliConfig, out) -> int:
+    import numpy as np
+
+    from .smoothing import smoothed_metric
+
     for flag in ("lo", "hi"):
         value = getattr(args, flag)
         if value is not None and not math.isfinite(value):
@@ -192,6 +197,8 @@ def _cmd_bound(args, cfg: CliConfig, out) -> int:
     for warning in est.warnings:
         _emit(cfg, out, warning=warning)
     if args.quadrature_check:
+        from .warped import hyperbolic_tube, kerckhoff_extension, warped_volume_quadrature
+
         tube_q = warped_volume_quadrature(hyperbolic_tube(), 0.0, args.R, args.length)
         ext_q = warped_volume_quadrature(kerckhoff_extension(args.R), -math.inf, args.R,
                                          args.length, truncation_depth=cfg.depth)
@@ -224,6 +231,8 @@ def _cmd_minvol(args, cfg: CliConfig, out) -> int:
 
 
 def _cmd_analyze(args, cfg: CliConfig, out) -> int:
+    from .data import analyze_records, emit_plot, emit_report, parse_records
+
     with open(args.input, "r", encoding="utf-8", newline="") as stream:
         records = parse_records(stream)
     report = analyze_records(records)
@@ -243,8 +252,10 @@ def _cmd_analyze(args, cfg: CliConfig, out) -> int:
         print("", file=out)
         emit_report(report, out)
     if args.plot:
+        svg = io.StringIO()  # a plot that fails leaves no file behind
+        emit_plot(report, svg, style=args.style)
         with open(args.plot, "w", encoding="utf-8", newline="") as sink:
-            emit_plot(report, sink, style=args.style)
+            sink.write(svg.getvalue())
         _emit(cfg, out, plot=args.plot, style=args.style)
     return 0
 

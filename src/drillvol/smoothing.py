@@ -59,9 +59,9 @@ from typing import Callable
 
 import numpy as np
 
+from .bounds import _require_positive, _require_sinh
 from .errors import JunctionError, QuadratureError, WidthError
-from .warped import (WarpingPair, _require_positive, _require_sinh, _ricci_grid,
-                     hyperbolic_tube, kerckhoff_extension)
+from .warped import WarpingPair, _ricci_grid, hyperbolic_tube, kerckhoff_extension
 
 __all__ = [
     "bump_alpha",

@@ -9,12 +9,12 @@ curvatures
 and the Ricci tensor is diagonal in the orthonormal frame, with eigenvalues
 given by pairwise sums of those curvatures.  This module provides the two
 built-in pairs (the constant-curvature tube ``(sinh, cosh)`` and its
-exponential extension past the tube boundary), the closed-form curvature and
-volume operations, and an adaptive-quadrature volume integral used as an
-oracle for the closed forms.  That integral is a numpy port of QUADPACK's
-QAGS (the 21-point Gauss-Kronrod rule ``dqk21`` under ``dqagse``'s
-bisection) without its epsilon-algorithm extrapolation; on the built-in
-pairs it returns scipy's ``quad`` values bit for bit.
+exponential extension past the tube boundary), the closed-form curvature
+operations, and an adaptive-quadrature volume integral used as an oracle for
+the closed-form tube volumes of :mod:`drillvol.bounds`.  That integral is a
+numpy port of QUADPACK's QAGS (the 21-point Gauss-Kronrod rule ``dqk21``
+under ``dqagse``'s bisection) without its epsilon-algorithm extrapolation;
+on the built-in pairs it returns scipy's ``quad`` values bit for bit.
 
 All warping callables must accept numpy arrays as well as scalars and should
 be numpy-ufunc based so that evaluation preserves extended-precision inputs
@@ -29,11 +29,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# The tube's closed forms live in the numpy-free bounds module; TubeParams and
+# the two tube volumes are imported for callers that take them from here.
+from .bounds import (TWO_PI, TubeParams, _require_positive, _require_sinh, coth,
+                     extended_tube_volume, tube_volume)
 from .errors import DomainError, ParameterError, QuadratureError, SingularAxisError
 
 __all__ = [
     "WarpingPair",
-    "TubeParams",
     "SectionalCurvatures",
     "RicciDiagonal",
     "VolumeQuadrature",
@@ -42,37 +45,10 @@ __all__ = [
     "ricci_lower_bound_constant",
     "hyperbolic_tube",
     "kerckhoff_extension",
-    "tube_volume",
-    "extended_tube_volume",
     "warped_volume_quadrature",
-    "coth",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 RadialFunc = Callable[[float], float]
-
-
-def coth(x: float) -> float:
-    """Hyperbolic cotangent."""
-    return math.cosh(x) / math.sinh(x)
-
-
-def _require_sinh(x: float, what: str) -> None:
-    """Reject an argument whose sinh, and with it coth, overflows or is
-    infinite: 2R is inf for a finite R near the float64 limit."""
-    try:
-        if math.isfinite(math.sinh(x)):
-            return
-    except OverflowError:
-        pass
-    raise ParameterError(f"{what} is too large: sinh({x:g}) overflows")
-
-
-def _require_positive(what: str, value: float) -> None:
-    """Reject a value that is not positive, or not finite."""
-    if not (value > 0.0) or not math.isfinite(value):
-        raise ParameterError(f"{what} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -140,22 +116,6 @@ class WarpingPair:
             raise DomainError(f"{self.name}: radius must be finite, got {r!r}")
         if not lo <= r <= hi:
             raise DomainError(f"{self.name}: radius {r} outside domain [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class TubeParams:
-    """Tube radius and core geodesic length.
-
-    The tube's rotational holonomy is not carried: no volume or curvature
-    computed here depends on it.
-    """
-
-    R: float
-    l: float
-
-    def __post_init__(self) -> None:
-        _require_positive("tube radius", self.R)
-        _require_positive("core length", self.l)
 
 
 def sectional_curvatures(w: WarpingPair, r: float) -> SectionalCurvatures:
@@ -273,23 +233,6 @@ def kerckhoff_extension(R: float) -> WarpingPair:
         fd_step=min(1e-4, 1e-3 * tnh),
         name=f"kerckhoff_extension(R={R:g})",
     )
-
-
-def tube_volume(p: TubeParams) -> float:
-    """Volume pi * l * sinh(R)^2 of the solid tube of radius R, core length l."""
-    return math.pi * p.l * math.sinh(p.R) ** 2
-
-
-def extended_tube_volume(p: TubeParams) -> float:
-    """Volume of the extended region (-inf, R] under the exponential pair.
-
-    Closed form 2 pi l sinh(R) cosh(R) / (coth(R) + tanh(R)).  Subtracting
-    the solid-tube volume and adding this equals adding
-    pi l sinh(R)^2 (coth(R)/coth(2R) - 1).
-    """
-    sh = math.sinh(p.R)
-    ch = math.cosh(p.R)
-    return TWO_PI * p.l * sh * ch / (coth(p.R) + math.tanh(p.R))
 
 
 @dataclass(frozen=True)

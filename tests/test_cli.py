@@ -279,6 +279,7 @@ class TestAnalyze:
                                 "--plot", str(tmp_path / "p.svg"), "--style", "log10")
         assert code == 1
         assert err.startswith("error:plot:")
+        assert not (tmp_path / "p.svg").exists()
 
     def test_parse_error_reported(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -306,8 +307,8 @@ def test_version_flag(capsys):
 
 SRC_ENV = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
 
-# Runs the CLI in a fresh interpreter and reports on stderr whether scipy was
-# imported; sys.argv[1:] are the CLI's arguments.
+# Runs the CLI in a fresh interpreter and reports on stderr whether scipy and
+# numpy were imported; sys.argv[1:] are the CLI's arguments.
 SCIPY_PROBE = """\
 import runpy, sys
 sys.argv[0] = "drillvol"
@@ -315,8 +316,15 @@ try:
     runpy.run_module("drillvol", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(f"scipy_loaded={'scipy' in sys.modules} code={code}", file=sys.stderr)
+print(f"scipy_loaded={'scipy' in sys.modules} numpy_loaded={'numpy' in sys.modules} "
+      f"code={code}", file=sys.stderr)
 """
+
+
+def _probe(*argv):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+    return proc.stderr.splitlines()
 
 
 @pytest.mark.parametrize("argv", [
@@ -327,21 +335,31 @@ print(f"scipy_loaded={'scipy' in sys.modules} code={code}", file=sys.stderr)
     ("analyze", "--input", str(FIXTURE_CSV)),
     ("smooth", "--R", "0.8", "--eps", "1e-2"),
     ("bound", "--vol", "0.943", "--length", "0.5", "--R", "0.8", "--quadrature-check"),
+    ("analyze", "--input", str(FIXTURE_CSV), "--output", os.devnull, "--plot", os.devnull),
 ])
 def test_cli_never_loads_scipy(argv):
-    """No subcommand imports scipy, the volume quadrature included."""
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=SRC_ENV,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.stderr.splitlines()[-1] == "scipy_loaded=False code=0"
+    """No subcommand imports scipy, the volume quadrature included; only
+    curvature, smooth and the quadrature check import numpy."""
+    numpy = argv[0] in ("curvature", "smooth") or "--quadrature-check" in argv
+    assert _probe(*argv)[-1] == f"scipy_loaded=False numpy_loaded={numpy} code=0"
+
+
+def test_error_path_does_not_load_numpy():
+    lines = _probe("bound", "--vol", "-1", "--length", "1", "--R", "1")
+    assert lines[0].startswith("error:parameter:")
+    assert lines[-1] == "scipy_loaded=False numpy_loaded=False code=1"
 
 
 def test_import_does_not_load_scipy():
-    """Neither the import nor the ramp tables, checked on first use, load scipy."""
+    """Neither the import nor the ramp tables, checked on first use, load
+    scipy; the import alone loads no numpy, and the ramp tables load neither
+    the oracle nor the data layer."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, drillvol; drillvol.ramp_beta(0.5); print('scipy' in sys.modules)"],
+         "import sys, drillvol; print('numpy' in sys.modules); drillvol.ramp_beta(0.5); "
+         "print(*(m in sys.modules for m in ('scipy', 'drillvol.oracle', 'drillvol.data')))"],
         env=SRC_ENV, capture_output=True, text=True, timeout=120)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["False", "False False False"]
 
 
 def test_runtime_imports_only_numpy():
