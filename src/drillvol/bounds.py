@@ -207,7 +207,8 @@ def solve_radius_bound(vol_drilled_min: float, vol_parent_max: float) -> float:
 
     The factor decreases strictly from +inf to 1, so a root exists exactly
     when vol_drilled_min > vol_parent_max > 0.  Bisection on [1e-6, 50] to a
-    bracket of 1e-12: unconditionally convergent and trivially auditable.
+    bracket of 1e-12: unconditionally convergent and trivially auditable.  A
+    ratio whose root lies outside that bracket raises :class:`DomainError`.
     """
     _require_positive("vol_drilled_min", vol_drilled_min)
     _require_positive("vol_parent_max", vol_parent_max)
@@ -221,6 +222,8 @@ def solve_radius_bound(vol_drilled_min: float, vol_parent_max: float) -> float:
     if coarse_factor(hi) >= target:
         raise DomainError(f"ratio {target:.6g} too close to 1 for the bracket [{lo}, {hi}]")
     f_lo = coarse_factor(lo) - target
+    if f_lo <= 0.0:
+        raise DomainError(f"ratio {target:.6g} too large for the bracket [{lo}, {hi}]")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         f_mid = coarse_factor(mid) - target
@@ -291,11 +294,13 @@ class MinVolumeReport:
     radius_bound_target: float
     case_filter: str
 
-    def satisfied(self) -> bool:
-        return (
-            self.lower_bound > self.lower_bound_target
-            and self.radius_bound < self.radius_bound_target
-        )
+    @property
+    def lower_bound_ok(self) -> bool:
+        return self.lower_bound > self.lower_bound_target
+
+    @property
+    def radius_bound_ok(self) -> bool:
+        return self.radius_bound < self.radius_bound_target
 
 
 def min_volume_corollary() -> MinVolumeReport:

@@ -9,10 +9,9 @@ Subcommands wire the library into deterministic, machine-parseable reports:
     analyze --input data.csv [--plot]   dataset checks, report CSV, SVG plot
 
 Every subcommand prints stable ``key=value`` lines; errors go to stderr with
-an ``error:<category>:`` prefix.  Exit codes: 0 success, 1 data or
-validation errors, 2 usage errors.  Numeric flags accept the literal tokens
-``ln3/2`` and ``ln3`` alongside plain decimals.  The environment variable
-DRILLVOL_PRECISION overrides the default 12 significant digits of output.
+an ``error:<category>:`` prefix.  Exit codes: 0 success, 1 data, validation
+or memory errors, 2 usage errors.  Numeric flags accept the literal tokens
+``ln3/2`` and ``ln3`` alongside plain decimals.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import io
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -30,8 +28,6 @@ from dataclasses import dataclass
 from . import __version__
 from .bounds import drilled_volume_bound, k_limit, min_volume_corollary
 from .errors import ParameterError, ToolkitError, UsageError, ValidationError
-
-PRECISION_ENV = "DRILLVOL_PRECISION"
 
 
 def _scalar(text: str) -> float:
@@ -54,7 +50,6 @@ def _count(text: str) -> int:
 @dataclass
 class CliConfig:
     precision: int = 12
-    depth: float = 40.0
 
     def fmt(self, value) -> str:
         if isinstance(value, bool):
@@ -73,10 +68,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="drillvol", description=__doc__, add_help=True,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"drillvol {__version__}")
-    parser.add_argument("--precision", type=int, default=None,
+    parser.add_argument("--precision", type=int, default=12,
                         help="significant digits for numeric output (default 12)")
-    parser.add_argument("--depth", type=_scalar, default=40.0,
-                        help="truncation depth for improper volume integrals (default 40)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("curvature", help="tube curvatures and optional oracle validation")
@@ -136,10 +129,9 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
     from .oracle import validate_lemma_curvature
 
     ok = True
-    for pair in (hyperbolic_tube(), ext):
+    for tag, pair in (("tube", hyperbolic_tube()), ("extension", ext)):
         report = validate_lemma_curvature(pair, samples=args.samples,
                                           tolerance=args.tol, seed=args.seed)
-        tag = "tube" if pair.axis_flag else "extension"
         _emit(cfg, out, **{
             f"validate_{tag}_max_error": report.max_rel_error,
             f"validate_{tag}_pass": report.passed,
@@ -200,8 +192,7 @@ def _cmd_bound(args, cfg: CliConfig, out) -> int:
         from .warped import hyperbolic_tube, kerckhoff_extension, warped_volume_quadrature
 
         tube_q = warped_volume_quadrature(hyperbolic_tube(), 0.0, args.R, args.length)
-        ext_q = warped_volume_quadrature(kerckhoff_extension(args.R), -math.inf, args.R,
-                                         args.length, truncation_depth=cfg.depth)
+        ext_q = warped_volume_quadrature(kerckhoff_extension(args.R), -math.inf, args.R, args.length)
         _emit(cfg, out,
               tube_volume_quadrature=tube_q.value,
               tube_volume_quadrature_err=abs(tube_q.value - est.tube_volume),
@@ -221,11 +212,11 @@ def _cmd_minvol(args, cfg: CliConfig, out) -> int:
           coarse_factor=rep.coarse_factor_at_threshold,
           lower_bound=rep.lower_bound,
           lower_bound_target=rep.lower_bound_target,
-          lower_bound_ok=rep.lower_bound > rep.lower_bound_target,
+          lower_bound_ok=rep.lower_bound_ok,
           radius_bound=rep.radius_bound,
           radius_bound_weeks=rep.radius_bound_weeks,
           radius_bound_target=rep.radius_bound_target,
-          radius_bound_ok=rep.radius_bound < rep.radius_bound_target,
+          radius_bound_ok=rep.radius_bound_ok,
           case_filter=rep.case_filter)
     return 0
 
@@ -286,22 +277,17 @@ def run(argv=None) -> int:
         print("error:usage: a subcommand is required", file=err)
         print(parser.format_usage(), end="", file=err)
         return 2
-    precision = args.precision
-    if precision is None:
-        raw = os.environ.get(PRECISION_ENV, "12")
-        try:
-            precision = int(raw)
-        except ValueError:
-            print(f"error:usage: {PRECISION_ENV} must be an integer, got {raw!r}", file=err)
-            return 2
-    cfg = CliConfig(precision=max(1, min(precision, 17)), depth=args.depth)
+    cfg = CliConfig(precision=max(1, min(args.precision, 17)))
     try:
         return _COMMANDS[args.command](args, cfg, out)
     except ToolkitError as exc:
         print(f"error:{exc.category}: {exc}", file=err)
-        return 2 if isinstance(exc, UsageError) else 1
+        return 1
     except OSError as exc:
         print(f"error:io: {exc}", file=err)
+        return 1
+    except MemoryError as exc:
+        print(f"error:memory: {exc}", file=err)
         return 1
 
 

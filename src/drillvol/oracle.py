@@ -26,6 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bounds import _require_positive
 from .errors import DomainError, ParameterError
 from .warped import WarpingPair, _sectional_grid
 
@@ -56,12 +57,24 @@ class DiagonalMetric:
     identically 1 for the metrics treated here.  Each component is called
     on a longdouble array of radii of any shape and must return its values
     elementwise (a scalar broadcasts), strictly positive wherever evaluated.
+    The step h must be positive and finite; outside [1e-9, 1e-1] it draws a
+    warning.
     """
 
     comps: tuple[Callable, Callable, Callable]
     h: float = 1e-4
     domain: tuple[float, float] = (-math.inf, math.inf)
     name: str = "metric"
+
+    def __post_init__(self) -> None:
+        _require_positive("difference step", self.h)
+        if self.h < 1e-9 or self.h > 1e-1:
+            warnings.warn(
+                f"{self.name}: step h={self.h:g} is outside the well-conditioned range "
+                "[1e-9, 1e-1] for second-order differencing",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
     @classmethod
     def from_warping_pair(cls, w: WarpingPair, h: Optional[float] = None) -> "DiagonalMetric":
@@ -138,14 +151,12 @@ def christoffel_fd(m: DiagonalMetric, r: float) -> np.ndarray:
     Symmetric in the lower indices (i, j) by construction.
     """
     m.require_margin(r)
-    _check_step(m)
     return np.asarray(_riemann_ld(m, np.asarray(r, dtype=_LD))[0], dtype=float)
 
 
 def riemann_fd(m: DiagonalMetric, r: float) -> np.ndarray:
     """Lowered curvature tensor R_{rho sig mu nu} at r (float64)."""
     m.require_margin(r)
-    _check_step(m)
     return np.asarray(_riemann_ld(m, np.asarray(r, dtype=_LD))[1], dtype=float)
 
 
@@ -159,20 +170,7 @@ def sectional_fd(m: DiagonalMetric, r: float, plane: tuple[int, int]) -> float:
     if i == j or not {i, j} <= {0, 1, 2}:
         raise ParameterError(f"plane must be two distinct indices in 0..2, got {plane}")
     m.require_margin(r)
-    _check_step(m)
     return float(_sectional_ld(m, np.asarray(r, dtype=_LD), i, j))
-
-
-def _check_step(m: DiagonalMetric) -> None:
-    if not (0.0 < m.h):
-        raise ParameterError(f"difference step must be positive, got {m.h}")
-    if m.h < 1e-9 or m.h > 1e-1:
-        warnings.warn(
-            f"{m.name}: step h={m.h:g} is outside the well-conditioned range "
-            "[1e-9, 1e-1] for second-order differencing",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,6 @@ class CurvatureReport:
     radii: np.ndarray
     closed: np.ndarray
     oracle: np.ndarray
-    abs_errors: np.ndarray
     rel_errors: np.ndarray
     max_rel_error: float
     tolerance: float
@@ -212,7 +209,7 @@ def _sample_window(w: WarpingPair, h: float) -> tuple[float, float]:
         fp, gp = float(w.fp(hi)), float(w.gp(hi))
         rate = max(float(w.fpp(hi)) / fp, float(w.gpp(hi)) / gp) if fp > 0.0 and gp > 0.0 else 0.0
         lo = hi - (700.0 / rate if rate > 140.0 else 5.0)
-    if w.axis_flag:
+    else:  # a finite lower end is the smooth axis
         lo = max(lo, 0.05)
     pad = max(4.0 * h, 1e-3)
     return lo + pad, hi - pad
@@ -222,7 +219,6 @@ def validate_lemma_curvature(
     w: WarpingPair,
     samples: int = 100,
     tolerance: float = 1e-5,
-    h: Optional[float] = None,
     window: Optional[tuple[float, float]] = None,
     seed: int = 0,
 ) -> CurvatureReport:
@@ -230,13 +226,15 @@ def validate_lemma_curvature(
 
     Draws ``samples`` radii uniformly from ``window`` (by default a span
     inside the pair's domain), evaluates all three plane curvatures both
-    ways, and reports guarded relative errors.  Failures are reported, not
-    raised.
+    ways at the pair's ``fd_step``, and reports guarded relative errors.
+    Failures are reported, not raised.
     """
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
-    m = DiagonalMetric.from_warping_pair(w, h=h)
-    _check_step(m)
+    _require_positive("tolerance", tolerance)
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    m = DiagonalMetric.from_warping_pair(w)
     lo, hi = window if window is not None else _sample_window(w, m.h)
     if not (lo < hi):
         raise ParameterError(f"empty sampling window ({lo}, {hi})")
@@ -248,14 +246,12 @@ def validate_lemma_curvature(
     for part in (slice(i, i + _BLOCK) for i in range(0, samples, _BLOCK)):
         closed[part] = np.stack(_sectional_grid(w, radii[part]), axis=-1)
         orac[part] = _sectional_ld(m, radii[part].astype(_LD), *_PLANE_AXES)
-    abs_err = np.abs(closed - orac)
-    rel_err = abs_err / np.maximum(np.abs(closed), 1e-3)
+    rel_err = np.abs(closed - orac) / np.maximum(np.abs(closed), 1e-3)
     max_rel = float(rel_err.max())
     return CurvatureReport(
         radii=radii,
         closed=closed,
         oracle=orac,
-        abs_errors=abs_err,
         rel_errors=rel_err,
         max_rel_error=max_rel,
         tolerance=tolerance,

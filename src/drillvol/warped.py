@@ -29,10 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# The tube's closed forms live in the numpy-free bounds module; TubeParams and
-# the two tube volumes are imported for callers that take them from here.
-from .bounds import (TWO_PI, TubeParams, _require_positive, _require_sinh, coth,
-                     extended_tube_volume, tube_volume)
+from .bounds import TWO_PI, _require_positive, _require_sinh, coth
 from .errors import DomainError, ParameterError, QuadratureError, SingularAxisError
 
 __all__ = [
@@ -89,9 +86,9 @@ class WarpingPair:
     Derivatives are supplied by constructors, never inferred numerically:
     the curvature formulas need exact f'' and g''.  ``domain`` is the closed
     interval of radii on which the six callables are defined; the lower
-    endpoint may be ``-inf``.  When ``axis_flag`` is set, ``f`` vanishes at
-    the lower endpoint (a smooth axis with f' = 1 there) and
-    ``axis_curvature`` supplies the analytic curvature limit at the axis.
+    endpoint may be ``-inf``.  A finite lower endpoint is a smooth axis:
+    ``f`` vanishes there with f' = 1, and ``axis_curvature`` supplies the
+    analytic curvature limit at the axis.
 
     ``fd_step`` is the step for value-only finite differencing of this
     pair; table-backed pairs set it to resolve their narrowest feature, and
@@ -105,7 +102,6 @@ class WarpingPair:
     gp: RadialFunc
     gpp: RadialFunc
     domain: tuple[float, float] = (-math.inf, math.inf)
-    axis_flag: bool = False
     axis_curvature: Optional[SectionalCurvatures] = None
     fd_step: float = 1e-4
     name: str = "pair"
@@ -198,7 +194,6 @@ def hyperbolic_tube() -> WarpingPair:
         gp=np.sinh,
         gpp=np.cosh,
         domain=(0.0, math.inf),
-        axis_flag=True,
         axis_curvature=SectionalCurvatures(-1.0, -1.0, -1.0),
         name="hyperbolic_tube",
     )
@@ -249,9 +244,6 @@ class VolumeQuadrature:
     error_estimate: float
     truncated_at: Optional[float] = None
     tail_bound: float = 0.0
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # QUADPACK's dqk21 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
@@ -412,6 +404,7 @@ def warped_volume_quadrature(
     tail_bound = 0.0
     lo = r_lo
     if math.isinf(r_lo):
+        _require_positive("truncation depth", truncation_depth)
         if not math.isinf(w.domain[0]):
             raise DomainError(f"{w.name}: domain is not unbounded below")
         lo = r_hi - truncation_depth

@@ -44,7 +44,6 @@ def flat_cylinder():
         gp=lambda r: np.asarray(r) * 0.0,
         gpp=lambda r: np.asarray(r) * 0.0,
         domain=(0.0, math.inf),
-        axis_flag=True,
         name="flat_cylinder",
     )
 

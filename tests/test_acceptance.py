@@ -29,7 +29,7 @@ from drillvol import (
     warped_volume_quadrature,
 )
 from drillvol.cli import run
-from drillvol.warped import TubeParams, extended_tube_volume, tube_volume
+from drillvol.bounds import TubeParams, extended_tube_volume, tube_volume
 
 LN3_HALF = math.log(3.0) / 2.0
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drillvol import (
@@ -186,6 +186,18 @@ class TestSolveRadiusBound:
         with pytest.raises(ParameterError):
             solve_radius_bound(-1.0, 1.0)
 
+    @given(st.floats(1.0001, 1e30))
+    @example(1e18)  # coarse_factor(1e-6) is about 7.07e17: the root is below the bracket
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_or_domain_error(self, ratio):
+        """Either the returned radius solves the equation, or the root lies
+        outside the bracket and DomainError says so."""
+        try:
+            r0 = solve_radius_bound(ratio, 1.0)
+        except DomainError:
+            return
+        assert coarse_factor(r0) == pytest.approx(ratio, rel=1e-5)
+
 
 # ---------------------------------------------------------------------------
 # Corollary report, trichotomy table, conjectured bound
@@ -212,7 +224,8 @@ class TestMinVolumeCorollary:
         rep = min_volume_corollary()
         assert "1.01" in rep.case_filter
         assert str(rep.weeks_volume) in rep.case_filter
-        assert rep.satisfied()
+        assert rep.lower_bound_ok
+        assert rep.radius_bound_ok
 
 
 class TestGmtCases:

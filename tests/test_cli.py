@@ -8,14 +8,13 @@ import os
 import subprocess
 import sys
 import warnings
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_CSV, REPO_ROOT, parse_kv
-from drillvol.cli import PRECISION_ENV, run
+from drillvol.cli import run
 
 
 def invoke(capsys, *argv):
@@ -55,24 +54,33 @@ class TestUsage:
         assert code == 1
         assert err.startswith("error:io:")
 
-    @pytest.mark.parametrize("env,argv,code,category", [
-        ({}, ("bound", "--vol", "2", "--length", "0.5", "--R", "800"), 1, "parameter"),
-        ({}, ("curvature", "--R", "800"), 1, "parameter"),
-        ({"DRILLVOL_PRECISION": "abc"}, ("minvol",), 2, "usage"),
-        ({}, ("smooth", "--R", "0.8", "--eps", "1e-2", "--samples", "-3"), 2, "usage"),
-        ({}, ("bound", "--vol", "1", "--length", "1", "--R", "1e-9", "--quadrature-check"),
+    @pytest.mark.parametrize("argv,code,category", [
+        (("bound", "--vol", "2", "--length", "0.5", "--R", "800"), 1, "parameter"),
+        (("curvature", "--R", "800"), 1, "parameter"),
+        (("smooth", "--R", "0.8", "--eps", "1e-2", "--samples", "-3"), 2, "usage"),
+        (("bound", "--vol", "1", "--length", "1", "--R", "1e-9", "--quadrature-check"),
          1, "numeric"),
-        ({}, ("--depth", "800", "bound", "--vol", "1", "--length", "1", "--R", "0.5",
-              "--quadrature-check"), 1, "numeric"),
-        ({}, ("smooth", "--R", "400", "--eps", "1e-2"), 1, "parameter"),
-    ], ids=["bound-overflow", "curvature-overflow", "precision-env", "negative-samples",
-            "tiny-radius-underflow", "deep-truncation-underflow", "smooth-overflow"])
-    def test_error_line_instead_of_traceback(self, capsys, monkeypatch, env, argv, code, category):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+        (("smooth", "--R", "400", "--eps", "1e-2"), 1, "parameter"),
+    ], ids=["bound-overflow", "curvature-overflow", "negative-samples",
+            "tiny-radius-underflow", "smooth-overflow"])
+    def test_error_line_instead_of_traceback(self, capsys, argv, code, category):
         got, out, err = invoke(capsys, *argv)
         assert got == code
         assert err.startswith(f"error:{category}:")
+
+    def test_memory_error_line(self, capsys, monkeypatch):
+        """An allocation the machine cannot serve ends in an error line, not
+        a traceback; the oracle is patched to raise, nothing is allocated."""
+        import drillvol.oracle
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.9 GiB")
+
+        monkeypatch.setattr(drillvol.oracle, "validate_lemma_curvature", exhausted)
+        code, out, err = invoke(capsys, "curvature", "--R", "0.8", "--validate",
+                                "--samples", "2000000000")
+        assert code == 1
+        assert err == "error:memory: Unable to allocate 14.9 GiB\n"
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +109,6 @@ class TestMinvol:
         _, out, _ = invoke(capsys, "--precision", "4", "minvol")
         kv = parse_kv(out)
         assert kv["lower_bound"] == "0.3209"
-
-    def test_precision_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DRILLVOL_PRECISION", "5")
-        _, out, _ = invoke(capsys, "minvol")
-        assert parse_kv(out)["lower_bound"] == "0.32094"
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +173,12 @@ class TestCurvature:
         assert kv["validate_tube_pass"] == "true"
         assert kv["validate_extension_pass"] == "true"
         assert float(kv["validate_tube_max_error"]) < 1e-5
+
+    def test_bad_tolerance_is_a_parameter_error(self, capsys):
+        code, out, err = invoke(capsys, "curvature", "--R", "0.8", "--validate", "--tol", "nan")
+        assert code == 1
+        assert err.startswith("error:parameter:")
+        assert "validate_" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +395,7 @@ def test_large_radius_smooth_is_quiet():
 
 
 # ---------------------------------------------------------------------------
-# Fuzzing argv and the environment
+# Fuzzing argv
 # ---------------------------------------------------------------------------
 
 NON_FINITE = {"inf", "-inf", "nan"}
@@ -408,7 +417,8 @@ COUNTS = st.integers(-2, 50).map(str)
 CURVATURE = st.tuples(
     st.just(["curvature"]), optional("--R", numbers(0.01, 5.0)),
     st.sampled_from([[], ["--validate"]]), optional("--samples", COUNTS),
-    optional("--tol", numbers(0.0, 1.0)), optional("--seed", st.integers(-2, 5).map(str)))
+    optional("--tol", st.one_of(st.sampled_from(["nan", "-1", "0", "inf"]), numbers(0.0, 1.0))),
+    optional("--seed", st.integers(-2, 5).map(str)))
 
 SMOOTH = st.tuples(
     st.just(["smooth"]), optional("--R", numbers(0.01, 354.0)),
@@ -431,57 +441,60 @@ ANALYZE = st.tuples(
 # no drawn list asks for hundreds of oracle samples
 JUNK = st.lists(st.sampled_from(("curvature", "smooth", "bound", "minvol", "analyze",
                                  "--R", "--eps", "--vol", "--length", "--validate", "--tol",
-                                 "--precision", "--depth", "--help", "--version", "-x")
+                                 "--precision", "--help", "--version", "-x")
                                 + EDGE_NUMBERS), max_size=6).map(lambda t: (t,))
 
 ARGV = st.tuples(
     optional("--precision", st.sampled_from(["-3", "0", "5", "17", "40", "x"])),
-    optional("--depth", numbers(0.0, 60.0)),
     st.one_of(CURVATURE, SMOOTH, BOUND, ANALYZE, st.just((["minvol"],)), JUNK),
-).map(lambda parts: parts[0] + parts[1] + [tok for part in parts[2] for tok in part])
+).map(lambda parts: parts[0] + [tok for part in parts[1] for tok in part])
+
+
+def _tolerance_ok(argv) -> bool:
+    """Whether the last ``--tol`` value in argv, if any, is positive and
+    finite; a token that is not a number passes, since argparse rejects it
+    before any command runs."""
+    values = [text for flag, text in zip(argv, argv[1:]) if flag == "--tol"]
+    try:
+        value = float(values[-1]) if values else 1.0
+    except ValueError:
+        return True
+    return 0.0 < value < math.inf
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(argv=ARGV, precision_env=st.sampled_from([None, "abc", "-2", "3", "99", ""]))
-@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e-9", "--quadrature-check"],
-         precision_env=None)
-@example(argv=["--depth", "800", "bound", "--vol", "1", "--length", "1", "--R", "0.5",
-               "--quadrature-check"], precision_env=None)
-@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "354", "--quadrature-check"],
-         precision_env=None)
+@given(argv=ARGV)
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e-9", "--quadrature-check"])
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "354", "--quadrature-check"])
 @example(argv=["bound", "--vol", "1", "--length", "1", "--R", "0.05410567693730635",
-               "--quadrature-check"], precision_env=None)
-@example(argv=["smooth", "--R", "400", "--eps", "1e-2"], precision_env=None)
-@example(argv=["curvature", "--R", "0.8", "--validate", "--samples", "5", "--seed", "-1"],
-         precision_env=None)
-@example(argv=["curvature", "--R", "0.8", "--validate", "--samples", "5", "--tol", "0"],
-         precision_env=None)
-@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e308"], precision_env=None)
-@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e-151"], precision_env=None)
-@example(argv=["bound", "--vol", "1e308", "--length", "1", "--R", "0.5"], precision_env=None)
-@example(argv=["bound", "--vol", "1", "--length", "1e308", "--R", "3"], precision_env=None)
-@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--lo", "nan", "--samples", "3"],
-         precision_env=None)
-@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--lo=-inf", "--samples", "3"],
-         precision_env=None)
-@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "inf", "--samples", "3"],
-         precision_env=None)
-@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "1e300", "--samples", "3"],
-         precision_env=None)
-def test_any_argv_ends_with_exit_code_and_error_line(argv, precision_env):
+               "--quadrature-check"])
+@example(argv=["smooth", "--R", "400", "--eps", "1e-2"])
+@example(argv=["curvature", "--R", "0.8", "--validate", "--samples", "5", "--seed", "-1"])
+@example(argv=["curvature", "--R", "0.8", "--validate", "--samples", "5", "--tol", "0"])
+@example(argv=["curvature", "--R", "0.8", "--validate", "--samples", "5", "--tol", "nan"])
+@example(argv=["curvature", "--R", "0.8", "--validate", "--samples", "5", "--tol", "inf"])
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e308"])
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "1e-151"])
+@example(argv=["bound", "--vol", "1e308", "--length", "1", "--R", "0.5"])
+@example(argv=["bound", "--vol", "1", "--length", "1e308", "--R", "3"])
+@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--lo", "nan", "--samples", "3"])
+@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--lo=-inf", "--samples", "3"])
+@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "inf", "--samples", "3"])
+@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "1e300", "--samples", "3"])
+def test_any_argv_ends_with_exit_code_and_error_line(argv):
     """Every input exits 0, 1 or 2, a nonzero exit prints an ``error:`` line,
     a zero exit prints no infinite or NaN ``key=value`` nor CSV cell after
-    the blank line, and no exception escapes ``run``."""
+    the blank line, no oracle runs on a tolerance that is not positive and
+    finite, and no exception escapes ``run``."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err), warnings.catch_warnings():
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        os.environ.pop(PRECISION_ENV, None)
-        if precision_env is not None:
-            os.environ[PRECISION_ENV] = precision_env
         code = run(argv)
     assert code in (0, 1, 2)
+    if not _tolerance_ok(argv):
+        assert "validate_" not in out.getvalue()
     if code:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines()), \
             err.getvalue()

@@ -97,9 +97,8 @@ class TestSectional:
             sectional_fd(tube_metric, 1.0, (1, 1))
 
     def test_tiny_step_warns(self):
-        m = DiagonalMetric.from_warping_pair(hyperbolic_tube(), h=1e-10)
         with pytest.warns(RuntimeWarning):
-            sectional_fd(m, 1.0, (0, 1))
+            DiagonalMetric.from_warping_pair(hyperbolic_tube(), h=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ def test_riemann_symmetries(pair_name, request):
     w = request.getfixturevalue(pair_name)
     m = DiagonalMetric.from_warping_pair(w)
     rng = np.random.default_rng(5)
-    lo = 0.3 if w.axis_flag else -3.0
+    lo = 0.3 if math.isfinite(w.domain[0]) else -3.0
     hi = min(w.domain[1], 4.0) - 0.01
     for r in rng.uniform(lo, hi, 10):
         R = riemann_fd(m, float(r))
@@ -251,10 +250,19 @@ class TestValidate:
         with pytest.raises(ParameterError):
             validate_lemma_curvature(tube, samples=0)
 
-    @pytest.mark.parametrize("h", [0.0, -1e-4])
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
     def test_needs_positive_step(self, tube, h):
-        with pytest.raises(ParameterError):
-            validate_lemma_curvature(tube, samples=5, h=h)
+        with pytest.raises(ParameterError, match="difference step must be positive and finite"):
+            validate_lemma_curvature(dataclasses.replace(tube, fd_step=h), samples=5)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, math.inf])
+    def test_needs_positive_finite_tolerance(self, tube, tolerance):
+        with pytest.raises(ParameterError, match="tolerance must be positive and finite"):
+            validate_lemma_curvature(tube, samples=5, tolerance=tolerance)
+
+    def test_needs_nonnegative_seed(self, tube):
+        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+            validate_lemma_curvature(tube, samples=5, seed=-1)
 
     @pytest.mark.parametrize("pair_name,window", [("tube", (-1e-9, 1.0)),
                                                   ("kerckhoff08", (0.0, 0.8001))])

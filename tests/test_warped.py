@@ -224,9 +224,19 @@ class TestWarpedVolumeQuadrature:
         with pytest.raises(ParameterError, match="length must be nonnegative and finite"):
             warped_volume_quadrature(tube, 0.0, 1.0, math.inf)
 
-    def test_float_conversion(self, tube):
-        q = warped_volume_quadrature(tube, 0.0, 1.0, 1.0)
-        assert float(q) == q.value
+    @pytest.mark.parametrize("depth", [0.0, -1.0, math.nan, math.inf])
+    def test_truncation_depth_must_be_positive_and_finite(self, kerckhoff08, depth):
+        with pytest.raises(ParameterError, match="truncation depth must be positive and finite"):
+            warped_volume_quadrature(kerckhoff08, -math.inf, 0.8, 1.0, truncation_depth=depth)
+
+    def test_deep_truncation_underflows(self):
+        from drillvol import QuadratureError
+
+        # f g decays at the rate coth R + tanh R, about 2.6 at R = 0.5: 800
+        # below the top it underflows to 0.0
+        with pytest.raises(QuadratureError, match="underflows to 0"):
+            warped_volume_quadrature(kerckhoff_extension(0.5), -math.inf, 0.5, 1.0,
+                                     truncation_depth=800.0)
 
     def test_scalar_valued_pair(self, flat_cylinder):
         # g = 1 given as a float, not an array: the volume of a flat cylinder
@@ -341,7 +351,7 @@ def test_warping_pair_default_step(tube):
 def test_derivatives_match_finite_differences(pair_name, request):
     """Constructor derivatives agree with centered differences of values."""
     w = request.getfixturevalue(pair_name)
-    lo = 0.05 if w.axis_flag else -4.0
+    lo = 0.05 if math.isfinite(w.domain[0]) else -4.0
     hi = min(w.domain[1], 5.0) - 1e-3
     rng = np.random.default_rng(3)
     h = 1e-5
@@ -360,5 +370,5 @@ def test_positivity_sampled(tube, kerckhoff08):
     rng = np.random.default_rng(11)
     for w, lo, hi in ((tube, 0.01, 6.0), (kerckhoff08, -20.0, 0.8)):
         rs = rng.uniform(lo, hi, 200)
-        assert np.all(np.asarray(w.f(rs), float) > 0.0) or w.axis_flag
+        assert np.all(np.asarray(w.f(rs), float) > 0.0) or math.isfinite(w.domain[0])
         assert np.all(np.asarray(w.g(rs), float) > 0.0)
