@@ -26,7 +26,7 @@ from dataclasses import dataclass
 # bound and analyze need only the standard library, and numpy loads for
 # curvature, smooth and bound --quadrature-check alone.
 from . import __version__
-from .bounds import drilled_volume_bound, k_limit, min_volume_corollary
+from .bounds import coth, drilled_volume_bound, k_limit, min_volume_corollary
 from .errors import ParameterError, ToolkitError, UsageError, ValidationError
 
 
@@ -117,7 +117,11 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
     R = args.R
     ext = kerckhoff_extension(R)
     k_lim = k_limit(R)  # rejects an overflowing sinh(2R) before the curvatures overflow
-    probe = R - max(0.1, 0.1 * R)
+    if not math.isfinite(coth(R) * coth(R)):
+        raise ParameterError(f"tube radius {R:g} is too small: K_rtheta = -coth(R)^2 overflows")
+    # 0.1 below R, or 0.1 R for R > 1; tanh R for R < 0.1, where 0.1 coth R
+    # grows until f = sinh R exp(coth R (r - R)) underflows
+    probe = R - max(min(0.1, math.tanh(R)), 0.1 * R)
     k = sectional_curvatures(ext, probe)
     ric = ricci_diagonal(ext, probe)
     _emit(cfg, out, R=R,
@@ -158,7 +162,7 @@ def _cmd_smooth(args, cfg: CliConfig, out) -> int:
     hi = args.hi if args.hi is not None else fam.R + 0.5
     with np.errstate(over="ignore", invalid="ignore"):
         rs = np.linspace(lo, hi, args.samples)
-        cols = [np.asarray(fn(rs), float) for fn in (jf.a, jf.a_prime, jf.a_second)]
+        cols = [np.asarray(col, float) for col in jf._eval(rs, (0, 1, 2))]
     if not all(np.all(np.isfinite(col)) for col in [rs] + cols):
         raise ParameterError(f"the sample range [{lo:g}, {hi:g}] gives a non-finite "
                              f"r, a, a' or a''")

@@ -38,14 +38,20 @@ phi_eps itself is one lookup in the module-wide ramp table.  Each cache
 holds its antiderivatives on a monotone knot grid; panel values and point
 evaluations use one fixed Gauss-Legendre rule in extended precision, so
 evaluation is seamless across knots (a requirement for the value-only
-finite-difference oracle) and costs O(log n) after construction.  The blend
-totals int (c'' - b'') phi_eps (t - R)^j, which size the correction, take
-one pass of the same panel rule with beta tabulated once at its nodes, and
-are checked at build time, like the ramp moments, against that rule on 16
+finite-difference oracle) and costs O(log n) after construction.  The ramp
+work depends on (R, eps) alone, so both junctions of a family share one
+collar record: W, the ramp starts, phi_eps' at the blend cache's nodes and
+phi_eps at the build check's.  One evaluator pass gives any set of
+derivative orders from one phi_eps lookup, one blend-cache lookup and one
+ramp-table lookup for all plateau orders.  The blend totals
+int (c'' - b'') phi_eps (t - R)^j, which size the correction, take one pass
+of the same panel rule with beta tabulated once at its nodes, and are
+checked at build time, like the ramp moments, against that rule on 16
 panels of the original integrands (8 panels give its error).  The Ricci
 constant is the supremum over a uniform grid, refined by bracket grids of
 33 points across the two cells around the running argmax until the bracket
-stops shrinking.
+stops shrinking; each grid takes a, a' and a'' of both junctions from one
+pass each, on one set of collar lookups.
 The bump function is evaluated in log space with a hard cutoff to 0 below
 exp(-700) to avoid denormals.
 """
@@ -61,7 +67,8 @@ import numpy as np
 
 from .bounds import _require_positive, _require_sinh
 from .errors import JunctionError, QuadratureError, WidthError
-from .warped import WarpingPair, _ricci_grid, hyperbolic_tube, kerckhoff_extension
+from .warped import (WarpingPair, _half_neg_ricci, _sectional_values, hyperbolic_tube,
+                     kerckhoff_extension)
 
 __all__ = [
     "bump_alpha",
@@ -125,29 +132,32 @@ def _panels(lo: float, hi: float, n_knots: int):
     return knots, mid[:, None] + half[:, None] * _GL_NODES_LD, half
 
 
+def _panel_sums(half, values):
+    """Running sums over the panels of the rule's integral of each
+    component, from the integrand's values at the panel nodes."""
+    return np.cumsum(half[:, None] * (np.swapaxes(values, -1, -2) @ _GL_WEIGHTS_LD), axis=0)
+
+
 class _Cumulative:
     """Antiderivatives from lo of an integrand with several components,
     memoized on a uniform knot grid.
 
     ``fun`` maps an array of points to its component values, stacked on a
-    new last axis.  The knot values are partial sums of fixed
-    Gauss-Legendre panels computed in extended precision, and point
-    evaluation adds the same rule on the remainder [knot, x], so crossing a
-    knot never introduces a jump beyond extended-precision rounding.  All
-    components share one evaluation of fun.
+    new last axis; ``panels`` is the knot grid from _panels, and ``values``
+    is fun at its nodes when the caller already has them.  The knot values
+    are partial sums of fixed Gauss-Legendre panels computed in extended
+    precision, and point evaluation adds the same rule on the remainder
+    [knot, x], so crossing a knot never introduces a jump beyond
+    extended-precision rounding.  All components share one evaluation of
+    fun.
     """
 
-    def __init__(self, fun: Callable, lo: float, hi: float, n_knots: int):
+    def __init__(self, fun: Callable, panels, values=None):
         self.fun = fun
-        self._knots_ld, nodes, half = _panels(lo, hi, n_knots)
+        self._knots_ld, nodes, half = panels
         self._knots_f8 = self._knots_ld.astype(np.float64)
-        panels = half[:, None] * self._rule(nodes, _GL_WEIGHTS_LD)
-        self._cum = np.concatenate([np.zeros((1, panels.shape[-1]), np.longdouble),
-                                    np.cumsum(panels, axis=0)])
-
-    def _rule(self, t, weights):
-        """The rule's weighted sums of fun's components over t's last axis."""
-        return np.swapaxes(self.fun(t), -1, -2) @ weights
+        sums = _panel_sums(half, fun(nodes) if values is None else values)
+        self._cum = np.concatenate([np.zeros((1, sums.shape[-1]), np.longdouble), sums])
 
     def __call__(self, x):
         """The antiderivatives at x, stacked on a new last axis.
@@ -161,16 +171,18 @@ class _Cumulative:
         above = x >= knots[-1]
         out = np.where(above[..., None], self._cum[-1], self._cum[0])
         inside = ~above & ~(x <= knots[0])  # NaN stays inside and propagates
-        if np.any(inside):
+        if inside.any():
             nodes = _GL_NODES_LD if ld else _GL_NODES_F8
             weights = _GL_WEIGHTS_LD if ld else _GL_WEIGHTS_F8
             xi = x[inside]
-            idx = np.clip(np.searchsorted(knots, xi, side="right") - 1, 0, len(knots) - 2)
+            # xi > lo, so idx >= 0; NaN sorts past the last knot
+            idx = np.minimum(np.searchsorted(knots, xi, side="right") - 1, len(knots) - 2)
             a = knots[idx]
             half = 0.5 * (xi - a)
             mid = 0.5 * (xi + a)
-            out[inside] = self._cum[idx] + half[..., None] * self._rule(
-                mid[..., None] + half[..., None] * nodes, weights)
+            t = mid[..., None] + half[..., None] * nodes
+            values = np.swapaxes(self.fun(t), -1, -2) @ weights
+            out[inside] = self._cum[idx] + half[..., None] * values
         return out if ld else out.astype(np.float64, copy=False)
 
 
@@ -182,12 +194,19 @@ def _moments(fun: Callable, origin: float, count: int) -> Callable:
     return stacked
 
 
-def _check_moments(label: str, totals, moments: Callable, lo: float, hi: float):
-    """Compare totals[j] with the reference integral of the j-th component of
-    moments over [lo, hi]: the panel rule on 16 equal panels, with its
-    distance from the rule on 8 as error estimate.  Raises QuadratureError on
-    a disagreement; returns the references and their errors."""
-    refs, coarse = (_Cumulative(moments, lo, hi, n + 1)._cum[-1] for n in (16, 8))
+def _check_panels(lo: float, hi: float):
+    """The build check's panels on [lo, hi]: 16 equal ones, then 8."""
+    return tuple(_panels(lo, hi, n + 1) for n in (16, 8))
+
+
+def _check_moments(label: str, totals, checks, lo: float, hi: float):
+    """Compare totals[j] with the reference integral of the j-th moment over
+    [lo, hi]: the panel rule on 16 equal panels, with its distance from the
+    rule on 8 as error estimate.  ``checks`` pairs each layout of
+    _check_panels(lo, hi) with the moments' values at its nodes.  Raises
+    QuadratureError on a disagreement; returns the references and their
+    errors."""
+    refs, coarse = (_panel_sums(half, values)[-1] for (_, _, half), values in checks)
     errs = np.abs(refs - coarse)
     for j, (total, ref, err) in enumerate(zip(totals, refs, errs)):
         drift = float(abs(total - ref))
@@ -203,9 +222,11 @@ class _RampTables:
     j < 3, and beta at the nodes of the blend-total rule."""
 
     def __init__(self) -> None:
-        self.cum = _Cumulative(_moments(bump_alpha, 0.0, 3), 0.0, 1.0, n_knots=1025)
+        moments = _moments(bump_alpha, 0.0, 3)
+        self.cum = _Cumulative(moments, _panels(0.0, 1.0, 1025))
         self.norm = self.cum._cum[-1, 0]
-        _check_moments("ramp moments", self.cum._cum[-1], self.cum.fun, 0.0, 1.0)
+        _check_moments("ramp moments", self.cum._cum[-1],
+                       [(p, moments(p[1])) for p in _check_panels(0.0, 1.0)], 0.0, 1.0)
         # x = (t - R)/eps + 1 maps every blending window onto [0, 1], so the
         # blend totals of all junctions share these nodes and beta there.
         # beta is looked up in float64, a quarter of the extended-precision
@@ -219,9 +240,9 @@ def _ramp_tables() -> _RampTables:
     return _RampTables()
 
 
-def _ramp_antiderivative(x, order: int):
-    """beta (order 0), or its first (order 1) or second (order 2)
-    antiderivative from 0, at any real x.
+def _ramp_antiderivatives(x, orders):
+    """beta (order 0) and its first (1) and second (2) antiderivatives from
+    0, each of orders, at any real x, from one lookup in the ramp tables.
 
     With A, T, Q the cumulative moments of alpha / int alpha of order 0, 1, 2
     at min(max(x, 0), 1): beta = A, int beta = x A - T and
@@ -233,11 +254,15 @@ def _ramp_antiderivative(x, order: int):
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
     m = t.cum(x) / np.asarray(t.norm, dtype=x.dtype)
-    if order == 0:
-        return m[..., 0]
-    if order == 1:
-        return x * m[..., 0] - m[..., 1]
-    return 0.5 * (x * x * m[..., 0] - 2.0 * x * m[..., 1] + m[..., 2])
+    a, first, second = m[..., 0], m[..., 1], m[..., 2]
+    out = {}
+    if 0 in orders:
+        out[0] = a
+    if 1 in orders:
+        out[1] = x * a - first
+    if 2 in orders:
+        out[2] = 0.5 * (x * x * a - 2.0 * x * first + second)
+    return out
 
 
 def ramp_beta(x):
@@ -246,7 +271,7 @@ def ramp_beta(x):
     Monotone from 0 to 1, identically 0 for x <= 0 and 1 for x >= 1.
     """
     x = np.asarray(x)
-    out = np.clip(_ramp_antiderivative(x, 0), 0.0, 1.0)
+    out = np.clip(_ramp_antiderivatives(x, (0,))[0], 0.0, 1.0)
     return out if out.shape else out[()]
 
 
@@ -263,6 +288,66 @@ def step_phi(eps: float, R: float, r):
     r = np.asarray(r)
     dt = r.dtype if r.dtype.kind == "f" else np.float64
     return ramp_beta((r - np.asarray(R, dtype=dt)) / np.asarray(eps, dtype=dt) + np.asarray(1.0, dtype=dt))
+
+
+class _Collar:
+    """The ramp work of one (R, eps), which depends on neither junction.
+
+    The collar width W(eps) and the starts of the four plateau ramps (rise
+    and fall of the plateau on [R - W, cut], then of the one on [cut, R]);
+    the blend cache's panels on [R - eps, R] with phi_eps' at their nodes;
+    and the build check's two panel layouts there with phi_eps at theirs.
+    """
+
+    def __init__(self, R: float, eps: float):
+        self.R, self.eps = R, eps
+        self.width = _COLLAR_SCALE * eps ** _COLLAR_POWER
+        self.ramp_w = _COLLAR_RAMP * self.width
+        cut = R - _COLLAR_SPLIT * self.width
+        self.ramp_starts = np.array([R - self.width, cut - self.ramp_w, cut, R - self.ramp_w])
+        # every junction's collar [R - delta, R] lies in [R - reach, R]
+        self.reach = max(eps, self.width)
+        self.blend = _panels(R - eps, R, _BLEND_KNOTS)
+        self.blend_dphi = self.dphi(self.blend[1])
+        self.checks = [(p, np.asarray(step_phi(eps, R, p[1]))) for p in _check_panels(R - eps, R)]
+
+    def dphi(self, t):
+        """phi_eps' at t."""
+        dt = t.dtype
+        eps = np.asarray(self.eps, dt)
+        return _ramp_beta_prime((t - np.asarray(self.R, dt)) / eps + np.asarray(1.0, dt)) / eps
+
+    def lookups(self, s, orders):
+        """phi_eps at the collar points s, and the plateau ramps'
+        antiderivatives (each on a new last axis of the four ramps) of the
+        orders that a's derivatives of orders need: one ramp-table lookup
+        for each."""
+        w = np.asarray(self.ramp_w, dtype=s.dtype)
+        ramps = _ramp_antiderivatives((s[..., None] - self.ramp_starts.astype(s.dtype)) / w,
+                                      {2 - order for order in orders})
+        return np.asarray(step_phi(self.eps, self.R, s)), ramps
+
+    def plateaus(self, ramps, order: int):
+        """The two collar plateaus (order 0) or their first or second
+        antiderivatives, stacked on a new last axis, from the ramp
+        antiderivatives of lookups."""
+        g = ramps[order] * np.asarray(self.ramp_w, dtype=ramps[order].dtype) ** order
+        return np.stack([g[..., 0] - g[..., 1], g[..., 2] - g[..., 3]], axis=-1)
+
+
+# The two junctions that smoothed_metric builds in a row share one record.
+# Keyed on the floats (R, eps): the byte images of equal extended-precision
+# arrays may differ in their padding.
+_collar_of = functools.lru_cache(maxsize=2)(_Collar)
+
+
+def _blend_integrand(b, c, R: float, t, dphi):
+    """w_k phi_eps' for w = (D1, D1 (t - R), D0), D1 = c' - b' and
+    D0 = c - b, stacked on a new last axis, given phi_eps' at t: the blend
+    cache's integrand."""
+    x = t - np.asarray(R, t.dtype)
+    d1 = (c[1](t) - b[1](t)) * dphi
+    return np.stack([d1, d1 * x, (c[0](t) - b[0](t)) * dphi], axis=-1)
 
 
 class SmoothedJunction:
@@ -291,62 +376,71 @@ class SmoothedJunction:
             raise JunctionError(f"{name}: b and c must match to first order at R={R}: "
                                 f"|b-c|={v:.3e}, |b'-c'|={d:.3e}")
 
-        self._blend = _Cumulative(self._blend_integrand, R - eps, R, _BLEND_KNOTS)
+        self._collar = collar = _collar_of(R, self.eps)
+        # the cache's integrand holds b and c, not self: no reference cycle
+        # keeps a junction and its collar record alive after its last use
+        self._blend = _Cumulative(lambda t: _blend_integrand(b, c, R, t, collar.dphi(t)),
+                                  collar.blend,
+                                  _blend_integrand(b, c, R, collar.blend[1], collar.blend_dphi))
         self._totals = self._blend_totals()
         _check_moments(f"{name}: blend stage", self._totals,
-                       _moments(lambda t: self._blend_stage(t, 2), R, 2), R - eps, R)
+                       [(p, _moments(lambda t: self._blend_terms(t, phi, (2,))[0], R, 2)(p[1]))
+                        for p, phi in collar.checks], R - eps, R)
         slope_total, value_total = self._totals
         self.slope_gap = c1 - (b1 + slope_total)
         self.value_gap = c0 - (b0 - value_total)
-        width = _COLLAR_SCALE * self.eps ** _COLLAR_POWER
-        self.iota = width if self.slope_gap != 0.0 else 0.0
-        self.omega = width if self.value_gap != 0.0 else 0.0
+        self.iota = collar.width if self.slope_gap != 0.0 else 0.0
+        self.omega = collar.width if self.value_gap != 0.0 else 0.0
         self.delta = max(self.eps, self.iota, self.omega)
-
-        # ramp starts: rise and fall of the plateau on [R - W, cut], then of
-        # the one on [cut, R]
-        ramp = _COLLAR_RAMP * width
-        cut = R - _COLLAR_SPLIT * width
-        self._ramp_w = ramp
-        self._ramp_starts = np.array([R - width, cut - ramp, cut, R - ramp])
-        if not np.all(np.diff(self._ramp_starts, append=R) > 0.0):
-            raise WidthError(f"{name}: collar width W={width:.3g} (eps={eps:g}) is below "
+        if not np.all(np.diff(collar.ramp_starts, append=R) > 0.0):
+            raise WidthError(f"{name}: collar width W={collar.width:.3g} (eps={eps:g}) is below "
                              f"the float64 resolution at R={R:g}: the plateau ramps collapse")
+
         # the slope gap times the unit correction of mass 1 and zero first
-        # moment about R, plus the value gap times the reverse
+        # moment about R, plus the value gap times the reverse; one lookup at
+        # R gives the plateau moments and the seam residuals
         R_ld = np.longdouble(R)
-        (m00, m01), (m10, m11) = self._plateaus(R_ld, 1), self._plateaus(R_ld, 2)
+        at_R = np.array([R], dtype=np.longdouble)
+        phi, ramps = collar.lookups(at_R, (0, 1, 2))
+        (m00, m01), (m10, m11) = (collar.plateaus(ramps, k)[0] for k in (1, 2))
         det = m00 * m11 - m01 * m10
         self._coef = (np.longdouble(self.slope_gap) * (np.array([m11, -m10]) / det)
                       + np.longdouble(self.value_gap) * (np.array([-m01, m00]) / det))
         # rounding left by the moment match, carried above R so that a stays
         # seamless at R for the value-only oracle
-        self._res0, self._res1 = (b[k](R_ld) + self._collar(R_ld, k) - c[k](R_ld) for k in (0, 1))
+        terms = self._collar_terms(at_R, phi, ramps, (0, 1))
+        self._res0, self._res1 = (b[k](R_ld) + terms[k][0] - c[k](R_ld) for k in (0, 1))
 
     def _gap(self, t, order: int):
         """c - b, or the difference of their first or second derivatives, at t."""
         return self.c[order](t) - self.b[order](t)
 
-    def _blend_stage(self, s, order: int):
-        """(c'' - b'') phi_eps (order 2), or its integral once (1) or twice
-        (0) from R - eps by parts (see the module docstring).  b and c are
-        evaluated only where phi_eps > 0, so that a c undefined below the
-        blending window never meets 0 * nan."""
-        s = np.asarray(s)
-        phi = np.asarray(step_phi(self.eps, self.R, s))
-        out = np.zeros_like(phi)
+    def _blend_terms(self, s, phi, orders):
+        """The blend stage (c'' - b'') phi_eps (order 2), or its integral once
+        (1) or twice (0) from R - eps by parts (see the module docstring), at
+        s for each of orders, given phi_eps there.  b and c are evaluated
+        only where phi_eps > 0, so that a c undefined below the blending
+        window never meets 0 * nan; orders 0 and 1 share one lookup in the
+        blend cache."""
         inside = phi > 0.0
-        if np.any(inside):
+        some = inside.any()
+        if some:
             t, p = s[inside], phi[inside]
-            if order == 2:
-                out[inside] = self._gap(t, 2) * p
-            elif order == 1:
-                out[inside] = self._gap(t, 1) * p - self._blend(t)[..., 0]
-            else:
+            if min(orders) < 2:
                 i = self._blend(t)
-                out[inside] = (self._gap(t, 0) * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
-                               + i[..., 1] - i[..., 2])
-        return out
+        outs = []
+        for order in orders:
+            out = np.zeros_like(phi)
+            if some:
+                if order == 2:
+                    out[inside] = self._gap(t, 2) * p
+                elif order == 1:
+                    out[inside] = self._gap(t, 1) * p - i[..., 0]
+                else:
+                    out[inside] = (self._gap(t, 0) * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
+                                   + i[..., 1] - i[..., 2])
+            outs.append(out)
+        return outs
 
     def _blend_totals(self) -> tuple[float, float]:
         """int (c'' - b'') phi_eps (t - R)^j over [R - eps, R] for j = 0, 1.
@@ -365,64 +459,64 @@ class SmoothedJunction:
         h = self._gap(t, 2) * tab.blend_beta
         return tuple(float(eps * (tab.blend_half @ (h * x**j @ _GL_WEIGHTS_LD))) for j in (0, 1))
 
-    def _blend_integrand(self, t):
-        """w_k phi_eps' for w = (D1, D1 (t - R), D0), D1 = c' - b' and
-        D0 = c - b, stacked on a new last axis: the blend cache's integrand."""
-        dt = t.dtype
-        x = t - np.asarray(self.R, dt)
-        eps = np.asarray(self.eps, dt)
-        dphi = _ramp_beta_prime(x / eps + np.asarray(1.0, dt)) / eps
-        d1 = self._gap(t, 1) * dphi
-        return np.stack([d1, d1 * x, self._gap(t, 0) * dphi], axis=-1)
+    def _collar_terms(self, s, phi, ramps, orders):
+        """a - b, or its derivative of each of orders, at the collar points
+        s: the blend stage plus the plateau correction, given phi_eps and
+        the ramp antiderivatives there."""
+        coef = self._coef.astype(s.dtype)
+        return [blend + self._collar.plateaus(ramps, 2 - order) @ coef
+                for order, blend in zip(orders, self._blend_terms(s, phi, orders))]
 
-    def _plateaus(self, s, order: int):
-        """The two collar plateaus (order 0) or their first or second
-        antiderivatives, stacked on a new last axis."""
-        s = np.asarray(s)
-        dt = s.dtype
-        w = np.asarray(self._ramp_w, dtype=dt)
-        g = _ramp_antiderivative((s[..., None] - self._ramp_starts.astype(dt)) / w, order) * w**order
-        return np.stack([g[..., 0] - g[..., 1], g[..., 2] - g[..., 3]], axis=-1)
-
-    def _collar(self, s, order: int):
-        """a - b, or its first or second derivative, on the collar: the blend
-        stage plus the plateau correction."""
-        return self._blend_stage(s, order) + self._plateaus(s, 2 - order) @ self._coef.astype(s.dtype)
-
-    def _eval(self, r, order: int):
-        """a's derivative of the given order at r: b's below R - delta, b's
+    def _eval(self, r, orders, shared=None):
+        """a's derivatives of each of orders at r: b's below R - delta, b's
         plus the collar's on [R - delta, R], and c's plus the seam residuals
-        above R."""
+        above R.  All orders share one pass over r and one set of collar
+        lookups.  ``shared`` is (window, phi, ramps): the collar record's
+        window of r and its lookups there, made once for both junctions of a
+        family; each junction's collar lies in that window."""
         r = np.asarray(r)
         if r.dtype.kind != "f":
             r = r.astype(np.float64)
         dt = r.dtype
         R = np.asarray(self.R, dtype=dt)
         above = r > R
-        # b and c each only on their own side: c may overflow far below R
-        ru = r[above]
-        upper = self.c[order](ru)
-        if order == 0:
-            upper = upper + self._res0.astype(dt) + self._res1.astype(dt) * (ru - R)
-        elif order == 1:
-            upper = upper + self._res1.astype(dt)
-        lower = self.b[order](r[~above])
-        out = np.empty(r.shape, np.result_type(upper, lower))
-        out[above], out[~above] = upper, lower
         inside = (r >= np.asarray(self.R - self.delta, dtype=dt)) & (r <= R)
-        if np.any(inside):
-            out[inside] += self._collar(r[inside], order)
-        return out if out.shape else out[()]
+        collar = None
+        if inside.any():
+            s = r[inside]
+            if shared is None:
+                phi, ramps = self._collar.lookups(s, orders)
+            else:
+                window, phi, ramps = shared
+                mine = inside[window]
+                phi, ramps = phi[mine], {k: x[mine] for k, x in ramps.items()}
+            collar = self._collar_terms(s, phi, ramps, orders)
+        # b and c each only on their own side: c may overflow far below R
+        ru, rl = r[above], r[~above]
+        outs = []
+        for k, order in enumerate(orders):
+            upper = self.c[order](ru)
+            if order == 0:
+                upper = upper + self._res0.astype(dt) + self._res1.astype(dt) * (ru - R)
+            elif order == 1:
+                upper = upper + self._res1.astype(dt)
+            lower = self.b[order](rl)
+            out = np.empty(r.shape, np.result_type(upper, lower))
+            out[above], out[~above] = upper, lower
+            if collar is not None:
+                out[inside] += collar[k]
+            outs.append(out if out.shape else out[()])
+        return outs
 
     def a(self, r):
         """The interpolant: b below R - delta, c above R."""
-        return self._eval(r, 0)
+        return self._eval(r, (0,))[0]
 
     def a_prime(self, r):
-        return self._eval(r, 1)
+        return self._eval(r, (1,))[0]
 
     def a_second(self, r):
-        return self._eval(r, 2)
+        return self._eval(r, (2,))[0]
 
 
 def smooth_junction(b: tuple[Callable, ...], c: tuple[Callable, ...], R: float, eps: float,
@@ -451,21 +545,28 @@ class SmoothedWarpingFamily:
     k_eps: float
 
 
-def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float) -> float:
-    """Grid supremum of max(-Ric)/2, refined on bracket grids at the peak.
+def _ricci_sup_half(name: str, jf: SmoothedJunction, jg: SmoothedJunction,
+                    lo: float, hi: float) -> float:
+    """Grid supremum of max(-Ric)/2 for the pair (jf.a, jg.a), refined on
+    bracket grids at the peak.
 
     The refinement guards against the uniform grid aliasing the narrow
     collar features where the supremum lives.  Each round samples the two
     cells around the running argmax with _BRACKET_POINTS points and keeps
-    the best value seen; it stops once the bracket no longer shrinks.  A
-    warping function that is not positive on a grid is rejected: the
-    collar corrections outweighed b there, which happens when eps is large
-    for a small R.
+    the best value seen; it stops once the bracket no longer shrinks.  Each
+    grid evaluates a, a' and a'' of both junctions in one pass each, on one
+    set of collar lookups.  A warping function that is not positive on a
+    grid is rejected: the collar corrections outweighed b there, which
+    happens when eps is large for a small R.
     """
+    collar = jf._collar
     rs = np.linspace(lo, hi, _K_GRID_N)
     best, width = -math.inf, math.inf
     while True:
-        vals = _ricci_grid(pair, rs)
+        window = (rs >= collar.R - collar.reach) & (rs <= collar.R)
+        shared = (window, *collar.lookups(rs[window], (0, 1, 2)))
+        values = (*jf._eval(rs, (0, 1, 2), shared), *jg._eval(rs, (0, 1, 2), shared))
+        vals = _half_neg_ricci(*_sectional_values(name, rs, *values))
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
@@ -504,7 +605,7 @@ def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
         fd_step=_FD_STEP_HINT,
         name=f"smoothed(R={R:g}, eps={eps:g})",
     )
-    k = _ricci_sup_half(pair, R - delta - 1.0, R + _MARGIN)
+    k = _ricci_sup_half(pair.name, jf, jg, R - delta - 1.0, R + _MARGIN)
     return SmoothedWarpingFamily(
         R=R, eps=eps, margin=_MARGIN,
         junction_f=jf, junction_g=jg,

@@ -130,16 +130,24 @@ def sectional_curvatures(w: WarpingPair, r: float) -> SectionalCurvatures:
 def _sectional_grid(w: WarpingPair, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K_rtheta, K_rlambda and K_thetalambda of ``w`` at each radius of
     ``rs``; f and g must be positive there."""
-    fv, gv = np.asarray(w.f(rs), float), np.asarray(w.g(rs), float)
+    return _sectional_values(w.name, rs, *(fn(rs) for fn in (w.f, w.fp, w.fpp, w.g, w.gp, w.gpp)))
+
+
+def _sectional_values(name: str, rs, f, fp, fpp, g, gp, gpp
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K_rtheta, K_rlambda and K_thetalambda from the values of a warping
+    pair and its first two derivatives at the radii ``rs``; f and g must be
+    positive there."""
+    fv, gv = np.asarray(f, float), np.asarray(g, float)
     if not (np.all(fv > 0.0) and np.all(gv > 0.0)):
         raise SingularAxisError(
-            f"{w.name}: a warping function is not positive inside "
+            f"{name}: a warping function is not positive inside "
             f"[{np.min(rs):.6g}, {np.max(rs):.6g}]"
         )
     return (
-        -np.asarray(w.fpp(rs), float) / fv,
-        -np.asarray(w.gpp(rs), float) / gv,
-        -np.asarray(w.fp(rs), float) * np.asarray(w.gp(rs), float) / (fv * gv),
+        -np.asarray(fpp, float) / fv,
+        -np.asarray(gpp, float) / gv,
+        -np.asarray(fp, float) * np.asarray(gp, float) / (fv * gv),
     )
 
 
@@ -178,9 +186,15 @@ def ricci_lower_bound_constant(
 
 def _ricci_grid(w: WarpingPair, rs: np.ndarray) -> np.ndarray:
     """Half the largest negated Ricci eigenvalue of ``w`` at each radius of
-    ``rs``, the pointwise smallest k with Ric >= -2k; f and g must be
-    positive there."""
-    ric_1, ric_2, ric_3 = _ricci_sums(*_sectional_grid(w, rs))
+    ``rs``; f and g must be positive there."""
+    return _half_neg_ricci(*_sectional_grid(w, rs))
+
+
+def _half_neg_ricci(krt, krl, ktl):
+    """Half the largest negated Ricci eigenvalue from the sectional
+    curvatures K_rtheta, K_rlambda and K_thetalambda: the pointwise smallest
+    k with Ric >= -2k."""
+    ric_1, ric_2, ric_3 = _ricci_sums(krt, krl, ktl)
     return -0.5 * np.minimum(np.minimum(ric_1, ric_2), ric_3)
 
 

@@ -174,6 +174,23 @@ class TestCurvature:
         assert kv["validate_extension_pass"] == "true"
         assert float(kv["validate_tube_max_error"]) < 1e-5
 
+    @pytest.mark.parametrize("R,code", [("1e-4", 0), ("1e-150", 0), ("1e-160", 1), ("5e-324", 1)])
+    def test_tiny_radius(self, capsys, R, code):
+        """The probe stays within tanh R of R, where the extension's f has not
+        underflowed: finite curvatures, or a parameter error once coth^2 R
+        overflows, never a domain error."""
+        got, out, err = invoke(capsys, "curvature", "--R", R)
+        assert got == code
+        if code == 0:
+            kv = parse_kv(out)
+            values = [float(kv[k]) for k in ("K_rtheta", "K_rlambda", "K_thetalambda",
+                                                 "ric_1", "ric_2", "ric_3", "k_limit")]
+            assert all(math.isfinite(v) for v in values)
+            assert values[0] == pytest.approx(-1.0 / math.tanh(float(R)) ** 2, rel=1e-10)
+        else:
+            assert err.startswith("error:parameter:")
+            assert "K_rtheta" not in out
+
     def test_bad_tolerance_is_a_parameter_error(self, capsys):
         code, out, err = invoke(capsys, "curvature", "--R", "0.8", "--validate", "--tol", "nan")
         assert code == 1

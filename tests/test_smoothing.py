@@ -1,6 +1,7 @@
 """The staged junction smoothing and the smoothed metric family."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -23,8 +24,14 @@ from drillvol import (
     step_phi,
 )
 from drillvol import smoothing
-from drillvol.smoothing import _check_moments, _moments, _ramp_beta_prime, _ramp_tables
-from drillvol.warped import WarpingPair, kerckhoff_extension
+from drillvol.smoothing import (
+    _check_moments,
+    _check_panels,
+    _moments,
+    _ramp_beta_prime,
+    _ramp_tables,
+)
+from drillvol.warped import WarpingPair, _ricci_grid, kerckhoff_extension
 
 EPS_SEQ = (1e-1, 1e-2, 1e-3)
 
@@ -341,6 +348,12 @@ class TestSmoothedMetric:
 CRITERION_7_GRID = [(R, eps) for R in (0.5, 0.8, 1.2) for eps in EPS_SEQ]
 
 
+def panel_checks(moments, lo, hi):
+    """The build check's two panel layouts on [lo, hi], each with the
+    moments' values at its nodes."""
+    return [(p, moments(p[1])) for p in _check_panels(lo, hi)]
+
+
 def half_neg_ricci(pair, rs):
     """max(-Ric)/2 at each radius of rs, from the pair's six callables."""
     f, g = np.asarray(pair.f(rs), float), np.asarray(pair.g(rs), float)
@@ -359,8 +372,9 @@ def test_blend_totals_match_adaptive_quadrature(R, eps):
 
     fam = cached_family(R, eps)
     for junction in (fam.junction_f, fam.junction_g):
-        check, errs = _check_moments("blend", junction._totals,
-                                     _moments(lambda t: junction._blend_stage(t, 2), R, 2), R - eps, R)
+        blend = _moments(lambda t: junction._blend_terms(t, step_phi(eps, R, t), (2,))[0], R, 2)
+        check, errs = _check_moments("blend", junction._totals, panel_checks(blend, R - eps, R),
+                                     R - eps, R)
         for j in (0, 1):
             ref, _ = quad(lambda t: float((junction.c[2](t) - junction.b[2](t)) * step_phi(eps, R, t)) * (t - R) ** j,
                           R - eps, R, epsabs=1e-13, epsrel=1e-12, limit=400)
@@ -404,10 +418,11 @@ def test_junction_builds_go_through_smooth_junction(monkeypatch):
 def test_perturbed_ramp_moment_rejected(j):
     """The ramp moments pass the check, and fail it when one is off by 1e-10."""
     totals = [float(v) for v in _ramp_tables().cum._cum[-1]]
-    _check_moments("ramp moments", totals, _ramp_tables().cum.fun, 0.0, 1.0)
+    checks = panel_checks(_ramp_tables().cum.fun, 0.0, 1.0)
+    _check_moments("ramp moments", totals, checks, 0.0, 1.0)
     totals[j] += 1e-10
     with pytest.raises(QuadratureError, match=f"moment {j}"):
-        _check_moments("ramp moments", totals, _ramp_tables().cum.fun, 0.0, 1.0)
+        _check_moments("ramp moments", totals, checks, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID)
@@ -427,3 +442,83 @@ def test_refined_k_eps_is_the_local_supremum(R, eps):
     dense = np.linspace(rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)], 100_001)
     sup = max(float(half_neg_ricci(fam.pair, chunk).max()) for chunk in np.array_split(dense, 10))
     assert fam.k_eps == pytest.approx(sup, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# One pass per collar: shared lookups, bit for bit
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    """Equal type, dtype, values and signs: bit for bit, without reading the
+    padding bytes of extended precision."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("R,eps", [(0.5, 1e-1), (0.8, 1e-2), (1.2, 1e-3)])
+def test_eval_of_all_orders_matches_each_evaluator(R, eps):
+    """_eval(r, (0, 1, 2)) gives a, a' and a'' bit for bit, on float64 and
+    longdouble grids and scalars, at R, R - eps and R - delta included."""
+    fam = cached_family(R, eps)
+    for junction in (fam.junction_f, fam.junction_g):
+        points = [R, R - eps, R - junction.delta]
+        grid = np.concatenate([np.linspace(R - junction.delta - 0.1, R + 0.1, 2001), points])
+        scalars = points + [np.longdouble(p) for p in points] + [np.float64(R - 0.5 * eps)]
+        for r in [grid, grid.astype(np.longdouble)] + scalars:
+            got = junction._eval(r, (0, 1, 2))
+            for value, fn in zip(got, (junction.a, junction.a_prime, junction.a_second)):
+                assert_same_bits(value, fn(r))
+
+
+def refined_k_eps(fam) -> float:
+    """The supremum refinement of smoothed_metric, evaluated through the
+    pair's six callables on each grid: warped._ricci_grid on the
+    4096-point grid, then on 33-point bracket grids until the bracket stops
+    shrinking."""
+    rs = np.linspace(fam.R - fam.delta - 1.0, fam.R + fam.margin, 4096)
+    best, width = -math.inf, math.inf
+    while True:
+        vals = _ricci_grid(fam.pair, rs)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
+        if not b_hi - b_lo < width:
+            return best
+        width = b_hi - b_lo
+        rs = np.linspace(b_lo, b_hi, 33)
+
+
+_SEEDED = random.Random(0)
+SWEEP_LIKE = [(_SEEDED.uniform(0.4, 1.5), eps) for eps in EPS_SEQ for _ in range(4)]
+
+
+@pytest.mark.parametrize("R,eps", CRITERION_7_GRID + SWEEP_LIKE)
+def test_k_eps_from_junction_passes_matches_pair_callables(R, eps):
+    """k_eps, from one pass per junction and grid on shared collar lookups,
+    equals the refinement through the pair's callables bit for bit."""
+    fam = cached_family(R, eps)
+    assert fam.k_eps == refined_k_eps(fam)
+
+
+def test_junctions_share_one_collar_record(monkeypatch):
+    """The two junctions of a family hold one collar record, and a build
+    makes at most 40 lookups in the ramp tables; lookups made per callable
+    and per order would make 172."""
+    smoothing._collar_of.cache_clear()
+    table = _ramp_tables().cum
+    calls = []
+    original = smoothing._Cumulative.__call__
+
+    def counting(self, x):
+        if self is table:
+            calls.append(np.shape(x))
+        return original(self, x)
+
+    monkeypatch.setattr(smoothing._Cumulative, "__call__", counting)
+    fam = smoothed_metric(0.8, 1e-2)
+    assert fam.junction_f._collar is fam.junction_g._collar
+    assert len(calls) <= 40
+    assert fam.k_eps == cached_family(0.8, 1e-2).k_eps
