@@ -125,17 +125,29 @@ def _require_radius(R: float) -> None:
     _require_sinh(2.0 * R, f"tube radius {R:g}")
 
 
+def _require_finite_factor(value: float, R: float) -> float:
+    """A bound's factor at tube radius R, rejected where it overflows: each
+    grows like a power of 1/R as R -> 0."""
+    if not math.isfinite(value):
+        raise ParameterError(f"tube radius {R:g} is too small: the bounds overflow")
+    return value
+
+
 def coarse_factor(R: float) -> float:
     """(coth R)^(5/2) (coth 2R)^(1/2): strictly decreasing in R, limit 1."""
     _require_radius(R)
-    return coth(R) ** 2.5 * coth(2.0 * R) ** 0.5
+    try:
+        value = coth(R) ** 2.5 * coth(2.0 * R) ** 0.5
+    except OverflowError:  # float ** raises where float * gives inf
+        value = math.inf
+    return _require_finite_factor(value, R)
 
 
 def k_limit(R: float) -> float:
     """k = coth R coth 2R of the tight bound, the limit of the smoothed
     metrics' Ricci lower bound constant."""
     _require_radius(R)
-    return coth(R) * coth(2.0 * R)
+    return _require_finite_factor(coth(R) * coth(2.0 * R), R)
 
 
 @dataclass(frozen=True)

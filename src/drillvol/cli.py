@@ -116,9 +116,11 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
 
     R = args.R
     ext = kerckhoff_extension(R)
-    k_lim = k_limit(R)  # rejects an overflowing sinh(2R) before the curvatures overflow
+    # coth(R)^2 overflows before k does as R -> 0; k_limit rejects an
+    # overflowing sinh(2R) before the curvatures overflow
     if not math.isfinite(coth(R) * coth(R)):
         raise ParameterError(f"tube radius {R:g} is too small: K_rtheta = -coth(R)^2 overflows")
+    k_lim = k_limit(R)
     # 0.1 below R, or 0.1 R for R > 1; tanh R for R < 0.1, where 0.1 coth R
     # grows until f = sinh R exp(coth R (r - R)) underflows
     probe = R - max(min(0.1, math.tanh(R)), 0.1 * R)
@@ -150,7 +152,7 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
 def _cmd_smooth(args, cfg: CliConfig, out) -> int:
     import numpy as np
 
-    from .smoothing import smoothed_metric
+    from .smoothing import _eval, smoothed_metric
 
     for flag in ("lo", "hi"):
         value = getattr(args, flag)
@@ -162,7 +164,7 @@ def _cmd_smooth(args, cfg: CliConfig, out) -> int:
     hi = args.hi if args.hi is not None else fam.R + 0.5
     with np.errstate(over="ignore", invalid="ignore"):
         rs = np.linspace(lo, hi, args.samples)
-        cols = [np.asarray(col, float) for col in jf._eval(rs, (0, 1, 2))]
+        cols = [np.asarray(col, float) for col in _eval((jf,), rs, (0, 1, 2))[0]]
     if not all(np.all(np.isfinite(col)) for col in [rs] + cols):
         raise ParameterError(f"the sample range [{lo:g}, {hi:g}] gives a non-finite "
                              f"r, a, a' or a''")

@@ -38,20 +38,27 @@ phi_eps itself is one lookup in the module-wide ramp table.  Each cache
 holds its antiderivatives on a monotone knot grid; panel values and point
 evaluations use one fixed Gauss-Legendre rule in extended precision, so
 evaluation is seamless across knots (a requirement for the value-only
-finite-difference oracle) and costs O(log n) after construction.  The ramp
-work depends on (R, eps) alone, so both junctions of a family share one
-collar record: W, the ramp starts, phi_eps' at the blend cache's nodes and
-phi_eps at the build check's.  One evaluator pass gives any set of
-derivative orders from one phi_eps lookup, one blend-cache lookup and one
-ramp-table lookup for all plateau orders.  The blend totals
-int (c'' - b'') phi_eps (t - R)^j, which size the correction, take one pass
-of the same panel rule with beta tabulated once at its nodes, and are
-checked at build time, like the ramp moments, against that rule on 16
-panels of the original integrands (8 panels give its error).  The Ricci
-constant is the supremum over a uniform grid, refined by bracket grids of
-33 points across the two cells around the running argmax until the bracket
-stops shrinking; each grid takes a, a' and a'' of both junctions from one
-pass each, on one set of collar lookups.
+finite-difference oracle) and costs O(log n) after construction.  The
+blending window has one node layout: the ramp tables hold the blend rule's
+256 panels and the build check's 16 and 8 on [0, 1], with alpha and beta at
+their nodes, and t = R + eps (x - 1) maps them onto [R - eps, R].  The blend
+cache, the blend totals int (c'' - b'') phi_eps (t - R)^j, which size the
+correction, and the build check share these nodes, so a build evaluates no
+bump and makes no ramp lookup there; the check compares the totals, like
+the ramp moments, with the rule on 16 panels (8 panels give its error).
+The rest of the ramp work depends on (R, eps) alone, so both junctions of a
+family share one collar record: W, the ramp starts, the mapped nodes with
+their offsets t - R, the ramp lookups at R, and the sides' values at the
+nodes.  Each side is evaluated once per node set: the extension's three
+callables per function scale one exponential, and the tube's sinh and cosh
+serve both junctions.  One evaluator pass serves any junctions on one
+record and any derivative orders, from one phi_eps lookup, one ramp-table
+lookup for all plateau orders, one blend-cache lookup per junction, and
+each side's transcendentals once per region: smoothed_metric(0.8, 1e-2)
+makes 28 ramp-table lookups.  The Ricci constant is the supremum over a
+uniform grid, refined by bracket grids of 33 points across the two cells
+around the running argmax until the bracket stops shrinking; each grid
+takes a, a' and a'' of both junctions from one pass.
 The bump function is evaluated in log space with a hard cutoff to 0 below
 exp(-700) to avoid denormals.
 """
@@ -67,7 +74,7 @@ import numpy as np
 
 from .bounds import _require_positive, _require_sinh
 from .errors import JunctionError, QuadratureError, WidthError
-from .warped import (WarpingPair, _half_neg_ricci, _sectional_values, hyperbolic_tube,
+from .warped import (WarpingPair, _half_neg_ricci, _Scaled, _sectional_values, hyperbolic_tube,
                      kerckhoff_extension)
 
 __all__ = [
@@ -97,8 +104,10 @@ _COLLAR_POWER = 1.0 / 3.0
 _COLLAR_SPLIT = 2.0 / 3.0
 _COLLAR_RAMP = 0.05
 
-# Knots of the blend stage's panel rule on the blending window.
-_BLEND_KNOTS = 257
+# Panels of the blend stage's rule on the blending window, and of the build
+# check's reference rule and its error estimate.
+_BLEND_PANELS = 256
+_CHECK_PANELS = (16, 8)
 
 # The smoothed pair's domain reaches _MARGIN past R, and its Ricci supremum
 # is sampled on _K_GRID_N points of [R - delta - 1, R + _MARGIN].
@@ -143,20 +152,20 @@ class _Cumulative:
     memoized on a uniform knot grid.
 
     ``fun`` maps an array of points to its component values, stacked on a
-    new last axis; ``panels`` is the knot grid from _panels, and ``values``
-    is fun at its nodes when the caller already has them.  The knot values
-    are partial sums of fixed Gauss-Legendre panels computed in extended
+    new last axis; ``knots`` and ``half`` are the panel grid's knots and
+    half-widths, and ``values`` is fun at its nodes.  The knot values are
+    partial sums of fixed Gauss-Legendre panels computed in extended
     precision, and point evaluation adds the same rule on the remainder
     [knot, x], so crossing a knot never introduces a jump beyond
     extended-precision rounding.  All components share one evaluation of
     fun.
     """
 
-    def __init__(self, fun: Callable, panels, values=None):
+    def __init__(self, fun: Callable, knots, half, values):
         self.fun = fun
-        self._knots_ld, nodes, half = panels
-        self._knots_f8 = self._knots_ld.astype(np.float64)
-        sums = _panel_sums(half, fun(nodes) if values is None else values)
+        self._knots_ld = knots
+        self._knots_f8 = knots.astype(np.float64)
+        sums = _panel_sums(half, values)
         self._cum = np.concatenate([np.zeros((1, sums.shape[-1]), np.longdouble), sums])
 
     def __call__(self, x):
@@ -194,19 +203,14 @@ def _moments(fun: Callable, origin: float, count: int) -> Callable:
     return stacked
 
 
-def _check_panels(lo: float, hi: float):
-    """The build check's panels on [lo, hi]: 16 equal ones, then 8."""
-    return tuple(_panels(lo, hi, n + 1) for n in (16, 8))
-
-
 def _check_moments(label: str, totals, checks, lo: float, hi: float):
     """Compare totals[j] with the reference integral of the j-th moment over
     [lo, hi]: the panel rule on 16 equal panels, with its distance from the
-    rule on 8 as error estimate.  ``checks`` pairs each layout of
-    _check_panels(lo, hi) with the moments' values at its nodes.  Raises
+    rule on 8 as error estimate.  ``checks`` pairs the half-widths of each
+    of the two layouts with the moments' values at its nodes.  Raises
     QuadratureError on a disagreement; returns the references and their
     errors."""
-    refs, coarse = (_panel_sums(half, values)[-1] for (_, _, half), values in checks)
+    refs, coarse = (_panel_sums(half, values)[-1] for half, values in checks)
     errs = np.abs(refs - coarse)
     for j, (total, ref, err) in enumerate(zip(totals, refs, errs)):
         drift = float(abs(total - ref))
@@ -219,20 +223,40 @@ def _check_moments(label: str, totals, checks, lo: float, hi: float):
 
 class _RampTables:
     """Module-wide cache: the cumulative moments int_0^x t^j alpha(t) dt,
-    j < 3, and beta at the nodes of the blend-total rule."""
+    j < 3, and the blending window's node layouts on [0, 1].
+
+    t = R + eps (x - 1) maps [0, 1] onto every blending window [R - eps, R],
+    so the junctions of all (R, eps) share these layouts: the blend rule's
+    256 panels, with alpha / norm and beta at their nodes, and the build
+    check's 16 and 8 panels, with beta at theirs (they check the ramp
+    moments here too).  ``window_x`` holds the nodes of all three in one
+    flat array, so that a side is evaluated on all of them in one call, and
+    ``split`` cuts such an array back into the layouts.
+    """
 
     def __init__(self) -> None:
         moments = _moments(bump_alpha, 0.0, 3)
-        self.cum = _Cumulative(moments, _panels(0.0, 1.0, 1025))
+        knots, nodes, half = _panels(0.0, 1.0, 1025)
+        self.cum = _Cumulative(moments, knots, half, moments(nodes))
+        del nodes  # not held through the lookups below, whose temporaries set the peak memory
         self.norm = self.cum._cum[-1, 0]
+        layouts = [_panels(0.0, 1.0, n + 1) for n in (_BLEND_PANELS, *_CHECK_PANELS)]
+        (self.blend_knots, self.blend_x, self.blend_half), *self.checks = layouts
         _check_moments("ramp moments", self.cum._cum[-1],
-                       [(p, moments(p[1])) for p in _check_panels(0.0, 1.0)], 0.0, 1.0)
-        # x = (t - R)/eps + 1 maps every blending window onto [0, 1], so the
-        # blend totals of all junctions share these nodes and beta there.
+                       [(h, moments(x)) for _, x, h in self.checks], 0.0, 1.0)
         # beta is looked up in float64, a quarter of the extended-precision
-        # cost, since the totals are rounded to float64 anyway.
-        _, self.blend_x, self.blend_half = _panels(0.0, 1.0, _BLEND_KNOTS)
-        self.blend_beta = self.cum(self.blend_x.astype(np.float64))[..., 0] / float(self.norm)
+        # cost, since the totals are rounded to float64 anyway; one lookup
+        # per layout keeps the lookup's temporaries at the blend layout's size
+        norm = float(self.norm)
+        self.blend_beta, *self.check_beta = (self.cum(x.astype(np.float64))[..., 0] / norm
+                                             for _, x, _ in layouts)
+        self.blend_alpha = bump_alpha(self.blend_x) / self.norm
+        self.window_x = np.concatenate([x.ravel() for _, x, _ in layouts])
+        self._cuts = np.cumsum([x.size for _, x, _ in layouts])[:-1]
+
+    def split(self, values) -> list:
+        """An array over window_x, as one (panels, nodes) array per layout."""
+        return [v.reshape(-1, len(_GL_NODES_LD)) for v in np.split(values, self._cuts)]
 
 
 @functools.cache
@@ -290,26 +314,65 @@ def step_phi(eps: float, R: float, r):
     return ramp_beta((r - np.asarray(R, dtype=dt)) / np.asarray(eps, dtype=dt) + np.asarray(1.0, dtype=dt))
 
 
+class _Values:
+    """Callables' values at the fixed points x, each computed once.  A
+    _Scaled callable scales the values of its base, so the members of a
+    derivative triple that share a transcendental evaluate it once.
+
+    The values of numpy ufuncs go to ``ufuncs`` when it is given: a collar
+    record's dict, which keeps the tube's sinh and cosh at the record's
+    nodes for both junctions.  Ufuncs are few and fixed; any other callable
+    may be a closure made anew for each family, whose values a record that
+    outlives the family must not keep.
+    """
+
+    def __init__(self, x, ufuncs=None):
+        self.x, self._memo = x, {}
+        self._ufuncs = self._memo if ufuncs is None else ufuncs
+
+    def __call__(self, fn):
+        if isinstance(fn, _Scaled):
+            return fn.coef * self(fn.base)
+        memo = self._ufuncs if isinstance(fn, np.ufunc) else self._memo
+        try:
+            return memo[fn]
+        except KeyError:
+            value = memo[fn] = fn(self.x)
+            return value
+
+
+def _gaps(b, c, values: _Values, orders) -> list:
+    """c - b, or the difference of their derivatives, of each of orders, at
+    the points of values."""
+    return [values(c[k]) - values(b[k]) for k in orders]
+
+
 class _Collar:
     """The ramp work of one (R, eps), which depends on neither junction.
 
     The collar width W(eps) and the starts of the four plateau ramps (rise
     and fall of the plateau on [R - W, cut], then of the one on [cut, R]);
-    the blend cache's panels on [R - eps, R] with phi_eps' at their nodes;
-    and the build check's two panel layouts there with phi_eps at theirs.
+    the ramp tables' window layouts mapped onto [R - eps, R] by
+    t = R + eps (x - 1): the blend cache's knots and half-widths, and the
+    offsets t - R at every node of the three layouts; the nodes themselves
+    with ``ufunc_values``, the values of numpy ufuncs there, which serve both
+    junctions; and ``at_R``, the lookups at R that both junctions take.
     """
 
     def __init__(self, R: float, eps: float):
+        tab = _ramp_tables()
         self.R, self.eps = R, eps
         self.width = _COLLAR_SCALE * eps ** _COLLAR_POWER
         self.ramp_w = _COLLAR_RAMP * self.width
         cut = R - _COLLAR_SPLIT * self.width
         self.ramp_starts = np.array([R - self.width, cut - self.ramp_w, cut, R - self.ramp_w])
-        # every junction's collar [R - delta, R] lies in [R - reach, R]
-        self.reach = max(eps, self.width)
-        self.blend = _panels(R - eps, R, _BLEND_KNOTS)
-        self.blend_dphi = self.dphi(self.blend[1])
-        self.checks = [(p, np.asarray(step_phi(eps, R, p[1]))) for p in _check_panels(R - eps, R)]
+        R_ld, eps_ld = np.longdouble(R), np.longdouble(eps)
+        offsets = eps_ld * (tab.window_x - 1)
+        self.offsets = tab.split(offsets)
+        self.nodes = R_ld + offsets
+        self.ufunc_values: dict = {}
+        self.blend_knots = R_ld + eps_ld * (tab.blend_knots - 1)
+        self.blend_half = eps_ld * tab.blend_half
 
     def dphi(self, t):
         """phi_eps' at t."""
@@ -318,21 +381,25 @@ class _Collar:
         return _ramp_beta_prime((t - np.asarray(self.R, dt)) / eps + np.asarray(1.0, dt)) / eps
 
     def lookups(self, s, orders):
-        """phi_eps at the collar points s, and the plateau ramps'
-        antiderivatives (each on a new last axis of the four ramps) of the
-        orders that a's derivatives of orders need: one ramp-table lookup
-        for each."""
+        """phi_eps at the collar points s, and for each of orders the stack
+        (on a new last axis) of the two plateaus' antiderivatives that a's
+        derivative of that order needs: the plateaus for order 2, their
+        first antiderivatives for 1 and second for 0.  One ramp-table lookup
+        gives phi_eps, and one the four plateau ramps for all orders."""
         w = np.asarray(self.ramp_w, dtype=s.dtype)
         ramps = _ramp_antiderivatives((s[..., None] - self.ramp_starts.astype(s.dtype)) / w,
                                       {2 - order for order in orders})
-        return np.asarray(step_phi(self.eps, self.R, s)), ramps
+        plateaus = {}
+        for order in orders:
+            g = ramps[2 - order] * w ** (2 - order)
+            plateaus[order] = np.stack([g[..., 0] - g[..., 1], g[..., 2] - g[..., 3]], axis=-1)
+        return np.asarray(step_phi(self.eps, self.R, s)), plateaus
 
-    def plateaus(self, ramps, order: int):
-        """The two collar plateaus (order 0) or their first or second
-        antiderivatives, stacked on a new last axis, from the ramp
-        antiderivatives of lookups."""
-        g = ramps[order] * np.asarray(self.ramp_w, dtype=ramps[order].dtype) ** order
-        return np.stack([g[..., 0] - g[..., 1], g[..., 2] - g[..., 3]], axis=-1)
+    @functools.cached_property
+    def at_R(self):
+        """The lookups of orders 0 and 1 at R in extended precision, which
+        give both junctions their plateau moments and seam residuals."""
+        return self.lookups(np.array([self.R], dtype=np.longdouble), (0, 1))
 
 
 # The two junctions that smoothed_metric builds in a row share one record.
@@ -341,13 +408,12 @@ class _Collar:
 _collar_of = functools.lru_cache(maxsize=2)(_Collar)
 
 
-def _blend_integrand(b, c, R: float, t, dphi):
-    """w_k phi_eps' for w = (D1, D1 (t - R), D0), D1 = c' - b' and
-    D0 = c - b, stacked on a new last axis, given phi_eps' at t: the blend
-    cache's integrand."""
-    x = t - np.asarray(R, t.dtype)
-    d1 = (c[1](t) - b[1](t)) * dphi
-    return np.stack([d1, d1 * x, (c[0](t) - b[0](t)) * dphi], axis=-1)
+def _blend_integrand(d0, d1, x, dphi):
+    """w_k phi_eps' for w = (D1, D1 x, D0), stacked on a new last axis, from
+    D0 = c - b, D1 = c' - b', x = t - R and phi_eps' at t: the blend cache's
+    integrand."""
+    w = d1 * dphi
+    return np.stack([w, w * x, d0 * dphi], axis=-1)
 
 
 class SmoothedJunction:
@@ -377,15 +443,28 @@ class SmoothedJunction:
                                 f"|b-c|={v:.3e}, |b'-c'|={d:.3e}")
 
         self._collar = collar = _collar_of(R, self.eps)
-        # the cache's integrand holds b and c, not self: no reference cycle
-        # keeps a junction and its collar record alive after its last use
-        self._blend = _Cumulative(lambda t: _blend_integrand(b, c, R, t, collar.dphi(t)),
-                                  collar.blend,
-                                  _blend_integrand(b, c, R, collar.blend[1], collar.blend_dphi))
+        tab = _ramp_tables()
+        eps_ld = np.longdouble(self.eps)
+        # each side once at the window's nodes for the whole build; the
+        # tube's sinh and cosh there come from the record, for both junctions
+        self._nodes = _Values(collar.nodes, collar.ufunc_values)
+        # c - b and c' - b' on the blend cache's nodes; the cache's integrand
+        # holds b, c and the record, not self: no reference cycle keeps a
+        # junction and its record alive after its last use
+        d0, d1 = (tab.split(d)[0] for d in _gaps(b, c, self._nodes, (0, 1)))
+        self._blend = _Cumulative(
+            lambda t: _blend_integrand(*_gaps(b, c, _Values(t), (0, 1)),
+                                       t - np.asarray(R, t.dtype), collar.dphi(t)),
+            collar.blend_knots, collar.blend_half,
+            _blend_integrand(d0, d1, collar.offsets[0], tab.blend_alpha / eps_ld))
         self._totals = self._blend_totals()
-        _check_moments(f"{name}: blend stage", self._totals,
-                       [(p, _moments(lambda t: self._blend_terms(t, phi, (2,))[0], R, 2)(p[1]))
-                        for p, phi in collar.checks], R - eps, R)
+        _, *d2 = tab.split(_gaps(b, c, self._nodes, (2,))[0])
+        del self._nodes  # the sides' values at the nodes serve the build only
+        checks = []
+        for (_, _, half), gap, beta, x in zip(tab.checks, d2, tab.check_beta, collar.offsets[1:]):
+            h = gap * beta
+            checks.append((eps_ld * half, np.stack([h, h * x], axis=-1)))
+        _check_moments(f"{name}: blend stage", self._totals, checks, R - eps, R)
         slope_total, value_total = self._totals
         self.slope_gap = c1 - (b1 + slope_total)
         self.value_gap = c0 - (b0 - value_total)
@@ -397,47 +476,45 @@ class SmoothedJunction:
                              f"the float64 resolution at R={R:g}: the plateau ramps collapse")
 
         # the slope gap times the unit correction of mass 1 and zero first
-        # moment about R, plus the value gap times the reverse; one lookup at
-        # R gives the plateau moments and the seam residuals
+        # moment about R, plus the value gap times the reverse; the collar
+        # record's lookups at R give the plateau moments and seam residuals
         R_ld = np.longdouble(R)
-        at_R = np.array([R], dtype=np.longdouble)
-        phi, ramps = collar.lookups(at_R, (0, 1, 2))
-        (m00, m01), (m10, m11) = (collar.plateaus(ramps, k)[0] for k in (1, 2))
+        phi, plateaus = collar.at_R
+        (m00, m01), (m10, m11) = plateaus[1][0], plateaus[0][0]
         det = m00 * m11 - m01 * m10
         self._coef = (np.longdouble(self.slope_gap) * (np.array([m11, -m10]) / det)
                       + np.longdouble(self.value_gap) * (np.array([-m01, m00]) / det))
         # rounding left by the moment match, carried above R so that a stays
-        # seamless at R for the value-only oracle
-        terms = self._collar_terms(at_R, phi, ramps, (0, 1))
+        # seamless at R for the value-only oracle; phi_eps(R) = 1
+        terms = self._collar_terms(phi, _Values(np.array([R_ld])), plateaus, (0, 1))
         self._res0, self._res1 = (b[k](R_ld) + terms[k][0] - c[k](R_ld) for k in (0, 1))
 
-    def _gap(self, t, order: int):
-        """c - b, or the difference of their first or second derivatives, at t."""
-        return self.c[order](t) - self.b[order](t)
-
-    def _blend_terms(self, s, phi, orders):
+    def _blend_terms(self, phi, window: _Values, orders):
         """The blend stage (c'' - b'') phi_eps (order 2), or its integral once
         (1) or twice (0) from R - eps by parts (see the module docstring), at
-        s for each of orders, given phi_eps there.  b and c are evaluated
-        only where phi_eps > 0, so that a c undefined below the blending
-        window never meets 0 * nan; orders 0 and 1 share one lookup in the
-        blend cache."""
+        collar points for each of orders, given phi_eps there and the
+        window's values at the points where phi_eps > 0.  b and c are
+        evaluated only there, so that a c undefined below the blending window
+        never meets 0 * nan; orders 0 and 1 share one lookup in the blend
+        cache."""
         inside = phi > 0.0
-        some = inside.any()
+        t = window.x
+        some = t.size > 0
         if some:
-            t, p = s[inside], phi[inside]
+            p = phi[inside]
             if min(orders) < 2:
                 i = self._blend(t)
         outs = []
         for order in orders:
             out = np.zeros_like(phi)
             if some:
+                gap = window(self.c[order]) - window(self.b[order])
                 if order == 2:
-                    out[inside] = self._gap(t, 2) * p
+                    out[inside] = gap * p
                 elif order == 1:
-                    out[inside] = self._gap(t, 1) * p - i[..., 0]
+                    out[inside] = gap * p - i[..., 0]
                 else:
-                    out[inside] = (self._gap(t, 0) * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
+                    out[inside] = (gap * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
                                    + i[..., 1] - i[..., 2])
             outs.append(out)
         return outs
@@ -445,78 +522,90 @@ class SmoothedJunction:
     def _blend_totals(self) -> tuple[float, float]:
         """int (c'' - b'') phi_eps (t - R)^j over [R - eps, R] for j = 0, 1.
 
-        One pass of the panel rule, with beta read from the ramp tables at
-        its nodes.  The by-parts cache is not used here: its boundary terms
-        carry the rounding by which the inputs b', b fail to be exact
-        antiderivatives of b'', of order 1e-16 |b''(R)| eps, which exceeds
-        the check tolerance once sinh(R) is large (R above about 18 for the
-        tube pair).  The seam residuals at R absorb that difference.
+        One pass of the panel rule on the blend cache's nodes, with beta
+        read from the ramp tables there and the sides' values from the
+        build's evaluator at the nodes.  The by-parts cache is not used
+        here: its boundary terms carry the rounding by which the inputs b',
+        b fail to be exact antiderivatives of b'', of order
+        1e-16 |b''(R)| eps, which exceeds the check tolerance once sinh(R) is
+        large (R above about 18 for the tube pair).  The seam residuals at R
+        absorb that difference.
         """
-        tab = _ramp_tables()
+        tab, x = _ramp_tables(), self._collar.offsets[0]
+        h = tab.split(_gaps(self.b, self.c, self._nodes, (2,))[0])[0] * tab.blend_beta
         eps = np.longdouble(self.eps)
-        x = eps * (tab.blend_x - 1)
-        t = np.longdouble(self.R) + x
-        h = self._gap(t, 2) * tab.blend_beta
         return tuple(float(eps * (tab.blend_half @ (h * x**j @ _GL_WEIGHTS_LD))) for j in (0, 1))
 
-    def _collar_terms(self, s, phi, ramps, orders):
-        """a - b, or its derivative of each of orders, at the collar points
-        s: the blend stage plus the plateau correction, given phi_eps and
-        the ramp antiderivatives there."""
-        coef = self._coef.astype(s.dtype)
-        return [blend + self._collar.plateaus(ramps, 2 - order) @ coef
-                for order, blend in zip(orders, self._blend_terms(s, phi, orders))]
-
-    def _eval(self, r, orders, shared=None):
-        """a's derivatives of each of orders at r: b's below R - delta, b's
-        plus the collar's on [R - delta, R], and c's plus the seam residuals
-        above R.  All orders share one pass over r and one set of collar
-        lookups.  ``shared`` is (window, phi, ramps): the collar record's
-        window of r and its lookups there, made once for both junctions of a
-        family; each junction's collar lies in that window."""
-        r = np.asarray(r)
-        if r.dtype.kind != "f":
-            r = r.astype(np.float64)
-        dt = r.dtype
-        R = np.asarray(self.R, dtype=dt)
-        above = r > R
-        inside = (r >= np.asarray(self.R - self.delta, dtype=dt)) & (r <= R)
-        collar = None
-        if inside.any():
-            s = r[inside]
-            if shared is None:
-                phi, ramps = self._collar.lookups(s, orders)
-            else:
-                window, phi, ramps = shared
-                mine = inside[window]
-                phi, ramps = phi[mine], {k: x[mine] for k, x in ramps.items()}
-            collar = self._collar_terms(s, phi, ramps, orders)
-        # b and c each only on their own side: c may overflow far below R
-        ru, rl = r[above], r[~above]
-        outs = []
-        for k, order in enumerate(orders):
-            upper = self.c[order](ru)
-            if order == 0:
-                upper = upper + self._res0.astype(dt) + self._res1.astype(dt) * (ru - R)
-            elif order == 1:
-                upper = upper + self._res1.astype(dt)
-            lower = self.b[order](rl)
-            out = np.empty(r.shape, np.result_type(upper, lower))
-            out[above], out[~above] = upper, lower
-            if collar is not None:
-                out[inside] += collar[k]
-            outs.append(out if out.shape else out[()])
-        return outs
+    def _collar_terms(self, phi, window: _Values, plateaus, orders):
+        """a - b, or its derivative of each of orders, at collar points: the
+        blend stage plus the plateau correction, given phi_eps there, the
+        window's values as for _blend_terms, and the plateau stack of each
+        order from the collar record's lookups."""
+        coef = self._coef.astype(phi.dtype)
+        return [blend + plateaus[order] @ coef
+                for order, blend in zip(orders, self._blend_terms(phi, window, orders))]
 
     def a(self, r):
         """The interpolant: b below R - delta, c above R."""
-        return self._eval(r, (0,))[0]
+        return _eval((self,), r, (0,))[0][0]
 
     def a_prime(self, r):
-        return self._eval(r, (1,))[0]
+        return _eval((self,), r, (1,))[0][0]
 
     def a_second(self, r):
-        return self._eval(r, (2,))[0]
+        return _eval((self,), r, (2,))[0][0]
+
+
+def _eval(junctions, r, orders) -> list:
+    """The derivatives of a of each of orders at r, for each of junctions,
+    which share one collar record: b's below R - delta, b's plus the
+    collar's on [R - delta, R], and c's plus the seam residuals above R.
+
+    One pass serves all junctions and orders: one split of r at R, one
+    mask per distinct delta, one set of collar lookups with the plateau
+    stacks of each order, and each side's transcendentals evaluated once
+    per region (above R, below R, and the blending window).
+    """
+    r = np.asarray(r)
+    if r.dtype.kind != "f":
+        r = r.astype(np.float64)
+    dt = r.dtype
+    collar = junctions[0]._collar
+    R = np.asarray(collar.R, dtype=dt)
+    above = r > R
+    below = ~above
+    # b and c each only on their own side: c may overflow far below R
+    ru = r[above]
+    upper, lower = _Values(ru), _Values(r[below])
+    masks = {d: (r >= np.asarray(collar.R - d, dtype=dt)) & (r <= R)
+             for d in {j.delta for j in junctions}}
+    widest = masks[max(masks)]
+    s = r[widest]
+    terms = [None] * len(junctions)
+    if s.size:
+        phi, plateaus = collar.lookups(s, orders)
+        window = _Values(s[phi > 0.0])
+        terms = [(masks[j.delta], j._collar_terms(phi, window, plateaus, orders))
+                 for j in junctions]
+    outs = []
+    for j, collar_terms in zip(junctions, terms):
+        mine = []
+        for k, order in enumerate(orders):
+            up = upper(j.c[order])
+            if order == 0:
+                up = up + j._res0.astype(dt) + j._res1.astype(dt) * (ru - R)
+            elif order == 1:
+                up = up + j._res1.astype(dt)
+            low = lower(j.b[order])
+            out = np.empty(r.shape, np.result_type(up, low))
+            out[above], out[below] = up, low
+            if collar_terms is not None:
+                mask, values = collar_terms
+                # the terms are on the widest collar; a narrower one takes its part
+                out[mask] += values[k] if mask is widest else values[k][mask[widest]]
+            mine.append(out if out.shape else out[()])
+        outs.append(mine)
+    return outs
 
 
 def smooth_junction(b: tuple[Callable, ...], c: tuple[Callable, ...], R: float, eps: float,
@@ -559,14 +648,11 @@ def _ricci_sup_half(name: str, jf: SmoothedJunction, jg: SmoothedJunction,
     grid is rejected: the collar corrections outweighed b there, which
     happens when eps is large for a small R.
     """
-    collar = jf._collar
     rs = np.linspace(lo, hi, _K_GRID_N)
     best, width = -math.inf, math.inf
     while True:
-        window = (rs >= collar.R - collar.reach) & (rs <= collar.R)
-        shared = (window, *collar.lookups(rs[window], (0, 1, 2)))
-        values = (*jf._eval(rs, (0, 1, 2), shared), *jg._eval(rs, (0, 1, 2), shared))
-        vals = _half_neg_ricci(*_sectional_values(name, rs, *values))
+        (f, fp, fpp), (g, gp, gpp) = _eval((jf, jg), rs, (0, 1, 2))
+        vals = _half_neg_ricci(*_sectional_values(name, rs, f, fp, fpp, g, gp, gpp))
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]

@@ -213,6 +213,20 @@ def hyperbolic_tube() -> WarpingPair:
     )
 
 
+class _Scaled:
+    """r -> coef * base(r).  The members of a derivative triple that are
+    multiples of one transcendental share its base, so that an evaluator
+    can compute the base once for all of them."""
+
+    __slots__ = ("coef", "base")
+
+    def __init__(self, coef: float, base: RadialFunc):
+        self.coef, self.base = coef, base
+
+    def __call__(self, r):
+        return self.coef * self.base(r)
+
+
 def kerckhoff_extension(R: float) -> WarpingPair:
     """Exponential continuation of the tube pair over (-inf, R].
 
@@ -227,10 +241,11 @@ def kerckhoff_extension(R: float) -> WarpingPair:
     tnh = math.tanh(R)
 
     def exponential(scale: float, rate: float):
-        """scale exp(rate (r - R)) and its first two derivatives."""
-        def times(coef: float):
-            return lambda r: coef * np.exp(rate * (np.asarray(r) - R))
-        return times(scale), times(scale * rate), times(scale * rate * rate)
+        """scale exp(rate (r - R)) and its first two derivatives, which
+        share one exponential."""
+        def base(r):
+            return np.exp(rate * (np.asarray(r) - R))
+        return tuple(_Scaled(coef, base) for coef in (scale, scale * rate, scale * rate * rate))
 
     f, fp, fpp = exponential(math.sinh(R), coth(R))
     g, gp, gpp = exponential(math.cosh(R), tnh)

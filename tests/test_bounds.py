@@ -145,6 +145,25 @@ class TestKLimit:
             k_limit(R)
 
 
+@pytest.mark.parametrize("factor", [k_limit, coarse_factor])
+def test_tiny_radius_finite_or_rejected(factor):
+    """On R = 10^-k, k = 1..320, each factor is finite or rejected with a
+    ParameterError naming R; it is finite down to where it overflows and
+    rejected below."""
+    finite = []
+    for k in range(1, 321):
+        R = 10.0 ** -k
+        try:
+            value = factor(R)
+        except ParameterError as exc:
+            assert f"tube radius {R:g} is too small" in str(exc)
+        else:
+            assert math.isfinite(value) and value > 1.0
+            finite.append(k)
+    assert finite == list(range(1, len(finite) + 1))
+    assert 100 <= len(finite) < 320
+
+
 class TestParentVolumeLowerBound:
     def test_corollary_value(self):
         v = parent_volume_lower_bound(2.0298, LN3_HALF)

@@ -25,9 +25,11 @@ from drillvol import (
 )
 from drillvol import smoothing
 from drillvol.smoothing import (
+    _CHECK_PANELS,
     _check_moments,
-    _check_panels,
+    _eval,
     _moments,
+    _panels,
     _ramp_beta_prime,
     _ramp_tables,
 )
@@ -349,9 +351,10 @@ CRITERION_7_GRID = [(R, eps) for R in (0.5, 0.8, 1.2) for eps in EPS_SEQ]
 
 
 def panel_checks(moments, lo, hi):
-    """The build check's two panel layouts on [lo, hi], each with the
-    moments' values at its nodes."""
-    return [(p, moments(p[1])) for p in _check_panels(lo, hi)]
+    """The build check's two panel layouts on [lo, hi], each as its
+    half-widths with the moments' values at its nodes."""
+    layouts = (_panels(lo, hi, n + 1) for n in _CHECK_PANELS)
+    return [(half, moments(nodes)) for _, nodes, half in layouts]
 
 
 def half_neg_ricci(pair, rs):
@@ -372,7 +375,8 @@ def test_blend_totals_match_adaptive_quadrature(R, eps):
 
     fam = cached_family(R, eps)
     for junction in (fam.junction_f, fam.junction_g):
-        blend = _moments(lambda t: junction._blend_terms(t, step_phi(eps, R, t), (2,))[0], R, 2)
+        blend = _moments(lambda t: (junction.c[2](t) - junction.b[2](t)) * step_phi(eps, R, t),
+                         R, 2)
         check, errs = _check_moments("blend", junction._totals, panel_checks(blend, R - eps, R),
                                      R - eps, R)
         for j in (0, 1):
@@ -460,17 +464,22 @@ def assert_same_bits(got, want):
 
 @pytest.mark.parametrize("R,eps", [(0.5, 1e-1), (0.8, 1e-2), (1.2, 1e-3)])
 def test_eval_of_all_orders_matches_each_evaluator(R, eps):
-    """_eval(r, (0, 1, 2)) gives a, a' and a'' bit for bit, on float64 and
-    longdouble grids and scalars, at R, R - eps and R - delta included."""
+    """One pass over one junction, _eval((j,), r, (0, 1, 2)), and the
+    family pass over both junctions give a, a' and a'' of each junction bit
+    for bit, on float64 and longdouble grids and scalars, at R, R - eps and
+    R - delta included."""
     fam = cached_family(R, eps)
-    for junction in (fam.junction_f, fam.junction_g):
-        points = [R, R - eps, R - junction.delta]
-        grid = np.concatenate([np.linspace(R - junction.delta - 0.1, R + 0.1, 2001), points])
-        scalars = points + [np.longdouble(p) for p in points] + [np.float64(R - 0.5 * eps)]
-        for r in [grid, grid.astype(np.longdouble)] + scalars:
-            got = junction._eval(r, (0, 1, 2))
-            for value, fn in zip(got, (junction.a, junction.a_prime, junction.a_second)):
-                assert_same_bits(value, fn(r))
+    junctions = (fam.junction_f, fam.junction_g)
+    points = [R, R - eps] + [R - j.delta for j in junctions]
+    grid = np.concatenate([np.linspace(R - fam.delta - 0.1, R + 0.1, 2001), points])
+    scalars = points + [np.longdouble(p) for p in points] + [np.float64(R - 0.5 * eps)]
+    for r in [grid, grid.astype(np.longdouble)] + scalars:
+        family = _eval(junctions, r, (0, 1, 2))
+        for junction, both in zip(junctions, family):
+            alone = _eval((junction,), r, (0, 1, 2))[0]
+            evaluators = (junction.a, junction.a_prime, junction.a_second)
+            for got, fn in zip((*alone, *both), 2 * evaluators):
+                assert_same_bits(got, fn(r))
 
 
 def refined_k_eps(fam) -> float:
@@ -504,21 +513,77 @@ def test_k_eps_from_junction_passes_matches_pair_callables(R, eps):
 
 
 def test_junctions_share_one_collar_record(monkeypatch):
-    """The two junctions of a family hold one collar record, and a build
-    makes at most 40 lookups in the ramp tables; lookups made per callable
-    and per order would make 172."""
+    """The two junctions of a family hold one collar record.  With the ramp
+    tables built, a build makes at most 30 lookups in them (32 when the
+    build check looked phi_eps up on its own panels, 172 with lookups per
+    callable and order), evaluates the bump on at most 1000 points (6912
+    when each record tabulated phi_eps' on its own blend nodes), and
+    evaluates each longdouble side array on the blending window's nodes
+    once: one exponential per extension function, whose three callables
+    share it, and the tube's sinh and cosh, which the record keeps for both
+    junctions (12 arrays when each junction evaluated its sides per order
+    and stage)."""
+    want = cached_family(0.8, 1e-2).k_eps
+    tab = _ramp_tables()
     smoothing._collar_of.cache_clear()
-    table = _ramp_tables().cum
-    calls = []
+    lookups, bump_points, window_exps = [], [], []
     original = smoothing._Cumulative.__call__
 
     def counting(self, x):
-        if self is table:
-            calls.append(np.shape(x))
+        if self is tab.cum:
+            lookups.append(np.shape(x))
         return original(self, x)
 
+    bump, exp = smoothing.bump_alpha, np.exp
+
+    def counting_bump(r):
+        bump_points.append(np.size(r))
+        return bump(r)
+
+    def counting_exp(x, *args, **kwargs):
+        if np.asarray(x).dtype == np.longdouble and np.size(x) >= tab.blend_x.size:
+            window_exps.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
     monkeypatch.setattr(smoothing._Cumulative, "__call__", counting)
+    monkeypatch.setattr(smoothing, "bump_alpha", counting_bump)
+    monkeypatch.setattr(np, "exp", counting_exp)
     fam = smoothed_metric(0.8, 1e-2)
-    assert fam.junction_f._collar is fam.junction_g._collar
-    assert len(calls) <= 40
-    assert fam.k_eps == cached_family(0.8, 1e-2).k_eps
+    monkeypatch.undo()
+    collar = fam.junction_f._collar
+    assert collar is fam.junction_g._collar
+    assert len(lookups) <= 30
+    assert sum(bump_points) <= 1000
+    assert len(window_exps) == 2
+    assert set(collar.ufunc_values) == {np.sinh, np.cosh}
+    assert fam.k_eps == want
+
+
+def test_family_pass_with_distinct_deltas():
+    """Junctions on one collar record whose deltas differ (b = c leaves no
+    gap, so its delta is eps) get one mask each in the family pass, which
+    equals each junction's own evaluators bit for bit."""
+    R, eps = 0.8, 1e-2
+    plain, gapped = identity_junction(R, eps), sinh_junction(R, eps)
+    assert plain._collar is gapped._collar and plain.delta < gapped.delta
+    points = [R, R - eps, R - plain.delta, R - gapped.delta]
+    grid = np.concatenate([np.linspace(R - gapped.delta - 0.1, R + 0.1, 2001), points])
+    for r in [grid, grid.astype(np.longdouble)] + points:
+        for junction, got in zip((plain, gapped), _eval((plain, gapped), r, (0, 1, 2))):
+            for value, fn in zip(got, (junction.a, junction.a_prime, junction.a_second)):
+                assert_same_bits(value, fn(r))
+
+
+@pytest.mark.parametrize("R,eps", CRITERION_7_GRID + [(R, e) for R in (3.0, 8.0) for e in EPS_SEQ])
+def test_blend_cache_and_totals_agree_by_parts(R, eps):
+    """The blend cache and the totals share the window's nodes, so they agree
+    by parts at R, where phi_eps = 1: with I_k the cache's totals,
+    T0 = (c' - b')(R) - I0 and T1 = -I1 - (c - b)(R) + I2, to 1e-16 cosh R."""
+    fam = cached_family(R, eps)
+    R_ld = np.longdouble(R)
+    for junction in (fam.junction_f, fam.junction_g):
+        i0, i1, i2 = junction._blend(R_ld)
+        d0, d1 = (junction.c[k](R_ld) - junction.b[k](R_ld) for k in (0, 1))
+        t0, t1 = junction._totals
+        assert abs(float(t0 - (d1 - i0))) <= 1e-16 * math.cosh(R)
+        assert abs(float(t1 - (-i1 - d0 + i2))) <= 1e-16 * math.cosh(R)
