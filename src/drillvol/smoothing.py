@@ -34,7 +34,7 @@ w = (D1, D1 (t - R), D0)
     u_blend(s)  = D0(s) phi_eps(s) - (s - R) I0(s) + I1(s) - I2(s)
 
 and its cache tabulates closed-form integrands only (phi_eps' is the bump);
-phi_eps itself is one lookup in the module-wide ramp table.  Each cache
+phi_eps itself comes from the module-wide ramp table.  Each cache
 holds its antiderivatives on a monotone knot grid; panel values and point
 evaluations use one fixed Gauss-Legendre rule in extended precision, so
 evaluation is seamless across knots (a requirement for the value-only
@@ -52,10 +52,11 @@ their offsets t - R, the ramp lookups at R, and the sides' values at the
 nodes.  Each side is evaluated once per node set: the extension's three
 callables per function scale one exponential, and the tube's sinh and cosh
 serve both junctions.  One evaluator pass serves any junctions on one
-record and any derivative orders, from one phi_eps lookup, one ramp-table
-lookup for all plateau orders, one blend-cache lookup per junction, and
-each side's transcendentals once per region: smoothed_metric(0.8, 1e-2)
-makes 28 ramp-table lookups.  The Ricci constant is the supremum over a
+record and any derivative orders, from one collar mask, one ramp-table
+lookup (phi_eps's argument rides beside the four plateau ramps), one
+blend-cache lookup per junction, and each side's transcendentals once per
+region: smoothed_metric(0.8, 1e-2) makes 14 ramp-table lookups, one at R
+and one per Ricci grid.  The Ricci constant is the supremum over a
 uniform grid, refined by bracket grids of 33 points across the two cells
 around the running argmax until the bracket stops shrinking; each grid
 takes a, a' and a'' of both junctions from one pass.
@@ -73,7 +74,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import _require_positive, _require_sinh
-from .errors import JunctionError, QuadratureError, WidthError
+from .errors import JunctionError, ParameterError, QuadratureError, WidthError
 from .warped import (WarpingPair, _half_neg_ricci, _Scaled, _sectional_values, hyperbolic_tube,
                      kerckhoff_extension)
 
@@ -264,9 +265,9 @@ def _ramp_tables() -> _RampTables:
     return _RampTables()
 
 
-def _ramp_antiderivatives(x, orders):
-    """beta (order 0) and its first (1) and second (2) antiderivatives from
-    0, each of orders, at any real x, from one lookup in the ramp tables.
+def _ramp_antiderivatives(x):
+    """beta and its first and second antiderivatives from 0 at any real x,
+    from one lookup in the ramp tables.
 
     With A, T, Q the cumulative moments of alpha / int alpha of order 0, 1, 2
     at min(max(x, 0), 1): beta = A, int beta = x A - T and
@@ -279,14 +280,7 @@ def _ramp_antiderivatives(x, orders):
         x = x.astype(np.float64)
     m = t.cum(x) / np.asarray(t.norm, dtype=x.dtype)
     a, first, second = m[..., 0], m[..., 1], m[..., 2]
-    out = {}
-    if 0 in orders:
-        out[0] = a
-    if 1 in orders:
-        out[1] = x * a - first
-    if 2 in orders:
-        out[2] = 0.5 * (x * x * a - 2.0 * x * first + second)
-    return out
+    return a, x * a - first, 0.5 * (x * x * a - 2.0 * x * first + second)
 
 
 def ramp_beta(x):
@@ -295,7 +289,7 @@ def ramp_beta(x):
     Monotone from 0 to 1, identically 0 for x <= 0 and 1 for x >= 1.
     """
     x = np.asarray(x)
-    out = np.clip(_ramp_antiderivatives(x, (0,))[0], 0.0, 1.0)
+    out = np.clip(_ramp_antiderivatives(x)[0], 0.0, 1.0)
     return out if out.shape else out[()]
 
 
@@ -350,7 +344,8 @@ def _gaps(b, c, values: _Values, orders) -> list:
 class _Collar:
     """The ramp work of one (R, eps), which depends on neither junction.
 
-    The collar width W(eps) and the starts of the four plateau ramps (rise
+    The collar width W(eps), the reach max(eps, W) below R that covers the
+    collar of every junction, and the starts of the four plateau ramps (rise
     and fall of the plateau on [R - W, cut], then of the one on [cut, R]);
     the ramp tables' window layouts mapped onto [R - eps, R] by
     t = R + eps (x - 1): the blend cache's knots and half-widths, and the
@@ -363,6 +358,7 @@ class _Collar:
         tab = _ramp_tables()
         self.R, self.eps = R, eps
         self.width = _COLLAR_SCALE * eps ** _COLLAR_POWER
+        self.reach = max(eps, self.width)
         self.ramp_w = _COLLAR_RAMP * self.width
         cut = R - _COLLAR_SPLIT * self.width
         self.ramp_starts = np.array([R - self.width, cut - self.ramp_w, cut, R - self.ramp_w])
@@ -381,19 +377,20 @@ class _Collar:
         return _ramp_beta_prime((t - np.asarray(self.R, dt)) / eps + np.asarray(1.0, dt)) / eps
 
     def lookups(self, s, orders):
-        """phi_eps at the collar points s, and for each of orders the stack
-        (on a new last axis) of the two plateaus' antiderivatives that a's
-        derivative of that order needs: the plateaus for order 2, their
-        first antiderivatives for 1 and second for 0.  One ramp-table lookup
-        gives phi_eps, and one the four plateau ramps for all orders."""
-        w = np.asarray(self.ramp_w, dtype=s.dtype)
-        ramps = _ramp_antiderivatives((s[..., None] - self.ramp_starts.astype(s.dtype)) / w,
-                                      {2 - order for order in orders})
-        plateaus = {}
-        for order in orders:
-            g = ramps[2 - order] * w ** (2 - order)
-            plateaus[order] = np.stack([g[..., 0] - g[..., 1], g[..., 2] - g[..., 3]], axis=-1)
-        return np.asarray(step_phi(self.eps, self.R, s)), plateaus
+        """phi_eps at the collar points s, and for each of orders, along a
+        new first axis, the stack (on a new last axis) of the two plateaus'
+        antiderivatives that a's derivative of that order needs: the
+        plateaus for order 2, their first antiderivatives for 1 and second
+        for 0.  One ramp-table lookup gives all: phi_eps's argument is a
+        fifth column beside the four plateau ramps, clipped like ramp_beta."""
+        dt = s.dtype
+        w = np.asarray(self.ramp_w, dtype=dt)
+        x = (s - np.asarray(self.R, dt)) / np.asarray(self.eps, dt) + np.asarray(1.0, dt)
+        ramps = _ramp_antiderivatives(np.concatenate(
+            [(s[..., None] - self.ramp_starts.astype(dt)) / w, x[..., None]], axis=-1))
+        g = (np.array([ramps[2 - k][..., :4] for k in orders])
+             * np.array([w ** (2 - k) for k in orders], dt)[:, None, None])
+        return np.clip(ramps[0][..., 4], 0.0, 1.0), g[..., 0::2] - g[..., 1::2]
 
     @functools.cached_property
     def at_R(self):
@@ -434,6 +431,8 @@ class SmoothedJunction:
         self.b, self.c, self.name = b, c, name
         self.eps = float(eps)
         self.R = R = float(R)
+        if not math.isfinite(R):
+            raise ParameterError(f"{name}: junction radius must be finite, got {R}")
         b0, b1, c0, c1 = (float(side[k](R)) for side in (b, c) for k in (0, 1))
         # relative where |c|, |c'| > 1: from R = 10 on, one float64 rounding
         # of cosh R exceeds an absolute 1e-12
@@ -486,38 +485,8 @@ class SmoothedJunction:
                       + np.longdouble(self.value_gap) * (np.array([-m01, m00]) / det))
         # rounding left by the moment match, carried above R so that a stays
         # seamless at R for the value-only oracle; phi_eps(R) = 1
-        terms = self._collar_terms(phi, _Values(np.array([R_ld])), plateaus, (0, 1))
+        terms = self._terms(phi, _Values(np.array([R_ld])), plateaus, (0, 1))
         self._res0, self._res1 = (b[k](R_ld) + terms[k][0] - c[k](R_ld) for k in (0, 1))
-
-    def _blend_terms(self, phi, window: _Values, orders):
-        """The blend stage (c'' - b'') phi_eps (order 2), or its integral once
-        (1) or twice (0) from R - eps by parts (see the module docstring), at
-        collar points for each of orders, given phi_eps there and the
-        window's values at the points where phi_eps > 0.  b and c are
-        evaluated only there, so that a c undefined below the blending window
-        never meets 0 * nan; orders 0 and 1 share one lookup in the blend
-        cache."""
-        inside = phi > 0.0
-        t = window.x
-        some = t.size > 0
-        if some:
-            p = phi[inside]
-            if min(orders) < 2:
-                i = self._blend(t)
-        outs = []
-        for order in orders:
-            out = np.zeros_like(phi)
-            if some:
-                gap = window(self.c[order]) - window(self.b[order])
-                if order == 2:
-                    out[inside] = gap * p
-                elif order == 1:
-                    out[inside] = gap * p - i[..., 0]
-                else:
-                    out[inside] = (gap * p - (t - np.asarray(self.R, t.dtype)) * i[..., 0]
-                                   + i[..., 1] - i[..., 2])
-            outs.append(out)
-        return outs
 
     def _blend_totals(self) -> tuple[float, float]:
         """int (c'' - b'') phi_eps (t - R)^j over [R - eps, R] for j = 0, 1.
@@ -536,14 +505,31 @@ class SmoothedJunction:
         eps = np.longdouble(self.eps)
         return tuple(float(eps * (tab.blend_half @ (h * x**j @ _GL_WEIGHTS_LD))) for j in (0, 1))
 
-    def _collar_terms(self, phi, window: _Values, plateaus, orders):
+    def _terms(self, phi, window: _Values, plateaus, orders):
         """a - b, or its derivative of each of orders, at collar points: the
-        blend stage plus the plateau correction, given phi_eps there, the
-        window's values as for _blend_terms, and the plateau stack of each
-        order from the collar record's lookups."""
-        coef = self._coef.astype(phi.dtype)
-        return [blend + plateaus[order] @ coef
-                for order, blend in zip(orders, self._blend_terms(phi, window, orders))]
+        plateau correction, from the stack of each order that the collar
+        record's lookups give, plus the blend stage where phi_eps > 0.  The
+        blend is (c'' - b'') phi_eps (order 2), or its integral once (1) or
+        twice (0) from R - eps by parts (see the module docstring);
+        ``window`` holds the points where phi_eps > 0, so that a c undefined
+        below the blending window never meets 0 * nan.  Orders 0 and 1 share
+        one lookup in the blend cache."""
+        inside = phi > 0.0
+        t, p = window.x, phi[inside]
+        i = self._blend(t) if t.size and min(orders) < 2 else None
+        corrections = plateaus @ self._coef.astype(phi.dtype)
+        outs = []
+        for k, order in enumerate(orders):
+            out = corrections[k]
+            if t.size:
+                blend = (window(self.c[order]) - window(self.b[order])) * p
+                if order == 1:
+                    blend = blend - i[..., 0]
+                elif order == 0:
+                    blend = blend - (t - np.asarray(self.R, t.dtype)) * i[..., 0] + i[..., 1] - i[..., 2]
+                out[inside] += blend
+            outs.append(out)
+        return outs
 
     def a(self, r):
         """The interpolant: b below R - delta, c above R."""
@@ -562,9 +548,11 @@ def _eval(junctions, r, orders) -> list:
     collar's on [R - delta, R], and c's plus the seam residuals above R.
 
     One pass serves all junctions and orders: one split of r at R, one
-    mask per distinct delta, one set of collar lookups with the plateau
+    collar mask [R - reach, R], one set of collar lookups with the plateau
     stacks of each order, and each side's transcendentals evaluated once
-    per region (above R, below R, and the blending window).
+    per region (above R, below R, and the blending window).  A junction
+    whose delta falls short of the reach has no gaps, so lambda = 0 and
+    phi_eps = 0 give it exact zeros there.
     """
     r = np.asarray(r)
     if r.dtype.kind != "f":
@@ -577,18 +565,14 @@ def _eval(junctions, r, orders) -> list:
     # b and c each only on their own side: c may overflow far below R
     ru = r[above]
     upper, lower = _Values(ru), _Values(r[below])
-    masks = {d: (r >= np.asarray(collar.R - d, dtype=dt)) & (r <= R)
-             for d in {j.delta for j in junctions}}
-    widest = masks[max(masks)]
-    s = r[widest]
-    terms = [None] * len(junctions)
+    on = (r >= np.asarray(collar.R - collar.reach, dtype=dt)) & below
+    s = r[on]
     if s.size:
         phi, plateaus = collar.lookups(s, orders)
         window = _Values(s[phi > 0.0])
-        terms = [(masks[j.delta], j._collar_terms(phi, window, plateaus, orders))
-                 for j in junctions]
     outs = []
-    for j, collar_terms in zip(junctions, terms):
+    for j in junctions:
+        terms = j._terms(phi, window, plateaus, orders) if s.size else None
         mine = []
         for k, order in enumerate(orders):
             up = upper(j.c[order])
@@ -599,10 +583,8 @@ def _eval(junctions, r, orders) -> list:
             low = lower(j.b[order])
             out = np.empty(r.shape, np.result_type(up, low))
             out[above], out[below] = up, low
-            if collar_terms is not None:
-                mask, values = collar_terms
-                # the terms are on the widest collar; a narrower one takes its part
-                out[mask] += values[k] if mask is widest else values[k][mask[widest]]
+            if terms is not None:
+                out[on] += terms[k]
             mine.append(out if out.shape else out[()])
         outs.append(mine)
     return outs

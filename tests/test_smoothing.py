@@ -234,6 +234,23 @@ class TestJunctionStages:
         with pytest.raises(ParameterError):
             sinh_junction(0.8, 0.0)
 
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, R):
+        """A non-finite R is rejected before either side is evaluated, with
+        no warning on the way; a finite R <= 0 stays legal."""
+        called = []
+
+        def side(k):
+            def fn(r):
+                called.append(k)
+                return SINH[k](r)
+            return fn
+
+        with pytest.raises(ParameterError, match="junction radius must be finite"):
+            smooth_junction(tuple(side(k) for k in range(3)), SINH, R, 0.1)
+        assert called == []
+        assert smooth_junction(SINH, SINH, -0.3, 0.1).delta > 0.0
+
     @pytest.mark.parametrize("R,eps", [(0.8, 1e-50), (0.05, 1e-50), (3.0, 1e-44), (20.0, 1e-60)])
     def test_collar_below_float_resolution_rejected(self, R, eps):
         """A collar W = 2 eps^(1/3) so narrow that its ramps collapse onto R
@@ -512,9 +529,46 @@ def test_k_eps_from_junction_passes_matches_pair_callables(R, eps):
     assert fam.k_eps == refined_k_eps(fam)
 
 
+def record_ramp_lookups(monkeypatch) -> list:
+    """Record the shape of each lookup in the ramp tables, which this builds
+    first, from here to the end of the test."""
+    tab = _ramp_tables()
+    lookups = []
+    original = smoothing._Cumulative.__call__
+
+    def counting(self, x):
+        if self is tab.cum:
+            lookups.append(np.shape(x))
+        return original(self, x)
+
+    monkeypatch.setattr(smoothing._Cumulative, "__call__", counting)
+    return lookups
+
+
+def test_one_ramp_lookup_per_eval_pass(monkeypatch):
+    """An evaluator pass over collar points makes one ramp-table lookup, of
+    any orders, for one junction or both, on float64 and longdouble arrays
+    and scalars: phi_eps's argument rides beside the four plateau ramps (two
+    lookups when phi_eps had its own).  A pass with no collar point makes
+    none."""
+    fam = cached_family(0.8, 1e-2)
+    grid = np.linspace(0.8 - fam.delta - 0.1, 0.9, 101)
+    lookups = record_ramp_lookups(monkeypatch)
+    for r in (grid, grid.astype(np.longdouble), 0.8 - 5e-3, np.longdouble(0.8 - 0.2)):
+        for junctions in ((fam.junction_f,), (fam.junction_f, fam.junction_g)):
+            for orders in ((0,), (1,), (2,), (0, 1, 2)):
+                lookups.clear()
+                _eval(junctions, r, orders)
+                assert len(lookups) == 1
+    lookups.clear()
+    _eval((fam.junction_f, fam.junction_g), np.array([0.8 - fam.delta - 0.1, 0.9]), (0, 1, 2))
+    assert lookups == []
+
+
 def test_junctions_share_one_collar_record(monkeypatch):
     """The two junctions of a family hold one collar record.  With the ramp
-    tables built, a build makes at most 30 lookups in them (32 when the
+    tables built, a build makes 14 lookups in them, one at R and one per
+    Ricci grid (28 when each pass looked phi_eps up on its own, 32 when the
     build check looked phi_eps up on its own panels, 172 with lookups per
     callable and order), evaluates the bump on at most 1000 points (6912
     when each record tabulated phi_eps' on its own blend nodes), and
@@ -526,14 +580,8 @@ def test_junctions_share_one_collar_record(monkeypatch):
     want = cached_family(0.8, 1e-2).k_eps
     tab = _ramp_tables()
     smoothing._collar_of.cache_clear()
-    lookups, bump_points, window_exps = [], [], []
-    original = smoothing._Cumulative.__call__
-
-    def counting(self, x):
-        if self is tab.cum:
-            lookups.append(np.shape(x))
-        return original(self, x)
-
+    lookups = record_ramp_lookups(monkeypatch)
+    bump_points, window_exps = [], []
     bump, exp = smoothing.bump_alpha, np.exp
 
     def counting_bump(r):
@@ -545,14 +593,13 @@ def test_junctions_share_one_collar_record(monkeypatch):
             window_exps.append(np.size(x))
         return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(smoothing._Cumulative, "__call__", counting)
     monkeypatch.setattr(smoothing, "bump_alpha", counting_bump)
     monkeypatch.setattr(np, "exp", counting_exp)
     fam = smoothed_metric(0.8, 1e-2)
     monkeypatch.undo()
     collar = fam.junction_f._collar
     assert collar is fam.junction_g._collar
-    assert len(lookups) <= 30
+    assert len(lookups) == 14
     assert sum(bump_points) <= 1000
     assert len(window_exps) == 2
     assert set(collar.ufunc_values) == {np.sinh, np.cosh}
@@ -561,8 +608,10 @@ def test_junctions_share_one_collar_record(monkeypatch):
 
 def test_family_pass_with_distinct_deltas():
     """Junctions on one collar record whose deltas differ (b = c leaves no
-    gap, so its delta is eps) get one mask each in the family pass, which
-    equals each junction's own evaluators bit for bit."""
+    gap, so its delta is eps) share the family pass's one collar mask: the
+    narrower junction gets exact zeros on [R - W, R - eps], where its lambda
+    and phi_eps vanish, and the pass equals each junction's own evaluators
+    bit for bit."""
     R, eps = 0.8, 1e-2
     plain, gapped = identity_junction(R, eps), sinh_junction(R, eps)
     assert plain._collar is gapped._collar and plain.delta < gapped.delta
@@ -572,6 +621,9 @@ def test_family_pass_with_distinct_deltas():
         for junction, got in zip((plain, gapped), _eval((plain, gapped), r, (0, 1, 2))):
             for value, fn in zip(got, (junction.a, junction.a_prime, junction.a_second)):
                 assert_same_bits(value, fn(r))
+    own = grid[(grid >= R - gapped.delta) & (grid < R - eps)]
+    for fn, side in zip((plain.a, plain.a_prime, plain.a_second), SINH):
+        assert_same_bits(fn(own), side(own))
 
 
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID + [(R, e) for R in (3.0, 8.0) for e in EPS_SEQ])
