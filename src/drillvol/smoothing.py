@@ -38,14 +38,18 @@ phi_eps itself comes from the module-wide ramp table.  Each cache
 holds its antiderivatives on a monotone knot grid; panel values and point
 evaluations use one fixed Gauss-Legendre rule in extended precision, so
 evaluation is seamless across knots (a requirement for the value-only
-finite-difference oracle) and costs O(log n) after construction.  The
-blending window has one node layout: the ramp tables hold the blend rule's
-256 panels and the build check's 16 and 8 on [0, 1], with alpha and beta at
-their nodes, and t = R + eps (x - 1) maps them onto [R - eps, R].  The blend
+finite-difference oracle) and costs O(log n) after construction; a float64
+lookup is rounded row by row, and no extended-precision array is raised to
+a power (numpy calls powl per element for x**0 and x**1), so moments are
+products.  The blending window has one node layout: the ramp tables hold
+the blend rule's 256 panels and the build check's 16 and 8 on [0, 1], with
+alpha and beta at their nodes, and t = R + eps (x - 1) maps them onto
+[R - eps, R].  The blend
 cache, the blend totals int (c'' - b'') phi_eps (t - R)^j, which size the
 correction, and the build check share these nodes, so a build evaluates no
 bump and makes no ramp lookup there; the check compares the totals, like
-the ramp moments, with the rule on 16 panels (8 panels give its error).
+the ramp moments, with the rule on 16 panels (8 panels give its error);
+c'' - b'' is formed once on the three layouts for both.
 The rest of the ramp work depends on (R, eps) alone, so both junctions of a
 family share one collar record: W, the ramp starts, the mapped nodes with
 their offsets t - R, the ramp lookups at R, and the sides' values at the
@@ -88,7 +92,21 @@ __all__ = [
     "smoothed_metric",
 ]
 
-_GL_NODES_F8, _GL_WEIGHTS_F8 = np.polynomial.legendre.leggauss(24)
+# The 24-point Gauss-Legendre rule on [-1, 1]: nodes -_GL_X[::-1] and _GL_X,
+# with the mirrored weights, as numpy.polynomial.legendre.leggauss(24) gives
+# them (it symmetrizes its output); literals spare importing numpy.polynomial.
+_GL_X = np.array([
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+    0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+    0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+])
+_GL_W = np.array([
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+    0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+    0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+])
+_GL_NODES_F8 = np.concatenate([-_GL_X[::-1], _GL_X])
+_GL_WEIGHTS_F8 = np.concatenate([_GL_W[::-1], _GL_W])
 _GL_NODES_LD = _GL_NODES_F8.astype(np.longdouble)
 _GL_WEIGHTS_LD = _GL_WEIGHTS_F8.astype(np.longdouble)
 
@@ -159,7 +177,10 @@ class _Cumulative:
     precision, and point evaluation adds the same rule on the remainder
     [knot, x], so crossing a knot never introduces a jump beyond
     extended-precision rounding.  All components share one evaluation of
-    fun.
+    fun.  A float64 lookup is built in float64: its end rows (0 and the
+    totals) are rounded once here, and only the rows inside are summed in
+    extended precision and then rounded, the same bits as rounding the
+    whole extended-precision lookup.
     """
 
     def __init__(self, fun: Callable, knots, half, values):
@@ -168,6 +189,8 @@ class _Cumulative:
         self._knots_f8 = knots.astype(np.float64)
         sums = _panel_sums(half, values)
         self._cum = np.concatenate([np.zeros((1, sums.shape[-1]), np.longdouble), sums])
+        self._ends_ld = self._cum[[0, -1]]
+        self._ends_f8 = self._ends_ld.astype(np.float64)
 
     def __call__(self, x):
         """The antiderivatives at x, stacked on a new last axis.
@@ -177,9 +200,9 @@ class _Cumulative:
         """
         x = np.asarray(x)
         ld = x.dtype == np.longdouble
-        knots = self._knots_ld if ld else self._knots_f8
+        knots, ends = (self._knots_ld, self._ends_ld) if ld else (self._knots_f8, self._ends_f8)
         above = x >= knots[-1]
-        out = np.where(above[..., None], self._cum[-1], self._cum[0])
+        out = np.where(above[..., None], ends[1], ends[0])
         inside = ~above & ~(x <= knots[0])  # NaN stays inside and propagates
         if inside.any():
             nodes = _GL_NODES_LD if ld else _GL_NODES_F8
@@ -193,14 +216,19 @@ class _Cumulative:
             t = mid[..., None] + half[..., None] * nodes
             values = np.swapaxes(self.fun(t), -1, -2) @ weights
             out[inside] = self._cum[idx] + half[..., None] * values
-        return out if ld else out.astype(np.float64, copy=False)
+        return out
 
 
 def _moments(fun: Callable, origin: float, count: int) -> Callable:
-    """t -> fun(t) (t - origin)^j for j < count, stacked on a new last axis."""
+    """t -> fun(t) (t - origin)^j for j < count <= 3, stacked on a new last
+    axis.
+
+    The powers are products: numpy raises an extended-precision array to
+    the power 0 or 1 with libm's powl per element, at six times a product's
+    cost, and x**0, x**1, x**2 equal 1, x, x * x bit for bit."""
     def stacked(t):
         v, x = fun(t), t - np.asarray(origin, t.dtype)
-        return np.stack([v * x**j for j in range(count)], axis=-1)
+        return np.stack([v, v * x, v * (x * x)][:count], axis=-1)
     return stacked
 
 
@@ -446,21 +474,22 @@ class SmoothedJunction:
         eps_ld = np.longdouble(self.eps)
         # each side once at the window's nodes for the whole build; the
         # tube's sinh and cosh there come from the record, for both junctions
-        self._nodes = _Values(collar.nodes, collar.ufunc_values)
+        nodes = _Values(collar.nodes, collar.ufunc_values)
         # c - b and c' - b' on the blend cache's nodes; the cache's integrand
         # holds b, c and the record, not self: no reference cycle keeps a
         # junction and its record alive after its last use
-        d0, d1 = (tab.split(d)[0] for d in _gaps(b, c, self._nodes, (0, 1)))
+        d0, d1 = (tab.split(d)[0] for d in _gaps(b, c, nodes, (0, 1)))
         self._blend = _Cumulative(
             lambda t: _blend_integrand(*_gaps(b, c, _Values(t), (0, 1)),
                                        t - np.asarray(R, t.dtype), collar.dphi(t)),
             collar.blend_knots, collar.blend_half,
             _blend_integrand(d0, d1, collar.offsets[0], tab.blend_alpha / eps_ld))
-        self._totals = self._blend_totals()
-        _, *d2 = tab.split(_gaps(b, c, self._nodes, (2,))[0])
-        del self._nodes  # the sides' values at the nodes serve the build only
+        # c'' - b'' on each layout, for the totals and the check
+        d2 = tab.split(_gaps(b, c, nodes, (2,))[0])
+        self._totals = self._blend_totals(d2[0])
         checks = []
-        for (_, _, half), gap, beta, x in zip(tab.checks, d2, tab.check_beta, collar.offsets[1:]):
+        for (_, _, half), gap, beta, x in zip(tab.checks, d2[1:], tab.check_beta,
+                                              collar.offsets[1:]):
             h = gap * beta
             checks.append((eps_ld * half, np.stack([h, h * x], axis=-1)))
         _check_moments(f"{name}: blend stage", self._totals, checks, R - eps, R)
@@ -488,22 +517,24 @@ class SmoothedJunction:
         terms = self._terms(phi, _Values(np.array([R_ld])), plateaus, (0, 1))
         self._res0, self._res1 = (b[k](R_ld) + terms[k][0] - c[k](R_ld) for k in (0, 1))
 
-    def _blend_totals(self) -> tuple[float, float]:
-        """int (c'' - b'') phi_eps (t - R)^j over [R - eps, R] for j = 0, 1.
+    def _blend_totals(self, gap) -> tuple[float, float]:
+        """int (c'' - b'') phi_eps (t - R)^j over [R - eps, R] for j = 0, 1,
+        from ``gap``, c'' - b'' at the blend cache's nodes.
 
-        One pass of the panel rule on the blend cache's nodes, with beta
-        read from the ramp tables there and the sides' values from the
-        build's evaluator at the nodes.  The by-parts cache is not used
+        One pass of the panel rule on those nodes, with beta read from the
+        ramp tables there; (t - R)^j is a product, not an
+        extended-precision power.  The by-parts cache is not used
         here: its boundary terms carry the rounding by which the inputs b',
         b fail to be exact antiderivatives of b'', of order
         1e-16 |b''(R)| eps, which exceeds the check tolerance once sinh(R) is
         large (R above about 18 for the tube pair).  The seam residuals at R
         absorb that difference.
         """
-        tab, x = _ramp_tables(), self._collar.offsets[0]
-        h = tab.split(_gaps(self.b, self.c, self._nodes, (2,))[0])[0] * tab.blend_beta
+        tab = _ramp_tables()
+        h = gap * tab.blend_beta
         eps = np.longdouble(self.eps)
-        return tuple(float(eps * (tab.blend_half @ (h * x**j @ _GL_WEIGHTS_LD))) for j in (0, 1))
+        return tuple(float(eps * (tab.blend_half @ (v @ _GL_WEIGHTS_LD)))
+                     for v in (h, h * self._collar.offsets[0]))
 
     def _terms(self, phi, window: _Values, plateaus, orders):
         """a - b, or its derivative of each of orders, at collar points: the

@@ -388,6 +388,16 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.splitlines() == ["False", "False False False"]
 
 
+def test_smoothing_import_leaves_out_numpy_polynomial():
+    """The smoothing's Gauss-Legendre rule is written as literals, so its
+    import does not load numpy.polynomial."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, drillvol.smoothing; print('numpy.polynomial' in sys.modules)"],
+        env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines() == ["False"]
+
+
 def test_runtime_imports_only_numpy():
     """Besides the standard library, the package imports numpy alone, at
     module level or inside a function."""

@@ -107,6 +107,12 @@ class TestRamp:
             fd = (float(ramp_beta(x + h)) - float(ramp_beta(x - h))) / (2 * h)
             assert fd == pytest.approx(float(_ramp_beta_prime(x)), rel=1e-6)
 
+    def test_gauss_legendre_literals_match_leggauss(self):
+        """The rule's literal nodes and weights are leggauss(24)'s, bit for bit."""
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        assert smoothing._GL_NODES_F8.tobytes() == nodes.tobytes()
+        assert smoothing._GL_WEIGHTS_F8.tobytes() == weights.tobytes()
+
 
 class TestStep:
     def test_clamps(self):
@@ -408,8 +414,8 @@ def test_perturbed_blend_total_rejected(monkeypatch):
     """A blend total off by 1e-10 fails the build check."""
     totals = SmoothedJunction._blend_totals
 
-    def perturbed(self):
-        slope, value = totals(self)
+    def perturbed(self, gap):
+        slope, value = totals(self, gap)
         return slope + 1e-10, value
 
     monkeypatch.setattr(SmoothedJunction, "_blend_totals", perturbed)
