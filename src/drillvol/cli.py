@@ -126,24 +126,23 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
     probe = R - max(min(0.1, math.tanh(R)), 0.1 * R)
     k = sectional_curvatures(ext, probe)
     ric = ricci_diagonal(ext, probe)
+    reports = {}
+    if args.validate:  # both run before any output, so a bad parameter prints nothing
+        from .oracle import validate_lemma_curvature
+
+        for tag, pair in (("tube", hyperbolic_tube()), ("extension", ext)):
+            reports[tag] = validate_lemma_curvature(pair, samples=args.samples,
+                                                    tolerance=args.tol, seed=args.seed)
     _emit(cfg, out, R=R,
           K_rtheta=k.k_rtheta, K_rlambda=k.k_rlambda, K_thetalambda=k.k_thetalambda,
           ric_1=ric.ric_1, ric_2=ric.ric_2, ric_3=ric.ric_3,
           k_limit=k_lim)
-    if not args.validate:
-        return 0
-    from .oracle import validate_lemma_curvature
-
-    ok = True
-    for tag, pair in (("tube", hyperbolic_tube()), ("extension", ext)):
-        report = validate_lemma_curvature(pair, samples=args.samples,
-                                          tolerance=args.tol, seed=args.seed)
+    for tag, report in reports.items():
         _emit(cfg, out, **{
             f"validate_{tag}_max_error": report.max_rel_error,
             f"validate_{tag}_pass": report.passed,
         })
-        ok = ok and report.passed
-    if not ok:
+    if not all(report.passed for report in reports.values()):
         raise ValidationError(f"closed-form curvatures disagree with the oracle "
                               f"beyond tolerance {args.tol:g}")
     return 0
@@ -273,27 +272,20 @@ def run(argv=None) -> int:
     err = sys.stderr
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            raise UsageError("a subcommand is required")
     except UsageError as exc:
         print(f"error:usage: {exc}", file=err)
         print(parser.format_usage(), end="", file=err)
         return 2
     except SystemExit as exc:  # --help / --version print and exit 0
         return int(exc.code or 0)
-    if args.command is None:
-        print("error:usage: a subcommand is required", file=err)
-        print(parser.format_usage(), end="", file=err)
-        return 2
     cfg = CliConfig(precision=max(1, min(args.precision, 17)))
     try:
         return _COMMANDS[args.command](args, cfg, out)
-    except ToolkitError as exc:
-        print(f"error:{exc.category}: {exc}", file=err)
-        return 1
-    except OSError as exc:
-        print(f"error:io: {exc}", file=err)
-        return 1
-    except MemoryError as exc:
-        print(f"error:memory: {exc}", file=err)
+    except (ToolkitError, OSError, MemoryError) as exc:
+        category = getattr(exc, "category", "io" if isinstance(exc, OSError) else "memory")
+        print(f"error:{category}: {exc}", file=err)
         return 1
 
 

@@ -80,63 +80,6 @@ class GeodesicRecord:
                 raise ValidationError(f"{name} must be positive and finite when present, got {v}")
 
 
-def _open_lines(source: Union[str, IO[str], Iterable[str]]) -> Iterable[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    return source
-
-
-def parse_records(source: Union[str, IO[str], Iterable[str]]) -> list[GeodesicRecord]:
-    """Parse a CSV stream into validated records.
-
-    ``source`` is a file-like object, an iterable of lines, or a whole CSV
-    text.  Raises :class:`ParseError` with a line number for malformed rows
-    and :class:`ValidationError` for well-formed rows with invalid content.
-    """
-    reader = csv.reader(_open_lines(source))
-    records: list[GeodesicRecord] = []
-    seen: dict[int, int] = {}
-    header: Optional[list[str]] = None
-    for lineno, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if header is None:
-            header = [cell.strip() for cell in row]
-            if tuple(header[: len(INPUT_COLUMNS)]) != INPUT_COLUMNS:
-                raise ParseError(
-                    f"line {lineno}: header must start with {','.join(INPUT_COLUMNS)}, "
-                    f"got {','.join(header) or '<empty>'}"
-                )
-            continue
-        if len(row) < len(INPUT_COLUMNS):
-            raise ParseError(
-                f"line {lineno}: expected at least {len(INPUT_COLUMNS)} columns, got {len(row)}"
-            )
-        cells = [cell.strip() for cell in row[: len(INPUT_COLUMNS)]]
-        try:
-            record = GeodesicRecord(
-                manifold=cells[0],
-                index=_parse_int(cells[1]),
-                length=_parse_float(cells[2]),
-                tube_radius=_parse_optional(cells[3]),
-                vol_parent=_parse_float(cells[4]),
-                vol_drilled=_parse_optional(cells[5]),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-        if record.index in seen:
-            raise ValidationError(
-                f"line {lineno}: duplicate index {record.index} (first at line {seen[record.index]})"
-            )
-        seen[record.index] = lineno
-        records.append(record)
-    if header is None:
-        raise ParseError("empty input: missing header line")
-    return records
-
-
 def _parse_int(cell: str) -> int:
     if not cell:
         raise ValueError("missing integer value")
@@ -151,6 +94,56 @@ def _parse_float(cell: str) -> float:
 
 def _parse_optional(cell: str) -> Optional[float]:
     return float(cell) if cell else None
+
+
+# One parser per input column, in column order
+_PARSERS = (str, _parse_int, _parse_float, _parse_optional, _parse_float, _parse_optional)
+
+
+def parse_records(source: Union[str, IO[str], Iterable[str]]) -> list[GeodesicRecord]:
+    """Parse a CSV stream into validated records.
+
+    ``source`` is a file-like object, an iterable of lines, or a whole CSV
+    text; one UTF-8 byte order mark before the header is dropped.  Raises
+    :class:`ParseError` with a line number for malformed rows and
+    :class:`ValidationError` for well-formed rows with invalid content.
+    """
+    reader = csv.reader(source.splitlines() if isinstance(source, str) else source)
+    records: list[GeodesicRecord] = []
+    seen: dict[int, int] = {}
+    header: Optional[list[str]] = None
+    for lineno, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if header is None:
+            row[0] = row[0].removeprefix("\ufeff")
+            header = [cell.strip() for cell in row]
+            if tuple(header[: len(INPUT_COLUMNS)]) != INPUT_COLUMNS:
+                raise ParseError(
+                    f"line {lineno}: header must start with {','.join(INPUT_COLUMNS)}, "
+                    f"got {','.join(header) or '<empty>'}"
+                )
+            continue
+        if len(row) < len(INPUT_COLUMNS):
+            raise ParseError(
+                f"line {lineno}: expected at least {len(INPUT_COLUMNS)} columns, got {len(row)}"
+            )
+        try:
+            record = GeodesicRecord(**{name: parse(cell.strip())
+                                       for name, parse, cell in zip(INPUT_COLUMNS, _PARSERS, row)})
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from exc
+        if record.index in seen:
+            raise ValidationError(
+                f"line {lineno}: duplicate index {record.index} (first at line {seen[record.index]})"
+            )
+        seen[record.index] = lineno
+        records.append(record)
+    if header is None:
+        raise ParseError("empty input: missing header line")
+    return records
 
 
 @dataclass(frozen=True)
@@ -242,21 +235,8 @@ def emit_report(report: AnalysisReport, sink: IO[str]) -> None:
     """Write the 11-column report CSV (input columns plus computed ones)."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
-    for row in report.rows:
-        rec = row.record
-        writer.writerow([
-            rec.manifold,
-            str(rec.index),
-            _cell(rec.length),
-            _cell(rec.tube_radius),
-            _cell(rec.vol_parent),
-            _cell(rec.vol_drilled),
-            _cell(row.bridgeman_bound),
-            _cell(row.violation),
-            _cell(row.bound_tight),
-            _cell(row.bound_coarse),
-            _cell(row.consistent),
-        ])
+    writer.writerows([_cell(getattr(row.record if name in INPUT_COLUMNS else row, name))
+                      for name in REPORT_COLUMNS] for row in report.rows)
 
 
 # -- SVG scatter plot ---------------------------------------------------------
@@ -339,45 +319,35 @@ def emit_plot(report: AnalysisReport, sink: IO[str], style: str = "linear") -> N
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out = []
+
+    # One writer per element kind; numbers are written as given, and a tick
+    # writes its position to three decimals
+    def line(x1, y1, x2, y2) -> None:
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="1"/>')
+
+    def text(x, y, size: int, body: str, anchor: str = "") -> None:
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        out.append(f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}">{body}</text>')
+
+    def tick(value: float, ends: tuple, at: tuple, anchor: str) -> None:
+        line(*(f"{v:.3f}" for v in ends))
+        text(*(f"{v:.3f}" for v in at), 13, f"{value:.4g}", anchor)
+
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">'
     )
     out.append(f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>')
     ax_b = _SVG_HEIGHT - _MARGIN_BOTTOM
-    out.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{ax_b}" x2="{_SVG_WIDTH - _MARGIN_RIGHT}" y2="{ax_b}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" y2="{ax_b}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    for tick in _ticks(y_lo, y_hi):
-        y = py(tick)
-        out.append(
-            f'<line x1="{_MARGIN_LEFT - 5:.3f}" y1="{y:.3f}" x2="{_MARGIN_LEFT:.3f}" y2="{y:.3f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_MARGIN_LEFT - 9:.3f}" y="{y + 4:.3f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="13">{tick:.4g}</text>'
-        )
-    n_x_ticks = min(len(xs), 10)
-    for tick in _ticks(min(xs), max(xs), max(n_x_ticks, 2)):
-        x = px(tick)
-        out.append(
-            f'<line x1="{x:.3f}" y1="{ax_b:.3f}" x2="{x:.3f}" y2="{ax_b + 5:.3f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.3f}" y="{ax_b + 20:.3f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{tick:.4g}</text>'
-        )
-    out.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.3f}" y="{_SVG_HEIGHT - 25}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="15">geodesics ordered by length</text>'
-    )
+    line(_MARGIN_LEFT, ax_b, _SVG_WIDTH - _MARGIN_RIGHT, ax_b)
+    line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, ax_b)
+    for value in _ticks(y_lo, y_hi):
+        y = py(value)
+        tick(value, (_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y), (_MARGIN_LEFT - 9, y + 4), "end")
+    for value in _ticks(min(xs), max(xs), max(min(len(xs), 10), 2)):
+        x = px(value)
+        tick(value, (x, ax_b, x, ax_b + 5), (x, ax_b + 20), "middle")
+    text(f"{_MARGIN_LEFT + plot_w / 2:.3f}", _SVG_HEIGHT - 25, 15, "geodesics ordered by length", "middle")
     for x, y in zip(xs, bound):
         cx, cy = px(x), py(y)
         out.append(
@@ -394,15 +364,11 @@ def emit_plot(report: AnalysisReport, sink: IO[str], style: str = "linear") -> N
     out.append(
         f'<circle cx="{lg_x}" cy="{lg_y}" r="4" fill="none" stroke="steelblue" stroke-width="1.5"/>'
     )
-    out.append(
-        f'<text x="{lg_x + 12}" y="{lg_y + 4}" font-family="sans-serif" font-size="14">{label_drilled}</text>'
-    )
+    text(lg_x + 12, lg_y + 4, 14, label_drilled)
     out.append(
         f'<rect x="{lg_x - 3.5}" y="{lg_y + 18.5}" width="7" height="7" '
         'fill="none" stroke="darkred" stroke-width="1.5"/>'
     )
-    out.append(
-        f'<text x="{lg_x + 12}" y="{lg_y + 26}" font-family="sans-serif" font-size="14">{label_bound}</text>'
-    )
+    text(lg_x + 12, lg_y + 26, 14, label_bound)
     out.append("</svg>")
     sink.write("\n".join(out) + "\n")

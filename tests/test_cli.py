@@ -197,6 +197,14 @@ class TestCurvature:
         assert err.startswith("error:parameter:")
         assert "validate_" not in out
 
+    @pytest.mark.parametrize("flags", [("--samples", "0"), ("--tol", "nan")], ids=["samples", "tol"])
+    def test_validate_parameter_error_prints_nothing(self, capsys, flags):
+        """Both validations run before the first line, so a bad parameter
+        leaves stdout empty instead of half a block."""
+        code, out, err = invoke(capsys, "curvature", "--R", "0.8", "--validate", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:parameter:") and err.count("\n") == 1
+
 
 # ---------------------------------------------------------------------------
 # smooth
@@ -318,6 +326,13 @@ class TestAnalyze:
         code, out, _ = invoke(capsys, "analyze", "--input", str(FIXTURE_CSV))
         assert code == 0
         assert "manifold,index," in out
+
+    def test_byte_order_mark_accepted(self, capsys, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + FIXTURE_CSV.read_bytes())
+        _, plain, _ = invoke(capsys, "analyze", "--input", str(FIXTURE_CSV))
+        code, out, err = invoke(capsys, "analyze", "--input", str(marked))
+        assert (code, out, err) == (0, plain, "")
 
     def test_determinism(self, capsys):
         _, out1, _ = invoke(capsys, "analyze", "--input", str(FIXTURE_CSV))

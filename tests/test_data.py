@@ -1,5 +1,6 @@
 """Dataset parsing, conjecture checks, report CSV, and SVG plots."""
 
+import dataclasses
 import io
 import math
 
@@ -17,7 +18,7 @@ from drillvol import (
     emit_report,
     parse_records,
 )
-from drillvol.data import REPORT_COLUMNS, plot_series
+from drillvol.data import INPUT_COLUMNS, REPORT_COLUMNS, AnalysisRow, plot_series
 
 HEADER = "manifold,index,length,tube_radius,vol_parent,vol_drilled"
 
@@ -92,6 +93,18 @@ class TestParse:
         recs = parse_records(text)
         assert recs[0].length == 0.5
 
+    def test_byte_order_mark_before_header(self):
+        recs = parse_records("\ufeff" + HEADER + "\nweeks,1,0.5846,0.5,0.9427,2.8281\n")
+        assert [(r.manifold, r.index) for r in recs] == [("weeks", 1)]
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff\ufeff" + HEADER + "\n",
+        HEADER + "\nweeks,\ufeff1,0.5846,0.5,0.9427,2.8281\n",
+    ], ids=["second-mark", "mark-in-row"])
+    def test_byte_order_mark_elsewhere_rejected(self, text):
+        with pytest.raises(ParseError, match="line [12]: "):
+            parse_records(text)
+
     def test_record_validation_direct(self):
         with pytest.raises(ValidationError):
             GeodesicRecord("m", 0, 0.5, None, 0.9, None)
@@ -99,6 +112,18 @@ class TestParse:
             GeodesicRecord("m", 1, 0.5, -0.3, 0.9, None)
         with pytest.raises(ValidationError):
             GeodesicRecord("", 1, 0.5, None, 0.9, None)
+
+
+class TestColumns:
+    """Parsing and the report read their columns from the two tables."""
+
+    def test_record_fields_are_input_columns(self):
+        assert tuple(f.name for f in dataclasses.fields(GeodesicRecord)) == INPUT_COLUMNS
+
+    def test_row_has_each_computed_column(self):
+        assert REPORT_COLUMNS[:len(INPUT_COLUMNS)] == INPUT_COLUMNS
+        row_fields = {f.name for f in dataclasses.fields(AnalysisRow)}
+        assert set(REPORT_COLUMNS[len(INPUT_COLUMNS):]) <= row_fields
 
 
 # ---------------------------------------------------------------------------
