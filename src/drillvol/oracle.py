@@ -234,10 +234,13 @@ def validate_lemma_curvature(
     _require_positive("tolerance", tolerance)
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
-    m = DiagonalMetric.from_warping_pair(w)
-    lo, hi = window if window is not None else _sample_window(w, m.h)
+    # the step, then the window, before the metric: an empty window is
+    # rejected without the metric's warning on a poorly conditioned step
+    _require_positive("difference step", w.fd_step)
+    lo, hi = window if window is not None else _sample_window(w, w.fd_step)
     if not (lo < hi):
         raise ParameterError(f"empty sampling window ({lo}, {hi})")
+    m = DiagonalMetric.from_warping_pair(w)
     m.require_margin(lo)
     m.require_margin(hi)
     radii = np.random.default_rng(seed).uniform(lo, hi, samples)

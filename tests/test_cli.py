@@ -429,6 +429,17 @@ def test_runtime_imports_only_numpy():
     assert third_party == {"numpy"}
 
 
+def test_empty_validation_window_is_one_error_line():
+    """At R = 1e-8 the extension's sampling window is empty: the window is
+    rejected before the oracle's metric is built, so stderr holds the one
+    error line and not the metric's warning about its tiny step."""
+    proc = subprocess.run([sys.executable, "-m", "drillvol", "curvature", "--R", "1e-8", "--validate"],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:parameter:")
+
+
 def test_large_radius_smooth_is_quiet():
     """At R = 25 the build check prints no warning and passes."""
     proc = subprocess.run([sys.executable, "-m", "drillvol", "smooth", "--R", "25", "--eps", "1e-2"],

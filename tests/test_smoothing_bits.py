@@ -8,7 +8,9 @@ inputs.  An extended-precision value v is stored as the pair
 hi = float(v), lo = float(v - hi).  A change that should leave every value
 of the smoothing as it is must pass this unchanged; one that means to move
 them regenerates the file with
-``PYTHONPATH=src python tests/test_smoothing_bits.py`` and says why.
+``PYTHONPATH=src python tests/test_smoothing_bits.py``, which prints each
+value it changes (family, junction, dtype, order, radius, old -> new) before
+writing, and says why.
 
 The values were recorded with numpy's longdouble as the x87 80-bit format
 (a 63-bit fraction); the test is skipped where longdouble is another format.
@@ -33,6 +35,10 @@ FAMILIES = ([(R, eps) for R in (0.5, 0.8, 1.2) for eps in EPS_SEQ]
 
 pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                                 reason="values recorded with x87 80-bit longdouble")
+
+
+# the labels of family_bits' four radii, in its order
+RADII = ("R - eps/2", "R - W/2", "R - delta", "R + 0.05")
 
 
 def _key(R, eps):
@@ -70,9 +76,35 @@ def test_smoothed_family_bits_unchanged(R, eps):
         assert got[name] == want[name], name
 
 
+def _flat(bits, path=()):
+    """(path, value) for each pinned value of a family's or a file's dict;
+    a list of values per radius is split by the radius's label."""
+    if isinstance(bits, dict):
+        for key, value in bits.items():
+            yield from _flat(value, path + (key,))
+    elif path[-1] in ("a", "a1", "a2"):
+        for label, value in zip(RADII, bits):
+            yield path + (label,), value
+    else:
+        yield path, bits
+
+
+def changed_entries(old: dict, new: dict) -> list:
+    """(path, old value, new value) of each value of new that old lacks or
+    pins otherwise."""
+    was = dict(_flat(old))
+    return [(path, was.get(path), value) for path, value in _flat(new)
+            if was.get(path) != value]
+
+
 if __name__ == "__main__":
     if np.finfo(np.longdouble).nmant != 63:
         sys.exit("longdouble is not the x87 80-bit format: values would not compare")
-    lines = [f" {json.dumps(_key(R, eps))}: {json.dumps(family_bits(R, eps))}"
-             for R, eps in FAMILIES]
+    new = {_key(R, eps): family_bits(R, eps) for R, eps in FAMILIES}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    changes = changed_entries(old, new)
+    for path, was, now in changes:
+        print(" ".join(path) + ":", was, "->", now)
+    print(f"{len(changes)} values changed")
+    lines = [f" {json.dumps(key)}: {json.dumps(bits)}" for key, bits in new.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
