@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import _require_positive
 from .errors import DomainError, ParameterError
-from .warped import WarpingPair, _sectional_grid
+from .warped import WarpingPair, _sectional_grid, _Shared, _Values
 
 __all__ = [
     "DiagonalMetric",
@@ -79,12 +79,15 @@ class DiagonalMetric:
     @classmethod
     def from_warping_pair(cls, w: WarpingPair, h: Optional[float] = None) -> "DiagonalMetric":
         """Squared-component metric of a warping pair, with the pair's
-        ``fd_step`` as h unless ``h`` is given."""
+        ``fd_step`` as h unless ``h`` is given.  The components square f
+        and g through warped._Shared, so that the oracle, which reads them
+        through one warped._Values, takes f and g from one evaluation of a
+        pair whose callables share a base."""
         return cls(
             comps=(
                 lambda r: np.asarray(r) * 0 + 1.0,
-                lambda r: w.f(r) ** 2,
-                lambda r: w.g(r) ** 2,
+                _Shared(w.f, lambda v: v ** 2),
+                _Shared(w.g, lambda v: v ** 2),
             ),
             h=w.fd_step if h is None else h,
             domain=w.domain,
@@ -107,14 +110,15 @@ def _riemann_ld(m: DiagonalMetric, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     R[..., rho, sig, mu, nu] and metric diagonal at each radius of the
     longdouble array ``r``.
 
-    Each component is called once, on the points (r + a h) + b h for a, b in
-    {-1, 0, 1}: the b-differences give Gamma at r + a h, and the
-    a-differences of those give its r-derivative.
+    Each component is read once, through one warped._Values, on the points
+    (r + a h) + b h for a, b in {-1, 0, 1}: the b-differences give Gamma at
+    r + a h, and the a-differences of those give its r-derivative.
     """
     h = _LD(m.h)
     step = _STENCIL * h
     pts = (r[..., None] + step)[..., None] + step  # [..., a, b]
-    vals = np.stack([np.broadcast_to(np.asarray(c(pts), dtype=_LD), pts.shape)
+    at = _Values(pts)
+    vals = np.stack([np.broadcast_to(np.asarray(at(c), dtype=_LD), pts.shape)
                      for c in m.comps], axis=-1)
     G = vals[..., 1, :]
     dG = (vals[..., 2, :] - vals[..., 0, :]) / (2 * h)
@@ -206,8 +210,9 @@ def _sample_window(w: WarpingPair, h: float) -> tuple[float, float]:
     if math.isinf(hi):
         hi = (lo if not math.isinf(lo) else -2.5) + 5.0
     if math.isinf(lo):
-        fp, gp = float(w.fp(hi)), float(w.gp(hi))
-        rate = max(float(w.fpp(hi)) / fp, float(w.gpp(hi)) / gp) if fp > 0.0 and gp > 0.0 else 0.0
+        at = _Values(hi)
+        fp, gp = float(at(w.fp)), float(at(w.gp))
+        rate = max(float(at(w.fpp)) / fp, float(at(w.gpp)) / gp) if fp > 0.0 and gp > 0.0 else 0.0
         lo = hi - (700.0 / rate if rate > 140.0 else 5.0)
     else:  # a finite lower end is the smooth axis
         lo = max(lo, 0.05)

@@ -8,7 +8,9 @@ correction of the blended second derivative:
 
     a'' = b'' (1 - phi_eps) + c'' phi_eps + lambda_1 psi_1 + lambda_2 psi_2
 
-The plateaus psi_1 and psi_2 lie on either side of R - 2W/3, and lambda
+The plateaus psi_1 and psi_2 lie on either side of R - 2W/3, on
+[R - W, R - 2W/3] and [R - 2W/3, R], each rising from 0 to 1 and falling
+back over W/20 at its ends, and lambda
 solves int u'' = 0 and int (R - s) u'' = 0 for u = a - b, which closes the
 slope and value gaps that the blend leaves at R.  The correction carries a
 slope of order eps across the collar, so its amplitude is
@@ -60,10 +62,13 @@ record and any derivative orders, from one collar mask, one ramp-table
 lookup (phi_eps's argument rides beside the four plateau ramps), one
 blend-cache lookup per junction, and each side's transcendentals once per
 region: smoothed_metric(0.8, 1e-2) makes 14 ramp-table lookups, one at R
-and one per Ricci grid.  The Ricci constant is the supremum over a
-uniform grid, refined by bracket grids of 33 points across the two cells
-around the running argmax until the bracket stops shrinking; each grid
-takes a, a' and a'' of both junctions from one pass.
+and one per Ricci grid.  The smoothed pair's six callables share that
+pass: read together through warped._Values, as every Ricci, curvature,
+quadrature and oracle reader does, they take a, a' and a'' of both
+junctions from one pass; called alone, each runs its own junction and
+order.  The Ricci constant is the supremum over a uniform grid, refined by
+bracket grids of 33 points across the two cells around the running argmax
+until the bracket stops shrinking; each grid is one warped._ricci_grid.
 The bump function is evaluated in log space with a hard cutoff to 0 below
 exp(-700) to avoid denormals.
 """
@@ -79,7 +84,7 @@ import numpy as np
 
 from .bounds import _require_positive, _require_sinh
 from .errors import JunctionError, ParameterError, QuadratureError, WidthError
-from .warped import (WarpingPair, _half_neg_ricci, _Scaled, _sectional_values, hyperbolic_tube,
+from .warped import (WarpingPair, _ricci_grid, _Shared, _Values, hyperbolic_tube,
                      kerckhoff_extension)
 
 __all__ = [
@@ -342,33 +347,6 @@ def step_phi(eps: float, R: float, r):
     r = np.asarray(r)
     dt = r.dtype if r.dtype.kind == "f" else np.float64
     return ramp_beta((r - np.asarray(R, dtype=dt)) / np.asarray(eps, dtype=dt) + np.asarray(1.0, dtype=dt))
-
-
-class _Values:
-    """Callables' values at the fixed points x, each computed once.  A
-    _Scaled callable scales the values of its base, so the members of a
-    derivative triple that share a transcendental evaluate it once.
-
-    The values of numpy ufuncs go to ``ufuncs`` when it is given: a collar
-    record's dict, which keeps the tube's sinh and cosh at the record's
-    nodes for both junctions.  Ufuncs are few and fixed; any other callable
-    may be a closure made anew for each family, whose values a record that
-    outlives the family must not keep.
-    """
-
-    def __init__(self, x, ufuncs=None):
-        self.x, self._memo = x, {}
-        self._ufuncs = self._memo if ufuncs is None else ufuncs
-
-    def __call__(self, fn):
-        if isinstance(fn, _Scaled):
-            return fn.coef * self(fn.base)
-        memo = self._ufuncs if isinstance(fn, np.ufunc) else self._memo
-        try:
-            return memo[fn]
-        except KeyError:
-            value = memo[fn] = fn(self.x)
-            return value
 
 
 def _gaps(b, c, values: _Values, orders) -> list:
@@ -655,25 +633,24 @@ class SmoothedWarpingFamily:
     k_eps: float
 
 
-def _ricci_sup_half(name: str, jf: SmoothedJunction, jg: SmoothedJunction,
-                    lo: float, hi: float) -> float:
-    """Grid supremum of max(-Ric)/2 for the pair (jf.a, jg.a), refined on
+def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float) -> float:
+    """Grid supremum of max(-Ric)/2 for ``pair`` on [lo, hi], refined on
     bracket grids at the peak.
 
     The refinement guards against the uniform grid aliasing the narrow
     collar features where the supremum lives.  Each round samples the two
     cells around the running argmax with _BRACKET_POINTS points and keeps
     the best value seen; it stops once the bracket no longer shrinks.  Each
-    grid evaluates a, a' and a'' of both junctions in one pass each, on one
-    set of collar lookups.  A warping function that is not positive on a
-    grid is rejected: the collar corrections outweighed b there, which
-    happens when eps is large for a small R.
+    grid is one warped._ricci_grid, which reads the pair's six callables
+    once: on the smoothed pair, one evaluator pass for a, a' and a'' of
+    both junctions.  A warping function that is not positive on a grid is
+    rejected: the collar corrections outweighed b there, which happens when
+    eps is large for a small R.
     """
     rs = np.linspace(lo, hi, _K_GRID_N)
     best, width = -math.inf, math.inf
     while True:
-        (f, fp, fpp), (g, gp, gpp) = _eval((jf, jg), rs, (0, 1, 2))
-        vals = _half_neg_ricci(*_sectional_values(name, rs, f, fp, fpp, g, gp, gpp))
+        vals = _ricci_grid(pair, rs)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
@@ -688,7 +665,11 @@ def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
 
     Applies the moment-matched construction to both warping functions and
     packages the result as a warping pair on (-inf, R + margin], together
-    with its sampled Ricci lower bound constant.
+    with its sampled Ricci lower bound constant.  The pair's six callables
+    share one evaluator pass over both junctions (warped._Shared): a reader
+    that takes several of them at the same points through warped._Values
+    gets a, a' and a'' of both from one pass, and a callable called on its
+    own runs only its junction's order, as the junction's evaluator does.
     """
     _require_positive("tube radius", R)
     _require_positive("smoothing width", eps)
@@ -705,14 +686,17 @@ def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
     jg = smooth_junction((ext.g, ext.gp, ext.gpp), (tube.g, tube.gp, tube.gpp), R, eps,
                          f"g-junction(R={R:g})")
     delta = max(jf.delta, jg.delta)
+    both = functools.partial(_eval, (jf, jg), orders=(0, 1, 2))
+    (f, fp, fpp), (g, gp, gpp) = ([_Shared(both, lambda v, i=i, k=k: v[i][k], alone)
+                                   for k, alone in enumerate((j.a, j.a_prime, j.a_second))]
+                                  for i, j in enumerate((jf, jg)))
     pair = WarpingPair(
-        f=jf.a, fp=jf.a_prime, fpp=jf.a_second,
-        g=jg.a, gp=jg.a_prime, gpp=jg.a_second,
+        f=f, fp=fp, fpp=fpp, g=g, gp=gp, gpp=gpp,
         domain=(-math.inf, R + _MARGIN),
         fd_step=_FD_STEP_HINT,
         name=f"smoothed(R={R:g}, eps={eps:g})",
     )
-    k = _ricci_sup_half(pair.name, jf, jg, R - delta - 1.0, R + _MARGIN)
+    k = _ricci_sup_half(pair, R - delta - 1.0, R + _MARGIN)
     return SmoothedWarpingFamily(
         R=R, eps=eps, margin=_MARGIN,
         junction_f=jf, junction_g=jg,

@@ -19,6 +19,15 @@ on the built-in pairs it returns scipy's ``quad`` values bit for bit.
 All warping callables must accept numpy arrays as well as scalars and should
 be numpy-ufunc based so that evaluation preserves extended-precision inputs
 (the finite-difference validation in :mod:`drillvol.oracle` relies on this).
+
+Code that reads several callables of a pair at the same points reads them
+through one ``_Values``: the curvature and Ricci grids, the volume
+quadrature, the oracle's components and its sampling window.  Callables
+that share a base (``_Shared``) then evaluate it once: the extension's
+triples scale one exponential each, and the smoothed pair's six callables
+pick from one evaluator pass over both junctions.  A callable called on
+its own, or a plain closure such as a call-counting wrapper, is read one
+call at a time, with the same values.
 """
 
 from __future__ import annotations
@@ -122,33 +131,26 @@ def sectional_curvatures(w: WarpingPair, r: float) -> SectionalCurvatures:
     :class:`SingularAxisError`.
     """
     w.require(r)
-    if w.axis_curvature is not None and (float(w.f(r)) == 0.0 or float(w.g(r)) == 0.0):
-        return w.axis_curvature
-    return SectionalCurvatures(*(float(k) for k in _sectional_grid(w, np.asarray(r, float))))
+    try:
+        return SectionalCurvatures(*(float(k) for k in _sectional_grid(w, np.asarray(r, float))))
+    except SingularAxisError:
+        if w.axis_curvature is not None and (float(w.f(r)) == 0.0 or float(w.g(r)) == 0.0):
+            return w.axis_curvature
+        raise
 
 
 def _sectional_grid(w: WarpingPair, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K_rtheta, K_rlambda and K_thetalambda of ``w`` at each radius of
-    ``rs``; f and g must be positive there."""
-    return _sectional_values(w.name, rs, *(fn(rs) for fn in (w.f, w.fp, w.fpp, w.g, w.gp, w.gpp)))
-
-
-def _sectional_values(name: str, rs, f, fp, fpp, g, gp, gpp
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K_rtheta, K_rlambda and K_thetalambda from the values of a warping
-    pair and its first two derivatives at the radii ``rs``; f and g must be
-    positive there."""
-    fv, gv = np.asarray(f, float), np.asarray(g, float)
-    if not (np.all(fv > 0.0) and np.all(gv > 0.0)):
-        raise SingularAxisError(
-            f"{name}: a warping function is not positive inside "
-            f"[{np.min(rs):.6g}, {np.max(rs):.6g}]"
-        )
-    return (
-        -np.asarray(fpp, float) / fv,
-        -np.asarray(gpp, float) / gv,
-        -np.asarray(fp, float) * np.asarray(gp, float) / (fv * gv),
-    )
+    ``rs``, from one reading of the six callables there (a pair whose
+    callables share a base evaluates it once); f and g must be positive
+    there."""
+    at = _Values(rs)
+    f, fp, fpp, g, gp, gpp = (np.asarray(at(fn), float)
+                              for fn in (w.f, w.fp, w.fpp, w.g, w.gp, w.gpp))
+    if not (np.all(f > 0.0) and np.all(g > 0.0)):
+        raise SingularAxisError(f"{w.name}: a warping function is not positive inside "
+                                f"[{np.min(rs):.6g}, {np.max(rs):.6g}]")
+    return -fpp / f, -gpp / g, -fp * gp / (f * g)
 
 
 def ricci_diagonal(w: WarpingPair, r: float) -> RicciDiagonal:
@@ -186,15 +188,9 @@ def ricci_lower_bound_constant(
 
 def _ricci_grid(w: WarpingPair, rs: np.ndarray) -> np.ndarray:
     """Half the largest negated Ricci eigenvalue of ``w`` at each radius of
-    ``rs``; f and g must be positive there."""
-    return _half_neg_ricci(*_sectional_grid(w, rs))
-
-
-def _half_neg_ricci(krt, krl, ktl):
-    """Half the largest negated Ricci eigenvalue from the sectional
-    curvatures K_rtheta, K_rlambda and K_thetalambda: the pointwise smallest
-    k with Ric >= -2k."""
-    ric_1, ric_2, ric_3 = _ricci_sums(krt, krl, ktl)
+    ``rs``, the pointwise smallest k with Ric >= -2k; f and g must be
+    positive there."""
+    ric_1, ric_2, ric_3 = _ricci_sums(*_sectional_grid(w, rs))
     return -0.5 * np.minimum(np.minimum(ric_1, ric_2), ric_3)
 
 
@@ -213,18 +209,46 @@ def hyperbolic_tube() -> WarpingPair:
     )
 
 
-class _Scaled:
-    """r -> coef * base(r).  The members of a derivative triple that are
-    multiples of one transcendental share its base, so that an evaluator
-    can compute the base once for all of them."""
+class _Shared:
+    """r -> pick(base(r)): one of several callables whose values all come
+    from one evaluation of a shared base, such as the members of a
+    derivative triple that scale one transcendental.  _Values evaluates the
+    base once for all of them; called on its own, a member runs ``alone``
+    if it has one, which may compute only what this member needs."""
 
-    __slots__ = ("coef", "base")
+    __slots__ = ("base", "pick", "alone")
 
-    def __init__(self, coef: float, base: RadialFunc):
-        self.coef, self.base = coef, base
+    def __init__(self, base: RadialFunc, pick: Callable, alone: Optional[RadialFunc] = None):
+        self.base, self.pick, self.alone = base, pick, alone
 
     def __call__(self, r):
-        return self.coef * self.base(r)
+        return self.pick(self.base(r)) if self.alone is None else self.alone(r)
+
+
+class _Values:
+    """Callables' values at the fixed points x, each computed once: the one
+    way that code reads several callables of a pair at the same points.  A
+    _Shared callable picks its values from its base's, so callables that
+    share a base evaluate it once.
+
+    The values of numpy ufuncs go to ``ufuncs`` when it is given: a collar
+    record's dict in drillvol.smoothing, which keeps the tube's sinh and
+    cosh at the record's nodes for both junctions.  Ufuncs are few and
+    fixed; any other callable may be a closure made anew for each family,
+    whose values a record that outlives the family must not keep.
+    """
+
+    def __init__(self, x, ufuncs=None):
+        self.x, self._memo = x, {}
+        self._ufuncs = self._memo if ufuncs is None else ufuncs
+
+    def __call__(self, fn):
+        if isinstance(fn, _Shared):
+            return fn.pick(self(fn.base))
+        memo = self._ufuncs if isinstance(fn, np.ufunc) else self._memo
+        if fn not in memo:
+            memo[fn] = fn(self.x)
+        return memo[fn]
 
 
 def kerckhoff_extension(R: float) -> WarpingPair:
@@ -245,7 +269,8 @@ def kerckhoff_extension(R: float) -> WarpingPair:
         share one exponential."""
         def base(r):
             return np.exp(rate * (np.asarray(r) - R))
-        return tuple(_Scaled(coef, base) for coef in (scale, scale * rate, scale * rate * rate))
+        return tuple(_Shared(base, lambda v, coef=coef: coef * v)
+                     for coef in (scale, scale * rate, scale * rate * rate))
 
     f, fp, fpp = exponential(math.sinh(R), coth(R))
     g, gp, gpp = exponential(math.cosh(R), tnh)
@@ -438,10 +463,12 @@ def warped_volume_quadrature(
             raise DomainError(f"{w.name}: domain is not unbounded below")
         lo = r_hi - truncation_depth
         truncated_at = lo
-        fg = float(w.f(lo)) * float(w.g(lo))
+        at = _Values(lo)
+        f, fp, g, gp = (float(at(fn)) for fn in (w.f, w.fp, w.g, w.gp))
+        fg = f * g
         if fg == 0.0:
             raise QuadratureError(f"{w.name}: integrand underflows to 0 at the truncation point r={lo}")
-        rate = (float(w.fp(lo)) * float(w.g(lo)) + float(w.f(lo)) * float(w.gp(lo))) / fg
+        rate = (fp * g + f * gp) / fg
         if rate <= 0.0:
             raise QuadratureError(
                 f"{w.name}: integrand does not decay at the truncation point r={lo}"
@@ -450,9 +477,11 @@ def warped_volume_quadrature(
     w.require(lo)
     w.require(r_hi)
 
-    val, abserr = _qags(
-        lambda t: np.asarray(w.f(t), float) * np.asarray(w.g(t), float), lo, r_hi, w.name,
-    )
+    def integrand(t):
+        at = _Values(t)
+        return np.asarray(at(w.f), float) * np.asarray(at(w.g), float)
+
+    val, abserr = _qags(integrand, lo, r_hi, w.name)
     value = TWO_PI * l * val
     error = TWO_PI * l * abserr
     if error > 1e-10 * max(abs(value), 1.0):

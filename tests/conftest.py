@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import functools
 import math
 from pathlib import Path
@@ -16,6 +18,25 @@ TEMPLATE_CSV = REPO_ROOT / "data" / "template.csv"
 def cached_family(R: float, eps: float):
     """Smoothed families are expensive; share them across test modules."""
     return smoothed_metric(R, eps)
+
+
+def counted_pair(w):
+    """A copy of ``w`` whose six callables are plain closures that count
+    their calls, as the benchmark's call counter wraps a pair, and the
+    counts.  The closures carry no shared base, so every reader calls them
+    one by one."""
+    calls = collections.Counter()
+
+    def counted(name):
+        fun = getattr(w, name)
+
+        def call(r):
+            calls[name] += 1
+            return fun(r)
+        return call
+
+    names = ("f", "fp", "fpp", "g", "gp", "gpp")
+    return dataclasses.replace(w, **{n: counted(n) for n in names}), calls
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 """Finite-difference oracle: Christoffel symbols, curvature tensor, validation."""
 
-import collections
 import dataclasses
 import itertools
 import math
@@ -9,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import counted_pair
 from drillvol import (
     DiagonalMetric,
     DomainError,
@@ -195,22 +195,6 @@ def test_off_diagonal_frame_components(tube, kerckhoff08, family_08):
 # ---------------------------------------------------------------------------
 
 
-def _counted(w):
-    """A copy of ``w`` whose six callables count their calls, and the counts."""
-    calls = collections.Counter()
-
-    def counted(name):
-        fun = getattr(w, name)
-
-        def call(r):
-            calls[name] += 1
-            return fun(r)
-        return call
-
-    names = ("f", "fp", "fpp", "g", "gp", "gpp")
-    return dataclasses.replace(w, **{n: counted(n) for n in names}), calls
-
-
 # pairs for whole validation runs, the smoothed one over its collar
 RUNS = [("tube", None), ("kerckhoff08", None), ("family_08", (0.3, 0.9))]
 
@@ -284,7 +268,7 @@ class TestValidate:
         w = getattr(w, "pair", w)
         counts = []
         for samples in (5, 50):
-            wrapped, calls = _counted(w)
+            wrapped, calls = counted_pair(w)
             validate_lemma_curvature(wrapped, samples=samples, window=window)
             counts.append(dict(calls))
         assert counts[0] == counts[1]

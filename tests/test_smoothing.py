@@ -1,13 +1,14 @@
 """The staged junction smoothing and the smoothed metric family."""
 
 import math
+import pickle
 import random
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import cached_family
+from conftest import cached_family, counted_pair
 from drillvol import (
     JunctionError,
     ParameterError,
@@ -18,10 +19,13 @@ from drillvol import (
     bump_alpha,
     coth,
     ramp_beta,
+    ricci_diagonal,
     ricci_lower_bound_constant,
     smooth_junction,
     smoothed_metric,
     step_phi,
+    validate_lemma_curvature,
+    warped_volume_quadrature,
 )
 from drillvol import smoothing
 from drillvol.smoothing import (
@@ -32,6 +36,7 @@ from drillvol.smoothing import (
     _panels,
     _ramp_beta_prime,
     _ramp_tables,
+    _ricci_sup_half,
 )
 from drillvol.warped import WarpingPair, _ricci_grid, kerckhoff_extension
 
@@ -521,34 +526,58 @@ def test_eval_of_all_orders_matches_each_evaluator(R, eps):
                 assert_same_bits(got, fn(r))
 
 
-def refined_k_eps(fam) -> float:
-    """The supremum refinement of smoothed_metric, evaluated through the
-    pair's six callables on each grid: warped._ricci_grid on the
-    4096-point grid, then on 33-point bracket grids until the bracket stops
-    shrinking."""
-    rs = np.linspace(fam.R - fam.delta - 1.0, fam.R + fam.margin, 4096)
-    best, width = -math.inf, math.inf
-    while True:
-        vals = _ricci_grid(fam.pair, rs)
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
-        if not b_hi - b_lo < width:
-            return best
-        width = b_hi - b_lo
-        rs = np.linspace(b_lo, b_hi, 33)
-
-
 _SEEDED = random.Random(0)
 SWEEP_LIKE = [(_SEEDED.uniform(0.4, 1.5), eps) for eps in EPS_SEQ for _ in range(4)]
+PAIR_FIELDS = ("f", "fp", "fpp", "g", "gp", "gpp")
 
 
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID + SWEEP_LIKE)
 def test_k_eps_from_junction_passes_matches_pair_callables(R, eps):
-    """k_eps, from one pass per junction and grid on shared collar lookups,
-    equals the refinement through the pair's callables bit for bit."""
+    """k_eps, from one pass over both junctions per grid (the pair's six
+    callables share it), equals bit for bit the same refinement on a counted
+    copy of the pair, whose callables are plain closures that each grid
+    calls one by one, a pass per callable."""
     fam = cached_family(R, eps)
-    assert fam.k_eps == refined_k_eps(fam)
+    wrapped, calls = counted_pair(fam.pair)
+    assert fam.k_eps == _ricci_sup_half(wrapped, R - fam.delta - 1.0, R + fam.margin)
+    assert len(set(calls.values())) == 1 and set(calls) == set(PAIR_FIELDS)
+
+
+# the calls per callable that each run made on the counted copy while every
+# callable of the smoothed pair was its own evaluator pass, before they
+# shared one; the collar quadrature's count depends on the family
+COUNTED_QUADRATURE_CALLS = {(0.5, 1e-1): 14, (0.8, 1e-2): 12, (1.2, 1e-3): 3}
+
+
+@pytest.mark.parametrize("R,eps", list(COUNTED_QUADRATURE_CALLS))
+def test_counted_copy_sees_every_call(R, eps):
+    """The benchmark counts evaluations on a copy of the pair with plain
+    closures, which carry no shared base.  The Ricci grid, the oracle (in
+    criterion 3's window and in its default one), the collar quadrature and
+    ricci_diagonal give on that copy the shared pair's results bit for bit,
+    with the calls per callable that they made before the callables shared
+    a pass."""
+    fam = cached_family(R, eps)
+    wrapped, calls = counted_pair(fam.pair)
+    lo, hi = R - fam.delta - 0.1, R + 0.1
+    n = COUNTED_QUADRATURE_CALLS[R, eps]
+    runs = [
+        (lambda w: _ricci_grid(w, np.linspace(R - fam.delta - 1.0, R + fam.margin, 4096)),
+         dict.fromkeys(PAIR_FIELDS, 1)),
+        (lambda w: validate_lemma_curvature(w, samples=50, window=(lo, hi)),
+         {**dict.fromkeys(PAIR_FIELDS, 1), "f": 2, "g": 2}),
+        (lambda w: validate_lemma_curvature(w, samples=50), dict.fromkeys(PAIR_FIELDS, 2)),
+        (lambda w: warped_volume_quadrature(w, R - fam.delta, R, 0.7), {"f": n, "g": n}),
+        (lambda w: [ricci_diagonal(w, r) for r in np.linspace(lo, hi, 7)],
+         dict.fromkeys(PAIR_FIELDS, 7)),
+    ]
+    for run, want in runs:
+        shared = run(fam.pair)
+        calls.clear()
+        counted = run(wrapped)
+        assert dict(calls) == want
+        # equal pickles: the same arrays and floats, bit for bit
+        assert pickle.dumps(counted) == pickle.dumps(shared)
 
 
 def record_ramp_lookups(monkeypatch) -> list:

@@ -8,9 +8,11 @@ inputs.  An extended-precision value v is stored as the pair
 hi = float(v), lo = float(v - hi).  A change that should leave every value
 of the smoothing as it is must pass this unchanged; one that means to move
 them regenerates the file with
-``PYTHONPATH=src python tests/test_smoothing_bits.py``, which prints each
-value it changes (family, junction, dtype, order, radius, old -> new) before
-writing, and says why.
+``PYTHONPATH=src python tests/test_smoothing_bits.py`` and says why.  The
+regeneration checks every value against the independent rebuild in
+tests/reference_smoothing.py and writes nothing if one strays beyond its
+tolerance; it prints each value it changes (family, junction, dtype, order,
+radius, old -> new) before writing.
 
 The values were recorded with numpy's longdouble as the x87 80-bit format
 (a 63-bit fraction); the test is skipped where longdouble is another format.
@@ -23,6 +25,7 @@ import sys
 import numpy as np
 import pytest
 
+import reference_smoothing
 from conftest import REPO_ROOT, cached_family
 
 GOLDEN = REPO_ROOT / "tests" / "golden" / "smoothing_bits.json"
@@ -37,8 +40,9 @@ pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                                 reason="values recorded with x87 80-bit longdouble")
 
 
-# the labels of family_bits' four radii, in its order
+# the labels of family_bits' four radii and three orders, in its order
 RADII = ("R - eps/2", "R - W/2", "R - delta", "R + 0.05")
+ORDERS = ("a", "a1", "a2")
 
 
 def _key(R, eps):
@@ -53,6 +57,12 @@ def _hex(v):
     return float(v).hex()
 
 
+def _radii(fam, dt):
+    """The four pinned radii of a family, in the dtype dt."""
+    R, eps, W, delta = (dt(v) for v in (fam.R, fam.eps, fam.junction_f._collar.width, fam.delta))
+    return np.array([R - eps / 2, R - W / 2, R - delta, R + dt(0.05)], dtype=dt)
+
+
 def family_bits(R, eps) -> dict:
     """The pinned values of smoothed_metric(R, eps), as a JSON-ready dict."""
     fam = cached_family(R, eps)
@@ -60,12 +70,31 @@ def family_bits(R, eps) -> dict:
     for name, j in (("f", fam.junction_f), ("g", fam.junction_g)):
         bits = {"slope_gap": j.slope_gap.hex(), "value_gap": j.value_gap.hex()}
         for label, dt in (("f8", np.float64), ("ld", np.longdouble)):
-            R_, eps_, W, delta = (dt(v) for v in (fam.R, fam.eps, j._collar.width, fam.delta))
-            rs = np.array([R_ - eps_ / 2, R_ - W / 2, R_ - delta, R_ + dt(0.05)], dtype=dt)
+            rs = _radii(fam, dt)
             bits[label] = {order: [_hex(v) for v in fn(rs)]
-                           for order, fn in (("a", j.a), ("a1", j.a_prime), ("a2", j.a_second))}
+                           for order, fn in zip(ORDERS, (j.a, j.a_prime, j.a_second))}
         out[name] = bits
     return out
+
+
+def reference_misses(R, eps, bits) -> list:
+    """(path, value, reference) of each value of a family's bits that
+    differs from the independent rebuild by more than its tolerance."""
+    fam = cached_family(R, eps)
+    want, k = reference_smoothing.smoothed_pair(R, eps, _radii(fam, np.float64))
+    tols = (reference_smoothing.TOL_A, reference_smoothing.TOL_A1, reference_smoothing.TOL_A2)
+    misses = []
+    if abs(float.fromhex(bits["k_eps"]) - k) > reference_smoothing.TOL_K * k:
+        misses.append((("k_eps",), bits["k_eps"], k))
+    for name, values in zip(("f", "g"), want):
+        for path, v in _flat(bits[name], (name,)):
+            if path[-2] in ORDERS:
+                order = ORDERS.index(path[-2])
+                ref = values[order][RADII.index(path[-1])]
+                got = float.fromhex(v if isinstance(v, str) else v[0])  # hi of an extended value
+                if reference_smoothing.rel_error(got, ref) > tols[order]:
+                    misses.append((path, v, ref))
+    return misses
 
 
 @pytest.mark.parametrize("R,eps", FAMILIES, ids=[_key(R, eps) for R, eps in FAMILIES])
@@ -82,7 +111,7 @@ def _flat(bits, path=()):
     if isinstance(bits, dict):
         for key, value in bits.items():
             yield from _flat(value, path + (key,))
-    elif path[-1] in ("a", "a1", "a2"):
+    elif path[-1] in ORDERS:
         for label, value in zip(RADII, bits):
             yield path + (label,), value
     else:
@@ -101,6 +130,12 @@ if __name__ == "__main__":
     if np.finfo(np.longdouble).nmant != 63:
         sys.exit("longdouble is not the x87 80-bit format: values would not compare")
     new = {_key(R, eps): family_bits(R, eps) for R, eps in FAMILIES}
+    misses = [(key, *miss) for (R, eps), (key, bits) in zip(FAMILIES, new.items())
+              for miss in reference_misses(R, eps, bits)]
+    for key, path, value, ref in misses:
+        print(key, " ".join(path) + ":", value, "but the reference gives", ref)
+    if misses:
+        sys.exit(f"{len(misses)} values stray from the reference: nothing written")
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     changes = changed_entries(old, new)
     for path, was, now in changes:
