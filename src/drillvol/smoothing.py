@@ -61,14 +61,19 @@ serve both junctions.  One evaluator pass serves any junctions on one
 record and any derivative orders, from one collar mask, one ramp-table
 lookup (phi_eps's argument rides beside the four plateau ramps), one
 blend-cache lookup per junction, and each side's transcendentals once per
-region: smoothed_metric(0.8, 1e-2) makes 14 ramp-table lookups, one at R
+region: smoothed_metric(0.8, 1e-2) makes 7 ramp-table lookups, one at R
 and one per Ricci grid.  The smoothed pair's six callables share that
 pass: read together through warped._Values, as every Ricci, curvature,
 quadrature and oracle reader does, they take a, a' and a'' of both
 junctions from one pass; called alone, each runs its own junction and
 order.  The Ricci constant is the supremum over a uniform grid, refined by
-bracket grids of 33 points across the two cells around the running argmax
-until the bracket stops shrinking; each grid is one warped._ricci_grid.
+bracket grids of 33 points across the two cells around the running argmax;
+each grid is one warped._ricci_grid.  A bracket round ends the refinement
+once the second difference at its peak, over 8, is within an ulp of the
+running supremum: under a quadratic model the peak between samples exceeds
+the sampled maximum by at most that, so a further round would only chase
+rounding.  The uniform grid is exempt, since its cells may alias the narrow
+collar features; a bracket that stops shrinking also ends it.
 The bump function is evaluated in log space with a hard cutoff to 0 below
 exp(-700) to avoid denormals.
 """
@@ -143,7 +148,9 @@ _K_GRID_N = 4096
 
 # Points of each bracket grid in the refinement of the Ricci supremum: 32
 # cells across the two around the running argmax, so the bracket shrinks
-# sixteenfold per round.
+# sixteenfold per round.  A bracket round whose peak has a second difference
+# of at most 8 ulps of the running supremum ends the refinement; the uniform
+# grid never does, as it may alias the collar.
 _BRACKET_POINTS = 33
 
 
@@ -640,8 +647,14 @@ def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float) -> float:
     The refinement guards against the uniform grid aliasing the narrow
     collar features where the supremum lives.  Each round samples the two
     cells around the running argmax with _BRACKET_POINTS points and keeps
-    the best value seen; it stops once the bracket no longer shrinks.  Each
-    grid is one warped._ricci_grid, which reads the pair's six callables
+    the best value seen.  It stops after a round whose values v, at their
+    argmax m (moved one point in from an end of the grid), satisfy
+    |v[m-1] - 2 v[m] + v[m+1]| / 8 <= ulp(best): under a quadratic model the
+    peak between samples exceeds the sampled maximum by at most that, so a
+    further round could raise the result by rounding alone.  The uniform
+    grid never stops on this test, however flat it looks, since it may
+    alias; the refinement also stops once the bracket no longer shrinks.
+    Each grid is one warped._ricci_grid, which reads the pair's six callables
     once: on the smoothed pair, one evaluator pass for a, a' and a'' of
     both junctions.  A warping function that is not positive on a grid is
     rejected: the collar corrections outweighed b there, which happens when
@@ -653,6 +666,10 @@ def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float) -> float:
         vals = _ricci_grid(pair, rs)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
+        if width < math.inf:  # a bracket round, not the uniform grid
+            m = min(max(i, 1), len(vals) - 2)
+            if abs(vals[m - 1] - 2.0 * vals[m] + vals[m + 1]) / 8.0 <= math.ulp(best):
+                return best
         b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
         if not b_hi - b_lo < width:
             return best

@@ -38,7 +38,7 @@ from drillvol.smoothing import (
     _ramp_tables,
     _ricci_sup_half,
 )
-from drillvol.warped import WarpingPair, _ricci_grid, kerckhoff_extension
+from drillvol.warped import WarpingPair, _ricci_grid, hyperbolic_tube, kerckhoff_extension
 
 EPS_SEQ = (1e-1, 1e-2, 1e-3)
 
@@ -543,6 +543,81 @@ def test_k_eps_from_junction_passes_matches_pair_callables(R, eps):
     assert len(set(calls.values())) == 1 and set(calls) == set(PAIR_FIELDS)
 
 
+def full_depth_sup_half(pair, lo, hi):
+    """The refinement without the curvature stop: bracket rounds until the
+    bracket stops shrinking, which spends its last rounds on rounding."""
+    rs = np.linspace(lo, hi, smoothing._K_GRID_N)
+    best, width = -math.inf, math.inf
+    while True:
+        vals = _ricci_grid(pair, rs)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
+        if not b_hi - b_lo < width:
+            return best
+        width = b_hi - b_lo
+        rs = np.linspace(b_lo, b_hi, smoothing._BRACKET_POINTS)
+
+
+def count_ricci_grids(monkeypatch) -> list:
+    """Record the size of each grid that _ricci_sup_half evaluates, from here
+    to the end of the test."""
+    grids = []
+
+    def counting(pair, rs):
+        grids.append(np.size(rs))
+        return _ricci_grid(pair, rs)
+
+    monkeypatch.setattr(smoothing, "_ricci_grid", counting)
+    return grids
+
+
+# R >= 20, where -Ric/2 is a plateau at 1 to within rounding
+LARGE_R = [(20.0, 1e-2), (100.0, 1e-4), (354.0, 0.1)]
+
+
+@pytest.mark.parametrize("R,eps", CRITERION_7_GRID + SWEEP_LIKE + LARGE_R)
+def test_curvature_stop_matches_full_depth(R, eps, monkeypatch):
+    """k_eps stops refining once the sampled peak's second difference says a
+    further round cannot raise it by more than rounding.  It never exceeds
+    the full-depth refinement, stays within 2e-15 relative of it (7.4e-16 at
+    most on 2304 sweep families), and takes at most 6 grids on these pairs
+    (the full depth takes 10 to 14)."""
+    fam = cached_family(R, eps)
+    lo, hi = R - fam.delta - 1.0, R + fam.margin
+    full = full_depth_sup_half(fam.pair, lo, hi)
+    grids = count_ricci_grids(monkeypatch)
+    assert _ricci_sup_half(fam.pair, lo, hi) == fam.k_eps
+    assert 0.0 <= full - fam.k_eps <= 2e-15 * full
+    assert grids[0] == smoothing._K_GRID_N and 2 <= len(grids) <= 6
+
+
+def test_first_grid_is_always_refined(monkeypatch):
+    """On the tube -Ric/2 is exactly 1, so every second difference is 0, yet
+    the 4096-point grid never stops the refinement (it guards against
+    aliasing): one bracket round follows it, and stops."""
+    grids = count_ricci_grids(monkeypatch)
+    assert _ricci_sup_half(hyperbolic_tube(), 0.5, 1.5) == 1.0
+    assert grids == [smoothing._K_GRID_N, smoothing._BRACKET_POINTS]
+
+
+def test_peak_at_an_end_stops_early(monkeypatch):
+    """f = g = exp(r^2/2) has -Ric/2 = 1 + r^2, so on an interval beside 0
+    every round's argmax is an end of its grid.  The second difference is
+    then taken one point in, and the refinement stops within 4 grids at the
+    end's value."""
+    def e(r):
+        return np.exp(r * r / 2)
+
+    ep, epp = (lambda r: r * e(r)), (lambda r: (1 + r * r) * e(r))
+    pair = WarpingPair(f=e, fp=ep, fpp=epp, g=e, gp=ep, gpp=epp, name="gaussian")
+    grids = count_ricci_grids(monkeypatch)
+    for lo, hi in ((0.5, 1.5), (-1.5, -0.5)):
+        grids.clear()
+        assert _ricci_sup_half(pair, lo, hi) == pytest.approx(3.25, rel=1e-15, abs=0.0)
+        assert len(grids) <= 4
+
+
 # the calls per callable that each run made on the counted copy while every
 # callable of the smoothed pair was its own evaluator pass, before they
 # shared one; the collar quadrature's count depends on the family
@@ -618,8 +693,9 @@ def test_one_ramp_lookup_per_eval_pass(monkeypatch):
 
 def test_junctions_share_one_collar_record(monkeypatch):
     """The two junctions of a family hold one collar record.  With the ramp
-    tables built, a build makes 14 lookups in them, one at R and one per
-    Ricci grid (28 when each pass looked phi_eps up on its own, 32 when the
+    tables built, a build makes 7 lookups in them, one at R and one per
+    Ricci grid (14 when the refinement ran until its bracket stopped
+    shrinking, 28 when each pass looked phi_eps up on its own, 32 when the
     build check looked phi_eps up on its own panels, 172 with lookups per
     callable and order), evaluates the bump on at most 1000 points (6912
     when each record tabulated phi_eps' on its own blend nodes), and
@@ -650,7 +726,8 @@ def test_junctions_share_one_collar_record(monkeypatch):
     monkeypatch.undo()
     collar = fam.junction_f._collar
     assert collar is fam.junction_g._collar
-    assert len(lookups) == 14
+    # one at R, then one per Ricci grid: the 4096-point grid and five brackets
+    assert len(lookups) == 7
     assert sum(bump_points) <= 1000
     assert len(window_exps) == 2
     assert set(collar.ufunc_values) == {np.sinh, np.cosh}
