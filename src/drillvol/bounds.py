@@ -86,6 +86,12 @@ def _require_positive(what: str, value: float) -> None:
         raise ParameterError(f"{what} must be positive and finite, got {value}")
 
 
+def _require_nonnegative(what: str, value: float) -> None:
+    """Reject a value that is negative, or not finite."""
+    if not (value >= 0.0) or not math.isfinite(value):
+        raise ParameterError(f"{what} must be nonnegative and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TubeParams:
     """Tube radius and core geodesic length.
@@ -352,8 +358,7 @@ def min_volume_corollary() -> MinVolumeReport:
 def bridgeman_bound(vol_parent: float, l: float) -> float:
     """Conjectured drilling bound vol_parent + pi * l (additive in l)."""
     _require_positive("vol_parent", vol_parent)
-    if l < 0.0 or not math.isfinite(l):
-        raise ParameterError(f"length must be nonnegative and finite, got {l}")
+    _require_nonnegative("length", l)
     bound = vol_parent + math.pi * l
     if not math.isfinite(bound):
         raise ParameterError(f"conjectured bound not finite for vol={vol_parent:g}, l={l:g}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -60,6 +61,12 @@ class CliConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # a value such as -1e-3 is a number, not an option; argparse reads
+        # only -1 and -0.5 so.  Subparsers are made of this class too.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message: str) -> None:  # argparse's exit point
         raise UsageError(message)
 
@@ -151,7 +158,7 @@ def _cmd_curvature(args, cfg: CliConfig, out) -> int:
 def _cmd_smooth(args, cfg: CliConfig, out) -> int:
     import numpy as np
 
-    from .smoothing import _eval, smoothed_metric
+    from .smoothing import smoothed_metric
 
     for flag in ("lo", "hi"):
         value = getattr(args, flag)
@@ -163,7 +170,7 @@ def _cmd_smooth(args, cfg: CliConfig, out) -> int:
     hi = args.hi if args.hi is not None else fam.R + 0.5
     with np.errstate(over="ignore", invalid="ignore"):
         rs = np.linspace(lo, hi, args.samples)
-        cols = [np.asarray(col, float) for col in _eval((jf,), rs, (0, 1, 2))[0]]
+        cols = [np.asarray(col(rs), float) for col in (jf.a, jf.a_prime, jf.a_second)]
     if not all(np.all(np.isfinite(col)) for col in [rs] + cols):
         raise ParameterError(f"the sample range [{lo:g}, {hi:g}] gives a non-finite "
                              f"r, a, a' or a''")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import _require_positive
 from .errors import DomainError, ParameterError
-from .warped import WarpingPair, _sectional_grid, _Shared, _Values
+from .warped import WarpingPair, _require_finite_radius, _sectional_grid, _Shared, _Values
 
 __all__ = [
     "DiagonalMetric",
@@ -97,8 +97,7 @@ class DiagonalMetric:
     def require_margin(self, r: float) -> None:
         """Reject a non-finite radius, or one within 2h of the domain boundary."""
         lo, hi = self.domain
-        if not np.isfinite(r):
-            raise DomainError(f"{self.name}: radius must be finite, got {r!r}")
+        _require_finite_radius(self.name, r)
         if not (lo + 2 * self.h <= r <= hi - 2 * self.h):
             raise DomainError(
                 f"{self.name}: r={r} closer than 2h={2 * self.h:g} to the domain boundary"

@@ -74,6 +74,11 @@ running supremum: under a quadratic model the peak between samples exceeds
 the sampled maximum by at most that, so a further round would only chase
 rounding.  The uniform grid is exempt, since its cells may alias the narrow
 collar features; a bracket that stops shrinking also ends it.
+Each input of the construction has one producer: _floats coerces every
+input array (float64 unless it already holds floats), _window_x maps r to
+the ramp variable (r - R)/eps + 1, _ramp_moments is the one read of the
+normalized ramp table, and _gaps the one read of c - b and its derivatives,
+so closed-form gaps would change that function alone.
 The bump function is evaluated in log space with a hard cutoff to 0 below
 exp(-700) to avoid denormals.
 """
@@ -154,11 +159,23 @@ _K_GRID_N = 4096
 _BRACKET_POINTS = 33
 
 
+def _floats(x):
+    """x as an array, cast to float64 unless it already holds floats."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
+def _window_x(R: float, eps: float, r):
+    """The ramp variable (r - R)/eps + 1 of the blending window, in r's
+    dtype: 0 at R - eps and 1 at R."""
+    dt = r.dtype
+    return (r - np.asarray(R, dt)) / np.asarray(eps, dt) + np.asarray(1.0, dt)
+
+
 def bump_alpha(r):
     """C-infinity bump exp(-1/r^2) exp(-1/(1-r)^2) on (0, 1), zero outside."""
-    r = np.asarray(r)
-    dtype = r.dtype if r.dtype.kind == "f" else np.float64
-    out = np.zeros(r.shape, dtype=dtype)
+    r = _floats(r)
+    out = np.zeros(r.shape, dtype=r.dtype)
     m = (r > 0) & (r < 1)
     rm = r[m]
     expo = -1.0 / rm**2 - 1.0 / (1.0 - rm) ** 2
@@ -308,20 +325,24 @@ def _ramp_tables() -> _RampTables:
     return _RampTables()
 
 
+def _ramp_moments(x):
+    """The cumulative moments of alpha / int alpha of order 0, 1, 2 at
+    min(max(x, 0), 1), stacked on a new last axis: one lookup in the ramp
+    tables, at a float array x."""
+    t = _ramp_tables()
+    return t.cum(x) / np.asarray(t.norm, dtype=x.dtype)
+
+
 def _ramp_antiderivatives(x):
     """beta and its first and second antiderivatives from 0 at any real x,
     from one lookup in the ramp tables.
 
-    With A, T, Q the cumulative moments of alpha / int alpha of order 0, 1, 2
-    at min(max(x, 0), 1): beta = A, int beta = x A - T and
+    With A, T, Q the ramp moments at x: beta = A, int beta = x A - T and
     int int beta = (x^2 A - 2 x T + Q) / 2.  Since alpha vanishes outside
     (0, 1) these hold for every x >= 0, and all three vanish for x <= 0.
     """
-    t = _ramp_tables()
-    x = np.asarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(np.float64)
-    m = t.cum(x) / np.asarray(t.norm, dtype=x.dtype)
+    x = _floats(x)
+    m = _ramp_moments(x)
     a, first, second = m[..., 0], m[..., 1], m[..., 2]
     return a, x * a - first, 0.5 * (x * x * a - 2.0 * x * first + second)
 
@@ -333,11 +354,7 @@ def ramp_beta(x):
     beta is formed from the lookup: the antiderivatives would overflow, or
     meet inf * 0, at huge or infinite x.
     """
-    x = np.asarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(np.float64)
-    t = _ramp_tables()
-    out = np.clip(t.cum(x)[..., 0] / np.asarray(t.norm, dtype=x.dtype), 0.0, 1.0)
+    out = np.clip(_ramp_moments(_floats(x))[..., 0], 0.0, 1.0)
     return out if out.shape else out[()]
 
 
@@ -351,9 +368,7 @@ def step_phi(eps: float, R: float, r):
     The width eps must be positive and finite.
     """
     _require_positive("step width", eps)
-    r = np.asarray(r)
-    dt = r.dtype if r.dtype.kind == "f" else np.float64
-    return ramp_beta((r - np.asarray(R, dtype=dt)) / np.asarray(eps, dtype=dt) + np.asarray(1.0, dtype=dt))
+    return ramp_beta(_window_x(R, eps, _floats(r)))
 
 
 def _gaps(b, c, values: _Values, orders) -> list:
@@ -393,9 +408,7 @@ class _Collar:
 
     def dphi(self, t):
         """phi_eps' at t."""
-        dt = t.dtype
-        eps = np.asarray(self.eps, dt)
-        return _ramp_beta_prime((t - np.asarray(self.R, dt)) / eps + np.asarray(1.0, dt)) / eps
+        return _ramp_beta_prime(_window_x(self.R, self.eps, t)) / np.asarray(self.eps, t.dtype)
 
     def lookups(self, s, orders):
         """phi_eps at the collar points s, and for each of orders, along a
@@ -406,9 +419,9 @@ class _Collar:
         fifth column beside the four plateau ramps, clipped like ramp_beta."""
         dt = s.dtype
         w = np.asarray(self.ramp_w, dtype=dt)
-        x = (s - np.asarray(self.R, dt)) / np.asarray(self.eps, dt) + np.asarray(1.0, dt)
         ramps = _ramp_antiderivatives(np.concatenate(
-            [(s[..., None] - self.ramp_starts.astype(dt)) / w, x[..., None]], axis=-1))
+            [(s[..., None] - self.ramp_starts.astype(dt)) / w,
+             _window_x(self.R, self.eps, s)[..., None]], axis=-1))
         g = (np.array([ramps[2 - k][..., :4] for k in orders])
              * np.array([w ** (2 - k) for k in orders], dt)[:, None, None])
         return np.clip(ramps[0][..., 4], 0.0, 1.0), g[..., 0::2] - g[..., 1::2]
@@ -468,17 +481,17 @@ class SmoothedJunction:
         # each side once at the window's nodes for the whole build; the
         # tube's sinh and cosh there come from the record, for both junctions
         nodes = _Values(collar.nodes, collar.ufunc_values)
-        # c - b and c' - b' on the blend cache's nodes; the cache's integrand
-        # holds b, c and the record, not self: no reference cycle keeps a
-        # junction and its record alive after its last use
-        d0, d1 = (tab.split(d)[0] for d in _gaps(b, c, nodes, (0, 1)))
+        # c - b, c' - b' and c'' - b'' on each layout: the first two on the
+        # blend cache's nodes, the third for the totals and the check.  The
+        # cache's integrand holds b, c and the record, not self: no
+        # reference cycle keeps a junction and its record alive after its
+        # last use
+        d0, d1, d2 = (tab.split(d) for d in _gaps(b, c, nodes, (0, 1, 2)))
         self._blend = _Cumulative(
             lambda t: _blend_integrand(*_gaps(b, c, _Values(t), (0, 1)),
                                        t - np.asarray(R, t.dtype), collar.dphi(t)),
             collar.blend_knots, collar.blend_half,
-            _blend_integrand(d0, d1, collar.offsets[0], tab.blend_alpha / eps_ld))
-        # c'' - b'' on each layout, for the totals and the check
-        d2 = tab.split(_gaps(b, c, nodes, (2,))[0])
+            _blend_integrand(d0[0], d1[0], collar.offsets[0], tab.blend_alpha / eps_ld))
         self._totals = self._blend_totals(d2[0])
         checks = []
         for (_, _, half), gap, beta, x in zip(tab.checks, d2[1:], tab.check_beta,
@@ -541,12 +554,13 @@ class SmoothedJunction:
         inside = phi > 0.0
         t, p = window.x, phi[inside]
         i = self._blend(t) if t.size and min(orders) < 2 else None
+        gaps = _gaps(self.b, self.c, window, orders) if t.size else None
         corrections = plateaus @ self._coef.astype(phi.dtype)
         outs = []
         for k, order in enumerate(orders):
             out = corrections[k]
             if t.size:
-                blend = (window(self.c[order]) - window(self.b[order])) * p
+                blend = gaps[k] * p
                 if order == 1:
                     blend = blend - i[..., 0]
                 elif order == 0:
@@ -578,9 +592,7 @@ def _eval(junctions, r, orders) -> list:
     whose delta falls short of the reach has no gaps, so lambda = 0 and
     phi_eps = 0 give it exact zeros there.
     """
-    r = np.asarray(r)
-    if r.dtype.kind != "f":
-        r = r.astype(np.float64)
+    r = _floats(r)
     dt = r.dtype
     collar = junctions[0]._collar
     R = np.asarray(collar.R, dtype=dt)
@@ -614,11 +626,10 @@ def _eval(junctions, r, orders) -> list:
     return outs
 
 
-def smooth_junction(b: tuple[Callable, ...], c: tuple[Callable, ...], R: float, eps: float,
-                    name: str = "junction") -> SmoothedJunction:
-    """Build the moment-matched interpolant from the derivative triple ``b``
-    to ``c`` at R, at smoothing width ``eps``."""
-    return SmoothedJunction(b, c, R, eps, name)
+# The moment-matched interpolant from the derivative triple b to c at R, at
+# smoothing width eps.  smoothed_metric builds through this module-level name,
+# which a profiler may wrap to time junction builds.
+smooth_junction = SmoothedJunction
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import TWO_PI, _require_positive, _require_sinh, coth
+from .bounds import TWO_PI, _require_nonnegative, _require_positive, _require_sinh, coth
 from .errors import DomainError, ParameterError, QuadratureError, SingularAxisError
 
 __all__ = [
@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 RadialFunc = Callable[[float], float]
+
+
+def _require_finite_radius(name: str, r: float) -> None:
+    """Reject a radius that is NaN or infinite, for the pair or metric ``name``."""
+    if not np.isfinite(r):
+        raise DomainError(f"{name}: radius must be finite, got {r!r}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,7 @@ class WarpingPair:
 
     def require(self, r: float) -> None:
         lo, hi = self.domain
-        if not np.isfinite(r):
-            raise DomainError(f"{self.name}: radius must be finite, got {r!r}")
+        _require_finite_radius(self.name, r)
         if not lo <= r <= hi:
             raise DomainError(f"{self.name}: radius {r} outside domain [{lo}, {hi}]")
 
@@ -447,8 +452,7 @@ def warped_volume_quadrature(
     evaluated on arrays of nodes.  Raises :class:`QuadratureError` if it does
     not converge, or cannot certify the result to one part in 1e10.
     """
-    if not (l >= 0.0) or not math.isfinite(l):
-        raise ParameterError(f"length must be nonnegative and finite, got {l}")
+    _require_nonnegative("length", l)
     if r_lo > r_hi:
         raise ParameterError(f"inverted interval [{r_lo}, {r_hi}]")
     if r_lo == r_hi:

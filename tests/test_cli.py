@@ -236,6 +236,16 @@ class TestSmooth:
         assert code == 1
         assert err.startswith("error:width:")
 
+    def test_negative_values_with_an_exponent(self, capsys):
+        """-1e-3 is a value, as -0.001 and the form --lo=-1e-3 are."""
+        base = ("smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "0.9", "--samples", "2")
+        spaced = invoke(capsys, *base, "--lo", "-1e-3")
+        assert spaced == invoke(capsys, *base, "--lo=-1e-3")
+        assert spaced[0] == 0 and "\n-0.001," in spaced[1]
+        code, out, err = invoke(capsys, "smooth", "--R", "0.8", "--eps", "-1e-2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:parameter:")
+
 
 # ---------------------------------------------------------------------------
 # analyze

@@ -618,6 +618,25 @@ def test_peak_at_an_end_stops_early(monkeypatch):
         assert len(grids) <= 4
 
 
+def test_kinked_peak_ends_when_the_bracket_stops_shrinking(monkeypatch):
+    """At a kink the second difference never falls to rounding, so the
+    refinement ends on its fallback: the bracket around pi/4 stops
+    shrinking once its points coincide in float64.  A grid function that
+    raises after 64 calls turns a broken exit into a failure, not a hang."""
+    grids = []
+
+    def kinked(pair, rs):
+        grids.append(rs)
+        if len(grids) > 64:
+            raise RuntimeError("the refinement did not end")
+        return 1.0 - 1e3 * np.abs(rs - math.pi / 4)
+
+    monkeypatch.setattr(smoothing, "_ricci_grid", kinked)
+    assert _ricci_sup_half(None, 0.0, 2.0) == 1.0
+    assert len(grids) <= 16
+    assert len(np.unique(grids[-1])) < smoothing._BRACKET_POINTS
+
+
 # the calls per callable that each run made on the counted copy while every
 # callable of the smoothed pair was its own evaluator pass, before they
 # shared one; the collar quadrature's count depends on the family

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from drillvol import (
+    DiagonalMetric,
     DomainError,
     ParameterError,
     SingularAxisError,
     TubeParams,
     WarpingPair,
+    bridgeman_bound,
     coth,
     extended_tube_volume,
     hyperbolic_tube,
@@ -372,3 +374,28 @@ def test_positivity_sampled(tube, kerckhoff08):
         rs = rng.uniform(lo, hi, 200)
         assert np.all(np.asarray(w.f(rs), float) > 0.0) or math.isfinite(w.domain[0])
         assert np.all(np.asarray(w.g(rs), float) > 0.0)
+
+
+@pytest.mark.parametrize("l", [-1.0, math.nan, math.inf])
+def test_length_checks_share_one_message(tube, l):
+    """bridgeman_bound and warped_volume_quadrature reject a negative, NaN or
+    infinite length with one message."""
+    messages = []
+    for call in (lambda: bridgeman_bound(1.0, l),
+                 lambda: warped_volume_quadrature(tube, 0.0, 0.8, l)):
+        with pytest.raises(ParameterError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == [f"length must be nonnegative and finite, got {l}"] * 2
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_radius_checks_share_one_message(tube, r):
+    """A warping pair and its oracle metric reject a non-finite radius with
+    one message."""
+    messages = []
+    for require in (tube.require, DiagonalMetric.from_warping_pair(tube).require_margin):
+        with pytest.raises(DomainError) as info:
+            require(r)
+        messages.append(str(info.value))
+    assert messages == [f"{tube.name}: radius must be finite, got {r!r}"] * 2
