@@ -63,9 +63,10 @@ class CliConfig:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # a value such as -1e-3 is a number, not an option; argparse reads
-        # only -1 and -0.5 so.  Subparsers are made of this class too.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # a value such as -1e-3, -inf or -nan is a number, not an option;
+        # argparse reads only -1 and -0.5 so.  Subparsers are made of this
+        # class too.
+        self._negative_number_matcher = re.compile(r"(?i)^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$")
 
     def error(self, message: str) -> None:  # argparse's exit point
         raise UsageError(message)
@@ -193,6 +194,18 @@ def _cmd_smooth(args, cfg: CliConfig, out) -> int:
 
 def _cmd_bound(args, cfg: CliConfig, out) -> int:
     est = drilled_volume_bound(args.vol, args.length, args.R)
+    quadrature = {}
+    if args.quadrature_check:  # before any output, so a failure prints nothing
+        from .warped import hyperbolic_tube, kerckhoff_extension, warped_volume_quadrature
+
+        tube_q = warped_volume_quadrature(hyperbolic_tube(), 0.0, args.R, args.length)
+        ext_q = warped_volume_quadrature(kerckhoff_extension(args.R), -math.inf, args.R, args.length)
+        quadrature = dict(
+            tube_volume_quadrature=tube_q.value,
+            tube_volume_quadrature_err=abs(tube_q.value - est.tube_volume),
+            extended_volume_quadrature=ext_q.value,
+            extended_volume_quadrature_err=abs(ext_q.value - est.extended_tube_volume),
+            extended_volume_tail_bound=ext_q.tail_bound)
     _emit(cfg, out, vol=est.vol_parent, length=est.l, R=est.R, k=est.k,
           tube_volume=est.tube_volume,
           extended_tube_volume=est.extended_tube_volume,
@@ -200,17 +213,7 @@ def _cmd_bound(args, cfg: CliConfig, out) -> int:
           tube_fits=est.tube_fits)
     for warning in est.warnings:
         _emit(cfg, out, warning=warning)
-    if args.quadrature_check:
-        from .warped import hyperbolic_tube, kerckhoff_extension, warped_volume_quadrature
-
-        tube_q = warped_volume_quadrature(hyperbolic_tube(), 0.0, args.R, args.length)
-        ext_q = warped_volume_quadrature(kerckhoff_extension(args.R), -math.inf, args.R, args.length)
-        _emit(cfg, out,
-              tube_volume_quadrature=tube_q.value,
-              tube_volume_quadrature_err=abs(tube_q.value - est.tube_volume),
-              extended_volume_quadrature=ext_q.value,
-              extended_volume_quadrature_err=abs(ext_q.value - est.extended_tube_volume),
-              extended_volume_tail_bound=ext_q.tail_bound)
+    _emit(cfg, out, **quadrature)
     return 0
 
 
@@ -239,6 +242,9 @@ def _cmd_analyze(args, cfg: CliConfig, out) -> int:
     with open(args.input, "r", encoding="utf-8", newline="") as stream:
         records = parse_records(stream)
     report = analyze_records(records)
+    if args.plot:  # rendered before any output, so a plot that fails writes nothing
+        svg = io.StringIO()
+        emit_plot(report, svg, style=args.style)
     _emit(cfg, out,
           records=len(report.rows),
           violations=report.violation_count,
@@ -255,8 +261,6 @@ def _cmd_analyze(args, cfg: CliConfig, out) -> int:
         print("", file=out)
         emit_report(report, out)
     if args.plot:
-        svg = io.StringIO()  # a plot that fails leaves no file behind
-        emit_plot(report, svg, style=args.style)
         with open(args.plot, "w", encoding="utf-8", newline="") as sink:
             sink.write(svg.getvalue())
         _emit(cfg, out, plot=args.plot, style=args.style)

@@ -321,13 +321,23 @@ def emit_plot(report: AnalysisReport, sink: IO[str], style: str = "linear") -> N
     out = []
 
     # One writer per element kind; numbers are written as given, and a tick
-    # writes its position to three decimals
+    # writes its position to three decimals.  A square (from its corner) or
+    # dot marks a point of the bound or drilled series with ``marker`` as
+    # its class attribute, and stands without one in the legend
     def line(x1, y1, x2, y2) -> None:
         out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="1"/>')
 
     def text(x, y, size: int, body: str, anchor: str = "") -> None:
         anchor = f' text-anchor="{anchor}"' if anchor else ""
         out.append(f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}">{body}</text>')
+
+    def square(x, y, marker: str = "") -> None:
+        out.append(f'<rect{marker} x="{x}" y="{y}" width="7" height="7" fill="none" stroke="darkred" '
+                   'stroke-width="1.5"/>')
+
+    def dot(x, y, marker: str = "") -> None:
+        out.append(f'<circle{marker} cx="{x}" cy="{y}" r="4" fill="none" stroke="steelblue" '
+                   'stroke-width="1.5"/>')
 
     def tick(value: float, ends: tuple, at: tuple, anchor: str) -> None:
         line(*(f"{v:.3f}" for v in ends))
@@ -349,26 +359,14 @@ def emit_plot(report: AnalysisReport, sink: IO[str], style: str = "linear") -> N
         tick(value, (x, ax_b, x, ax_b + 5), (x, ax_b + 20), "middle")
     text(f"{_MARGIN_LEFT + plot_w / 2:.3f}", _SVG_HEIGHT - 25, 15, "geodesics ordered by length", "middle")
     for x, y in zip(xs, bound):
-        cx, cy = px(x), py(y)
-        out.append(
-            f'<rect class="marker" x="{cx - 3.5:.3f}" y="{cy - 3.5:.3f}" width="7" height="7" '
-            'fill="none" stroke="darkred" stroke-width="1.5"/>'
-        )
+        square(f"{px(x) - 3.5:.3f}", f"{py(y) - 3.5:.3f}", ' class="marker"')
     for x, y in zip(xs, drilled):
-        out.append(
-            f'<circle class="marker" cx="{px(x):.3f}" cy="{py(y):.3f}" r="4" '
-            'fill="none" stroke="steelblue" stroke-width="1.5"/>'
-        )
+        dot(f"{px(x):.3f}", f"{py(y):.3f}", ' class="marker"')
     lg_x = _MARGIN_LEFT + 16
     lg_y = _MARGIN_TOP + 10
-    out.append(
-        f'<circle cx="{lg_x}" cy="{lg_y}" r="4" fill="none" stroke="steelblue" stroke-width="1.5"/>'
-    )
+    dot(lg_x, lg_y)
     text(lg_x + 12, lg_y + 4, 14, label_drilled)
-    out.append(
-        f'<rect x="{lg_x - 3.5}" y="{lg_y + 18.5}" width="7" height="7" '
-        'fill="none" stroke="darkred" stroke-width="1.5"/>'
-    )
+    square(lg_x - 3.5, lg_y + 18.5)
     text(lg_x + 12, lg_y + 26, 14, label_bound)
     out.append("</svg>")
     sink.write("\n".join(out) + "\n")

@@ -47,11 +47,12 @@ products.  The blending window has one node layout: the ramp tables hold
 the blend rule's 64 panels and the build check's 16 and 8 on [0, 1], with
 alpha and beta at their nodes, and t = R + eps (x - 1) maps them onto
 [R - eps, R].  The blend
-cache, the blend totals int (c'' - b'') phi_eps (t - R)^j, which size the
-correction, and the build check share these nodes, so a build evaluates no
-bump and makes no ramp lookup there; the check compares the totals, like
-the ramp moments, with the rule on 16 panels (8 panels give its error);
-c'' - b'' is formed once on the three layouts for both.
+cache and every window integral of a build share these nodes, so a build
+evaluates no bump and makes no ramp lookup there: int (c'' - b'') phi_eps
+(t - R)^j is one panel sum per layout, with c'' - b'' formed once on all
+three; the 64-panel sums are the blend totals, which size the correction,
+and the build check compares them, like the ramp moments, with the 16-panel
+sums (the 8-panel sums give its error).
 The rest of the ramp work depends on (R, eps) alone, so both junctions of a
 family share one collar record: W, the ramp starts, the mapped nodes with
 their offsets t - R, the ramp lookups at R, and the sides' values at the
@@ -251,27 +252,28 @@ class _Cumulative:
         return out
 
 
-def _moments(fun: Callable, origin: float, count: int) -> Callable:
-    """t -> fun(t) (t - origin)^j for j < count <= 3, stacked on a new last
-    axis.
+def _powers(v, x, count: int):
+    """v x^j for j < count <= 3, stacked on a new last axis.
 
     The powers are products: numpy raises an extended-precision array to
     the power 0 or 1 with libm's powl per element, at six times a product's
     cost, and x**0, x**1, x**2 equal 1, x, x * x bit for bit."""
-    def stacked(t):
-        v, x = fun(t), t - np.asarray(origin, t.dtype)
-        return np.stack([v, v * x, v * (x * x)][:count], axis=-1)
-    return stacked
+    return np.stack([v, v * x, v * (x * x)][:count], axis=-1)
 
 
-def _check_moments(label: str, totals, checks, lo: float, hi: float):
+def _moments(fun: Callable, origin: float, count: int) -> Callable:
+    """t -> fun(t) (t - origin)^j for j < count <= 3, stacked on a new last
+    axis."""
+    return lambda t: _powers(fun(t), t - np.asarray(origin, t.dtype), count)
+
+
+def _check_moments(label: str, totals, sums, lo: float, hi: float):
     """Compare totals[j] with the reference integral of the j-th moment over
-    [lo, hi]: the panel rule on 16 equal panels, with its distance from the
-    rule on 8 as error estimate.  ``checks`` pairs the half-widths of each
-    of the two layouts with the moments' values at its nodes.  Raises
-    QuadratureError on a disagreement; returns the references and their
-    errors."""
-    refs, coarse = (_panel_sums(half, values)[-1] for half, values in checks)
+    [lo, hi].  ``sums`` holds the moments' integrals by the panel rule on 16
+    and on 8 equal panels: the first is the reference, and its distance
+    from the second the error estimate.  Raises QuadratureError on a
+    disagreement; returns the references and their errors."""
+    refs, coarse = sums
     errs = np.abs(refs - coarse)
     for j, (total, ref, err) in enumerate(zip(totals, refs, errs)):
         drift = float(abs(total - ref))
@@ -288,11 +290,13 @@ class _RampTables:
 
     t = R + eps (x - 1) maps [0, 1] onto every blending window [R - eps, R],
     so the junctions of all (R, eps) share these layouts: the blend rule's
-    64 panels, with alpha / norm and beta at their nodes, and the build
-    check's 16 and 8 panels, with beta at theirs (they check the ramp
-    moments here too).  ``window_x`` holds the nodes of all three in one
-    flat array, so that a side is evaluated on all of them in one call, and
-    ``split`` cuts such an array back into the layouts.
+    64 panels, whose knots and nodes are kept with alpha / norm there, and
+    the build check's 16 and 8 panels (they check the ramp moments here
+    too).  ``halves`` and ``betas`` hold, per layout in that order, the
+    panel half-widths and beta at the nodes.  ``window_x`` holds the nodes
+    of all three in one flat array, so that a side is evaluated on all of
+    them in one call, and ``split`` cuts such an array back into the
+    layouts.
     """
 
     def __init__(self) -> None:
@@ -302,15 +306,15 @@ class _RampTables:
         del nodes  # not held through the lookups below, whose temporaries set the peak memory
         self.norm = self.cum._cum[-1, 0]
         layouts = [_panels(0.0, 1.0, n + 1) for n in (_BLEND_PANELS, *_CHECK_PANELS)]
-        (self.blend_knots, self.blend_x, self.blend_half), *self.checks = layouts
+        self.blend_knots, self.blend_x = layouts[0][:2]
+        self.halves = [h for _, _, h in layouts]
         _check_moments("ramp moments", self.cum._cum[-1],
-                       [(h, moments(x)) for _, x, h in self.checks], 0.0, 1.0)
+                       [_panel_sums(h, moments(x))[-1] for _, x, h in layouts[1:]], 0.0, 1.0)
         # beta is looked up in float64, a quarter of the extended-precision
         # cost, since the totals are rounded to float64 anyway; one lookup
         # per layout keeps the lookup's temporaries at the blend layout's size
         norm = float(self.norm)
-        self.blend_beta, *self.check_beta = (self.cum(x.astype(np.float64))[..., 0] / norm
-                                             for _, x, _ in layouts)
+        self.betas = [self.cum(x.astype(np.float64))[..., 0] / norm for _, x, _ in layouts]
         self.blend_alpha = bump_alpha(self.blend_x) / self.norm
         self.window_x = np.concatenate([x.ravel() for _, x, _ in layouts])
         self._cuts = np.cumsum([x.size for _, x, _ in layouts])[:-1]
@@ -404,7 +408,7 @@ class _Collar:
         self.nodes = R_ld + offsets
         self.ufunc_values: dict = {}
         self.blend_knots = R_ld + eps_ld * (tab.blend_knots - 1)
-        self.blend_half = eps_ld * tab.blend_half
+        self.blend_half = eps_ld * tab.halves[0]
 
     def dphi(self, t):
         """phi_eps' at t."""
@@ -492,13 +496,18 @@ class SmoothedJunction:
                                        t - np.asarray(R, t.dtype), collar.dphi(t)),
             collar.blend_knots, collar.blend_half,
             _blend_integrand(d0[0], d1[0], collar.offsets[0], tab.blend_alpha / eps_ld))
-        self._totals = self._blend_totals(d2[0])
-        checks = []
-        for (_, _, half), gap, beta, x in zip(tab.checks, d2[1:], tab.check_beta,
-                                              collar.offsets[1:]):
-            h = gap * beta
-            checks.append((eps_ld * half, np.stack([h, h * x], axis=-1)))
-        _check_moments(f"{name}: blend stage", self._totals, checks, R - eps, R)
+        # int (c'' - b'') phi_eps (t - R)^j, j = 0, 1, on [R - eps, R] by the
+        # panel rule of each layout: the blend totals, which size the
+        # correction, then the check's reference and its error estimate.  Not
+        # from the by-parts cache: its boundary terms carry the rounding by
+        # which b', b fail to be exact antiderivatives of b'', of order
+        # 1e-16 |b''(R)| eps, beyond the check's tolerance once sinh R is
+        # large (R above about 18 for the tube pair); the seam residuals at R
+        # absorb that difference
+        totals, *sums = (eps_ld * _panel_sums(half, _powers(gap * beta, x, 2))[-1]
+                         for half, gap, beta, x in zip(tab.halves, d2, tab.betas, collar.offsets))
+        self._totals = tuple(map(float, totals))
+        _check_moments(f"{name}: blend stage", self._totals, sums, R - eps, R)
         slope_total, value_total = self._totals
         self.slope_gap = c1 - (b1 + slope_total)
         self.value_gap = c0 - (b0 - value_total)
@@ -522,25 +531,6 @@ class SmoothedJunction:
         # seamless at R for the value-only oracle; phi_eps(R) = 1
         terms = self._terms(phi, _Values(np.array([R_ld])), plateaus, (0, 1))
         self._res0, self._res1 = (b[k](R_ld) + terms[k][0] - c[k](R_ld) for k in (0, 1))
-
-    def _blend_totals(self, gap) -> tuple[float, float]:
-        """int (c'' - b'') phi_eps (t - R)^j over [R - eps, R] for j = 0, 1,
-        from ``gap``, c'' - b'' at the blend cache's nodes.
-
-        One pass of the panel rule on those nodes, with beta read from the
-        ramp tables there; (t - R)^j is a product, not an
-        extended-precision power.  The by-parts cache is not used
-        here: its boundary terms carry the rounding by which the inputs b',
-        b fail to be exact antiderivatives of b'', of order
-        1e-16 |b''(R)| eps, which exceeds the check tolerance once sinh(R) is
-        large (R above about 18 for the tube pair).  The seam residuals at R
-        absorb that difference.
-        """
-        tab = _ramp_tables()
-        h = gap * tab.blend_beta
-        eps = np.longdouble(self.eps)
-        return tuple(float(eps * (tab.blend_half @ (v @ _GL_WEIGHTS_LD)))
-                     for v in (h, h * self._collar.offsets[0]))
 
     def _terms(self, phi, window: _Values, plateaus, orders):
         """a - b, or its derivative of each of orders, at collar points: the

@@ -148,6 +148,14 @@ class TestBound:
         assert float(kv["tube_volume_quadrature_err"]) < 1e-8
         assert float(kv["extended_volume_quadrature_err"]) < 1e-8
 
+    def test_failed_quadrature_check_prints_nothing(self, capsys):
+        """The quadratures run before any output: at R = 0.05 the extension's
+        integrand underflows at its cut 40 below R, and no bound is printed."""
+        code, out, err = invoke(capsys, "bound", "--vol", "1", "--length", "1",
+                                "--R", "0.05", "--quadrature-check")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:numeric:")
+
 
 # ---------------------------------------------------------------------------
 # curvature
@@ -246,6 +254,20 @@ class TestSmooth:
         assert code == 1 and out == ""
         assert err.startswith("error:parameter:")
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--lo", ("smooth", "--R", "0.8", "--eps", "1e-2", "--samples", "3")),
+        ("--R", ("bound", "--vol", "1", "--length", "1")),
+    ])
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-INF", "-NaN"])
+    def test_negative_infinity_and_nan_with_a_space(self, capsys, flag, argv, value):
+        """-inf, -nan and -Infinity written after a space are values, as in
+        the form --lo=-inf: the command rejects them, not the parser."""
+        spaced = invoke(capsys, *argv, flag, value)
+        assert spaced == invoke(capsys, *argv, f"{flag}={value}")
+        code, out, err = spaced
+        assert code == 1 and out == ""
+        assert err.startswith("error:parameter:")
+
 
 # ---------------------------------------------------------------------------
 # analyze
@@ -282,6 +304,16 @@ class TestAnalyze:
                                 "--plot", str(tmp_path / "p.svg"), "--style", "log10")
         assert code == 1
         assert err.startswith("error:plot:")
+
+    def test_failed_plot_writes_nothing(self, capsys, tmp_path):
+        """The plot is rendered before any output, so one that fails leaves
+        stdout empty and makes neither the report nor the plot file."""
+        code, out, err = invoke(capsys, "analyze", "--input", str(FIXTURE_CSV),
+                                "--output", str(tmp_path / "r.csv"),
+                                "--plot", str(tmp_path / "p.svg"), "--style", "log10")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:plot:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_log10_plot_with_complete_data(self, capsys, tmp_path):
         src = tmp_path / "complete.csv"
@@ -545,9 +577,12 @@ def _tolerance_ok(argv) -> bool:
 @example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--lo=-inf", "--samples", "3"])
 @example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "inf", "--samples", "3"])
 @example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "1e300", "--samples", "3"])
+@example(argv=["bound", "--vol", "1", "--length", "1", "--R", "0.05", "--quadrature-check"])
+@example(argv=["analyze", "--input", str(FIXTURE_CSV), "--plot", os.devnull, "--style", "log10"])
 def test_any_argv_ends_with_exit_code_and_error_line(argv):
-    """Every input exits 0, 1 or 2, a nonzero exit prints an ``error:`` line,
-    a zero exit prints no infinite or NaN ``key=value`` nor CSV cell after
+    """Every input exits 0, 1 or 2, a nonzero exit prints an ``error:`` line
+    and, unless the oracle rejected a report it printed, nothing else, a
+    zero exit prints no infinite or NaN ``key=value`` nor CSV cell after
     the blank line, no oracle runs on a tolerance that is not positive and
     finite, and no exception escapes ``run``."""
     out, err = io.StringIO(), io.StringIO()
@@ -561,6 +596,8 @@ def test_any_argv_ends_with_exit_code_and_error_line(argv):
     if code:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines()), \
             err.getvalue()
+        if not err.getvalue().startswith("error:validation:"):
+            assert out.getvalue() == "", (out.getvalue(), err.getvalue())
     else:
         lines = out.getvalue().splitlines()
         rows = lines[lines.index("") + 1:] if "" in lines else []

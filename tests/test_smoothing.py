@@ -33,6 +33,7 @@ from drillvol.smoothing import (
     _check_moments,
     _eval,
     _moments,
+    _panel_sums,
     _panels,
     _ramp_beta_prime,
     _ramp_tables,
@@ -395,10 +396,10 @@ CRITERION_7_GRID = [(R, eps) for R in (0.5, 0.8, 1.2) for eps in EPS_SEQ]
 
 
 def panel_checks(moments, lo, hi):
-    """The build check's two panel layouts on [lo, hi], each as its
-    half-widths with the moments' values at its nodes."""
+    """The moments' integrals over [lo, hi] by the build check's two panel
+    rules: its reference and the rule that gives its error estimate."""
     layouts = (_panels(lo, hi, n + 1) for n in _CHECK_PANELS)
-    return [(half, moments(nodes)) for _, nodes, half in layouts]
+    return [_panel_sums(half, moments(nodes))[-1] for _, nodes, half in layouts]
 
 
 def half_neg_ricci(pair, rs):
@@ -433,14 +434,15 @@ def test_blend_totals_match_adaptive_quadrature(R, eps):
 
 def test_perturbed_blend_total_rejected(monkeypatch):
     """A blend total off by 1e-10 fails the build check."""
-    totals = SmoothedJunction._blend_totals
+    _ramp_tables()  # built and checked before the check is perturbed
+    check = smoothing._check_moments
 
-    def perturbed(self, gap):
-        slope, value = totals(self, gap)
-        return slope + 1e-10, value
+    def perturbed(label, totals, sums, lo, hi):
+        slope, value = totals
+        return check(label, (slope + 1e-10, value), sums, lo, hi)
 
-    monkeypatch.setattr(SmoothedJunction, "_blend_totals", perturbed)
-    with pytest.raises(QuadratureError, match="moment 0"):
+    monkeypatch.setattr(smoothing, "_check_moments", perturbed)
+    with pytest.raises(QuadratureError, match="blend stage: panel quadrature of moment 0"):
         sinh_junction(0.8, 1e-2)
 
 
