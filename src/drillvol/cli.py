@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -293,6 +294,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     cfg = CliConfig(precision=max(1, min(args.precision, 17)))
     try:
+        for path in filter(None, (getattr(args, flag, None) for flag in ("csv", "output", "plot"))):
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):  # opens no file
+                raise OSError(f"output path {path!r} is a directory, or its directory is missing")
         return _COMMANDS[args.command](args, cfg, out)
     except (ToolkitError, OSError, MemoryError) as exc:
         category = getattr(exc, "category", "io" if isinstance(exc, OSError) else "memory")

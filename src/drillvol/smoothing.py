@@ -1,69 +1,70 @@
 """Smooth interpolation between two functions meeting to first order.
 
 Given b and c with b(R) = c(R) and b'(R) = c'(R), the construction produces
-a C-infinity function a_eps equal to b below R - delta(eps) and to c above
-R, with second derivative controlled by those of b and c at R.  On the
-collar [R - W, R], W(eps) = 2 eps^(1/3), it is one moment-matched
-correction of the blended second derivative:
+a function a_eps equal to b below R - delta(eps) and to c above R, with
+second derivative controlled by those of b and c at R.  On the collar
+[R - W, R], W(eps) = 2 eps^(1/3), it is one moment-matched correction of
+the blended second derivative:
 
     a'' = b'' (1 - phi_eps) + c'' phi_eps + lambda_1 psi_1 + lambda_2 psi_2
 
-The plateaus psi_1 and psi_2 lie on either side of R - 2W/3, on
+The ramps come from the bump alpha(x) = 630 (x (1 - x))^4 on (0, 1), of
+mass 1: beta(x) = int_0^x alpha, phi_eps(r) = beta((r - R)/eps + 1), and
+the plateaus psi_1 and psi_2 lie on either side of R - 2W/3, on
 [R - W, R - 2W/3] and [R - 2W/3, R], each rising from 0 to 1 and falling
-back over W/20 at its ends, and lambda
+back over W/20 at its ends.  alpha is C^3 on the line, so beta is C^4 and
+a_eps is C^6 wherever b and c are.  C^2 is enough: the curvatures of the
+warped metric read the warping functions' second derivatives, and the
+Ricci comparison behind the volume bound needs a C^2 metric.  lambda
 solves int u'' = 0 and int (R - s) u'' = 0 for u = a - b, which closes the
 slope and value gaps that the blend leaves at R.  The correction carries a
 slope of order eps across the collar, so its amplitude is
-O(eps / W) = O(eps^(2/3)); it and W both tend to 0 with eps.  The plateau
-moments and antiderivatives come in closed form from the module-wide ramp
-tables.  The widths are iota = W and omega = W for a nonzero slope and
-value gap (0 for a zero gap), and delta(eps) = max(eps, iota, omega).  The
-collar may reach below r = 0: only the blending window [R - eps, R] has to
-stay off the tube core, since below R the correction acts on b alone.  When
-eps is large for a small R it can outweigh b and drive a warping function
-through 0; smoothed_metric rejects such a pair, and an eps whose ramps
-collapse below the float64 spacing at R.
+O(eps / W) = O(eps^(2/3)); it and W both tend to 0 with eps.  The widths
+are iota = W and omega = W for a nonzero slope and value gap (0 for a zero
+gap), and delta(eps) = max(eps, iota, omega).  The collar may reach below
+r = 0: only the blending window [R - eps, R] has to stay off the tube
+core, since below R the correction acts on b alone.  When eps is large
+for a small R it can outweigh b and drive a warping function through 0;
+smoothed_metric rejects such a pair, and an eps whose ramps collapse below
+the float64 spacing at R.
 Applied to the exponential tube extension against (sinh, cosh) this yields
 the smoothed negatively-curved metric family whose Ricci lower bound
 constant tends to coth(R) coth(2R).
 
 Numerics: a, a' and a'' share one evaluator, and every integral has one
-quadrature level.  The blend is integrated by parts, so that with
-D1 = c' - b', D0 = c - b and I_k(s) = int_{R-eps}^s w_k phi_eps' dt for
-w = (D1, D1 (t - R), D0)
+quadrature level.  The bump's cumulative moments int_0^x t^j alpha, j < 3,
+are polynomials with exact rational coefficients, so beta and the
+plateaus' antiderivatives are closed forms in the input's dtype
+(_ramp_moments).  The blend is one integrand: with
+I_j(s) = int_{R-eps}^s (c'' - b'') phi_eps (t - R)^j dt,
 
-    u_blend'(s) = D1(s) phi_eps(s) - I0(s)
-    u_blend(s)  = D0(s) phi_eps(s) - (s - R) I0(s) + I1(s) - I2(s)
+    u_blend'' = (c'' - b'') phi_eps,  u_blend' = I_0,
+    u_blend(s) = (s - R) I_0(s) - I_1(s),
 
-and its cache tabulates closed-form integrands only (phi_eps' is the bump);
-phi_eps itself comes from the module-wide ramp table.  Each cache
-holds its antiderivatives on a monotone knot grid; panel values and point
-evaluations use one fixed Gauss-Legendre rule in extended precision, so
-evaluation is seamless across knots (a requirement for the value-only
-finite-difference oracle) and costs O(log n) after construction; a float64
-lookup is rounded row by row, and no extended-precision array is raised to
-a power (numpy calls powl per element for x**0 and x**1), so moments are
-products.  The blending window has one node layout: the ramp tables hold
-the blend rule's 64 panels and the build check's 16 and 8 on [0, 1], with
-alpha and beta at their nodes, and t = R + eps (x - 1) maps them onto
-[R - eps, R].  The blend
-cache and every window integral of a build share these nodes, so a build
-evaluates no bump and makes no ramp lookup there: int (c'' - b'') phi_eps
-(t - R)^j is one panel sum per layout, with c'' - b'' formed once on all
-three; the 64-panel sums are the blend totals, which size the correction,
-and the build check compares them, like the ramp moments, with the 16-panel
-sums (the 8-panel sums give its error).
+and the blend cache tabulates I_0 and I_1 on a monotone knot grid; panel
+values and point evaluations use one fixed Gauss-Legendre rule in extended
+precision, so evaluation is seamless across knots (a requirement for the
+value-only finite-difference oracle) and costs O(log n) after
+construction; a float64 lookup is rounded row by row, and no
+extended-precision array is raised to a power (numpy calls powl per
+element for x**0 and x**1), so moments are products.  The blending window
+has one node layout: the ramp tables hold the blend rule's 64 panels and
+the build check's 16 and 8 on [0, 1], with beta at their nodes, and
+t = R + eps (x - 1) maps them onto [R - eps, R].  A build forms c'' - b''
+once on all three and evaluates no ramp there: the 64-panel values are
+the blend cache's, whose end row is the blend totals that size the
+correction, and the build check compares those with the 16-panel sums
+(the 8-panel sums give its error).
 The rest of the ramp work depends on (R, eps) alone, so both junctions of a
 family share one collar record: W, the ramp starts, the mapped nodes with
 their offsets t - R, the ramp lookups at R, and the sides' values at the
 nodes.  Each side is evaluated once per node set: the extension's three
 callables per function scale one exponential, and the tube's sinh and cosh
 serve both junctions.  One evaluator pass serves any junctions on one
-record and any derivative orders, from one collar mask, one ramp-table
-lookup (phi_eps's argument rides beside the four plateau ramps), one
-blend-cache lookup per junction, and each side's transcendentals once per
-region: smoothed_metric(0.8, 1e-2) makes 7 ramp-table lookups, one at R
-and one per Ricci grid.  The smoothed pair's six callables share that
+record and any derivative orders, from one collar mask, one ramp lookup
+(phi_eps's argument rides beside the four plateau ramps), one blend-cache
+lookup per junction, and each side's transcendentals once per region.
+The smoothed pair's six callables share that
 pass: read together through warped._Values, as every Ricci, curvature,
 quadrature and oracle reader does, they take a, a' and a'' of both
 junctions from one pass; called alone, each runs its own junction and
@@ -77,11 +78,9 @@ rounding.  The uniform grid is exempt, since its cells may alias the narrow
 collar features; a bracket that stops shrinking also ends it.
 Each input of the construction has one producer: _floats coerces every
 input array (float64 unless it already holds floats), _window_x maps r to
-the ramp variable (r - R)/eps + 1, _ramp_moments is the one read of the
-normalized ramp table, and _gaps the one read of c - b and its derivatives,
-so closed-form gaps would change that function alone.
-The bump function is evaluated in log space with a hard cutoff to 0 below
-exp(-700) to avoid denormals.
+the ramp variable (r - R)/eps + 1, _ramp_moments is the one evaluation of
+the ramp polynomials, and _gaps the one read of c'' - b'', so closed-form
+gaps would change that function alone.
 """
 
 from __future__ import annotations
@@ -126,7 +125,15 @@ _GL_WEIGHTS_F8 = np.concatenate([_GL_W[::-1], _GL_W])
 _GL_NODES_LD = _GL_NODES_F8.astype(np.longdouble)
 _GL_WEIGHTS_LD = _GL_WEIGHTS_F8.astype(np.longdouble)
 
-_EXP_CUTOFF = -700.0
+# The bump's cumulative moments int_0^x t^j alpha(t) dt on [0, 1], j < 3, are
+# x^(5 + j) q_j(x) / d_j: the integer coefficients of q_j from x^4 down, and
+# d_j.  Their totals q_j(1) / d_j are 1, 1/2 and 3/11.  Since alpha(1 - t) =
+# alpha(t), int_x^1 t^j alpha is sum_k _RAMP_MIRROR[j, k] M_k(1 - x).
+_RAMP_Q = np.array([[70, -315, 540, -420, 126],
+                    [126, -560, 945, -720, 210],
+                    [630, -2772, 4620, -3465, 990]])
+_RAMP_D = np.array([1, 2, 11])
+_RAMP_MIRROR = np.array([[1, 0, 0], [1, -1, 0], [1, -2, 1]])
 
 # Finite-difference step hint for table-backed pairs; resolves the collar
 # features well below their width while staying above the evaluation noise.
@@ -174,13 +181,12 @@ def _window_x(R: float, eps: float, r):
 
 
 def bump_alpha(r):
-    """C-infinity bump exp(-1/r^2) exp(-1/(1-r)^2) on (0, 1), zero outside."""
+    """The bump 630 (r (1 - r))^4 on (0, 1), zero outside: mass 1, C^3 on the
+    line, and at most 630/256, its value at r = 1/2."""
     r = _floats(r)
     out = np.zeros(r.shape, dtype=r.dtype)
     m = (r > 0) & (r < 1)
-    rm = r[m]
-    expo = -1.0 / rm**2 - 1.0 / (1.0 - rm) ** 2
-    out[m] = np.where(expo > _EXP_CUTOFF, np.exp(expo), 0.0)
+    out[m] = 630.0 * (r[m] * (1.0 - r[m])) ** 4
     return out if out.shape else out[()]
 
 
@@ -261,12 +267,6 @@ def _powers(v, x, count: int):
     return np.stack([v, v * x, v * (x * x)][:count], axis=-1)
 
 
-def _moments(fun: Callable, origin: float, count: int) -> Callable:
-    """t -> fun(t) (t - origin)^j for j < count <= 3, stacked on a new last
-    axis."""
-    return lambda t: _powers(fun(t), t - np.asarray(origin, t.dtype), count)
-
-
 def _check_moments(label: str, totals, sums, lo: float, hi: float):
     """Compare totals[j] with the reference integral of the j-th moment over
     [lo, hi].  ``sums`` holds the moments' integrals by the panel rule on 16
@@ -285,37 +285,23 @@ def _check_moments(label: str, totals, sums, lo: float, hi: float):
 
 
 class _RampTables:
-    """Module-wide cache: the cumulative moments int_0^x t^j alpha(t) dt,
-    j < 3, and the blending window's node layouts on [0, 1].
+    """Module-wide cache: the blending window's node layouts on [0, 1].
 
     t = R + eps (x - 1) maps [0, 1] onto every blending window [R - eps, R],
     so the junctions of all (R, eps) share these layouts: the blend rule's
-    64 panels, whose knots and nodes are kept with alpha / norm there, and
-    the build check's 16 and 8 panels (they check the ramp moments here
-    too).  ``halves`` and ``betas`` hold, per layout in that order, the
-    panel half-widths and beta at the nodes.  ``window_x`` holds the nodes
-    of all three in one flat array, so that a side is evaluated on all of
-    them in one call, and ``split`` cuts such an array back into the
-    layouts.
+    64 panels, whose knots are kept, and the build check's 16 and 8 panels.
+    ``halves`` and ``betas`` hold, per layout in that order, the panel
+    half-widths and beta at the nodes, computed in extended precision and
+    rounded once to float64.  ``window_x`` holds the nodes of all three in
+    one flat array, so that a side is evaluated on all of them in one call,
+    and ``split`` cuts such an array back into the layouts.
     """
 
     def __init__(self) -> None:
-        moments = _moments(bump_alpha, 0.0, 3)
-        knots, nodes, half = _panels(0.0, 1.0, 1025)
-        self.cum = _Cumulative(moments, knots, half, moments(nodes))
-        del nodes  # not held through the lookups below, whose temporaries set the peak memory
-        self.norm = self.cum._cum[-1, 0]
         layouts = [_panels(0.0, 1.0, n + 1) for n in (_BLEND_PANELS, *_CHECK_PANELS)]
-        self.blend_knots, self.blend_x = layouts[0][:2]
+        self.blend_knots = layouts[0][0]
         self.halves = [h for _, _, h in layouts]
-        _check_moments("ramp moments", self.cum._cum[-1],
-                       [_panel_sums(h, moments(x))[-1] for _, x, h in layouts[1:]], 0.0, 1.0)
-        # beta is looked up in float64, a quarter of the extended-precision
-        # cost, since the totals are rounded to float64 anyway; one lookup
-        # per layout keeps the lookup's temporaries at the blend layout's size
-        norm = float(self.norm)
-        self.betas = [self.cum(x.astype(np.float64))[..., 0] / norm for _, x, _ in layouts]
-        self.blend_alpha = bump_alpha(self.blend_x) / self.norm
+        self.betas = [_ramp_moments(x, 1)[..., 0].astype(np.float64) for _, x, _ in layouts]
         self.window_x = np.concatenate([x.ravel() for _, x, _ in layouts])
         self._cuts = np.cumsum([x.size for _, x, _ in layouts])[:-1]
 
@@ -329,17 +315,39 @@ def _ramp_tables() -> _RampTables:
     return _RampTables()
 
 
-def _ramp_moments(x):
-    """The cumulative moments of alpha / int alpha of order 0, 1, 2 at
-    min(max(x, 0), 1), stacked on a new last axis: one lookup in the ramp
-    tables, at a float array x."""
-    t = _ramp_tables()
-    return t.cum(x) / np.asarray(t.norm, dtype=x.dtype)
+def _ramp_moments(x, count: int = 3):
+    """The bump's cumulative moments int_0^x t^j alpha(t) dt, j < count <= 3,
+    at min(max(x, 0), 1), stacked on a new last axis, in the dtype of the
+    float array x.
+
+    The polynomials run on (0, 1/2] only, where their alternating terms
+    lose few digits: above 1/2 each moment is its total less the mirrored
+    moments at 1 - x, which is exact there.  Points at or outside the ends
+    skip them, and NaN propagates.
+    """
+    dt = x.dtype
+    q, d = _RAMP_Q[:count].astype(dt), _RAMP_D[:count].astype(dt)
+    totals = q.sum(axis=1) / d
+    above = x >= 1.0
+    out = np.where(above[..., None], totals, 0.0)
+    inside = ~above & ~(x <= 0.0)
+    if inside.any():
+        xi = x[inside]
+        upper = xi > 0.5
+        y = np.where(upper, 1.0 - xi, xi)
+        acc = q[:, 0] * y[:, None] + q[:, 1]
+        for coef in q.T[2:]:
+            acc = acc * y[:, None] + coef
+        y2 = y * y
+        m = _powers(y2 * y2 * y, y, count) * acc / d
+        m[upper] = totals - m[upper] @ _RAMP_MIRROR[:count, :count].T.astype(dt)
+        out[inside] = m
+    return out
 
 
 def _ramp_antiderivatives(x):
     """beta and its first and second antiderivatives from 0 at any real x,
-    from one lookup in the ramp tables.
+    polynomials of degree 9, 10 and 11 on [0, 1].
 
     With A, T, Q the ramp moments at x: beta = A, int beta = x A - T and
     int int beta = (x^2 A - 2 x T + Q) / 2.  Since alpha vanishes outside
@@ -352,22 +360,20 @@ def _ramp_antiderivatives(x):
 
 
 def ramp_beta(x):
-    """Normalized ramp beta(x) = int_0^x alpha / int_0^1 alpha.
+    """Normalized ramp beta(x) = int_0^x alpha, C^4 on the line.
 
-    Monotone from 0 to 1, identically 0 for x <= 0 and 1 for x >= 1.  Only
-    beta is formed from the lookup: the antiderivatives would overflow, or
-    meet inf * 0, at huge or infinite x.
+    Monotone from 0 to 1, identically 0 for x <= 0 and 1 for x >= 1, and
+    126 x^5 - 420 x^6 + 540 x^7 - 315 x^8 + 70 x^9 between.  Only beta is
+    evaluated: its antiderivatives would overflow, or meet inf * 0, at huge
+    or infinite x.
     """
-    out = np.clip(_ramp_moments(_floats(x))[..., 0], 0.0, 1.0)
+    out = _ramp_moments(_floats(x), 1)[..., 0]
     return out if out.shape else out[()]
 
 
-def _ramp_beta_prime(x):
-    return bump_alpha(x) / np.asarray(_ramp_tables().norm, dtype=np.asarray(x).dtype)
-
-
 def step_phi(eps: float, R: float, r):
-    """Ramp step beta((r - R)/eps + 1): 0 for r <= R - eps, 1 for r >= R.
+    """Ramp step beta((r - R)/eps + 1): 0 for r <= R - eps, 1 for r >= R,
+    C^4 in r.
 
     The width eps must be positive and finite.
     """
@@ -375,10 +381,10 @@ def step_phi(eps: float, R: float, r):
     return ramp_beta(_window_x(R, eps, _floats(r)))
 
 
-def _gaps(b, c, values: _Values, orders) -> list:
-    """c - b, or the difference of their derivatives, of each of orders, at
-    the points of values."""
-    return [values(c[k]) - values(b[k]) for k in orders]
+def _gaps(b, c, values: _Values):
+    """c'' - b'' at the points of values: the blend's only read of the
+    sides' difference."""
+    return values(c[2]) - values(b[2])
 
 
 class _Collar:
@@ -410,17 +416,13 @@ class _Collar:
         self.blend_knots = R_ld + eps_ld * (tab.blend_knots - 1)
         self.blend_half = eps_ld * tab.halves[0]
 
-    def dphi(self, t):
-        """phi_eps' at t."""
-        return _ramp_beta_prime(_window_x(self.R, self.eps, t)) / np.asarray(self.eps, t.dtype)
-
     def lookups(self, s, orders):
         """phi_eps at the collar points s, and for each of orders, along a
         new first axis, the stack (on a new last axis) of the two plateaus'
         antiderivatives that a's derivative of that order needs: the
         plateaus for order 2, their first antiderivatives for 1 and second
-        for 0.  One ramp-table lookup gives all: phi_eps's argument is a
-        fifth column beside the four plateau ramps, clipped like ramp_beta."""
+        for 0.  One ramp lookup gives all: phi_eps's argument is a fifth
+        column beside the four plateau ramps."""
         dt = s.dtype
         w = np.asarray(self.ramp_w, dtype=dt)
         ramps = _ramp_antiderivatives(np.concatenate(
@@ -428,7 +430,7 @@ class _Collar:
              _window_x(self.R, self.eps, s)[..., None]], axis=-1))
         g = (np.array([ramps[2 - k][..., :4] for k in orders])
              * np.array([w ** (2 - k) for k in orders], dt)[:, None, None])
-        return np.clip(ramps[0][..., 4], 0.0, 1.0), g[..., 0::2] - g[..., 1::2]
+        return ramps[0][..., 4], g[..., 0::2] - g[..., 1::2]
 
     @functools.cached_property
     def at_R(self):
@@ -441,14 +443,6 @@ class _Collar:
 # Keyed on the floats (R, eps): the byte images of equal extended-precision
 # arrays may differ in their padding.
 _collar_of = functools.lru_cache(maxsize=2)(_Collar)
-
-
-def _blend_integrand(d0, d1, x, dphi):
-    """w_k phi_eps' for w = (D1, D1 x, D0), stacked on a new last axis, from
-    D0 = c - b, D1 = c' - b', x = t - R and phi_eps' at t: the blend cache's
-    integrand."""
-    w = d1 * dphi
-    return np.stack([w, w * x, d0 * dphi], axis=-1)
 
 
 class SmoothedJunction:
@@ -467,7 +461,7 @@ class SmoothedJunction:
                  name: str = "junction"):
         _require_positive("smoothing width", eps)
         self.b, self.c, self.name = b, c, name
-        self.eps = float(eps)
+        self.eps = eps = float(eps)
         self.R = R = float(R)
         if not math.isfinite(R):
             raise ParameterError(f"{name}: junction radius must be finite, got {R}")
@@ -479,35 +473,29 @@ class SmoothedJunction:
             raise JunctionError(f"{name}: b and c must match to first order at R={R}: "
                                 f"|b-c|={v:.3e}, |b'-c'|={d:.3e}")
 
-        self._collar = collar = _collar_of(R, self.eps)
+        self._collar = collar = _collar_of(R, eps)
         tab = _ramp_tables()
-        eps_ld = np.longdouble(self.eps)
-        # each side once at the window's nodes for the whole build; the
-        # tube's sinh and cosh there come from the record, for both junctions
-        nodes = _Values(collar.nodes, collar.ufunc_values)
-        # c - b, c' - b' and c'' - b'' on each layout: the first two on the
-        # blend cache's nodes, the third for the totals and the check.  The
-        # cache's integrand holds b, c and the record, not self: no
+        # c'' - b'' once at the window's nodes for the whole build; the tube's
+        # sinh and cosh there come from the record, for both junctions.  With
+        # phi_eps (t - R)^j, j = 0, 1, it gives each layout's integrand values
+        d2 = tab.split(_gaps(b, c, _Values(collar.nodes, collar.ufunc_values)))
+        moments = [_powers(gap * beta, x, 2)
+                   for gap, beta, x in zip(d2, tab.betas, collar.offsets)]
+        # the blend cache: I_j(s) = int_{R-eps}^s (c'' - b'') phi_eps (t - R)^j
+        # on the 64 panels, whose end row is the blend totals that size the
+        # correction.  Its integrand holds b, c and the record, not self: no
         # reference cycle keeps a junction and its record alive after its
         # last use
-        d0, d1, d2 = (tab.split(d) for d in _gaps(b, c, nodes, (0, 1, 2)))
         self._blend = _Cumulative(
-            lambda t: _blend_integrand(*_gaps(b, c, _Values(t), (0, 1)),
-                                       t - np.asarray(R, t.dtype), collar.dphi(t)),
-            collar.blend_knots, collar.blend_half,
-            _blend_integrand(d0[0], d1[0], collar.offsets[0], tab.blend_alpha / eps_ld))
-        # int (c'' - b'') phi_eps (t - R)^j, j = 0, 1, on [R - eps, R] by the
-        # panel rule of each layout: the blend totals, which size the
-        # correction, then the check's reference and its error estimate.  Not
-        # from the by-parts cache: its boundary terms carry the rounding by
-        # which b', b fail to be exact antiderivatives of b'', of order
-        # 1e-16 |b''(R)| eps, beyond the check's tolerance once sinh R is
-        # large (R above about 18 for the tube pair); the seam residuals at R
-        # absorb that difference
-        totals, *sums = (eps_ld * _panel_sums(half, _powers(gap * beta, x, 2))[-1]
-                         for half, gap, beta, x in zip(tab.halves, d2, tab.betas, collar.offsets))
-        self._totals = tuple(map(float, totals))
-        _check_moments(f"{name}: blend stage", self._totals, sums, R - eps, R)
+            lambda t: _powers(_gaps(b, c, _Values(t)) * step_phi(eps, R, t),
+                              t - np.asarray(R, t.dtype), 2),
+            collar.blend_knots, collar.blend_half, moments[0])
+        self._totals = tuple(map(float, self._blend._ends_f8[1]))
+        # the build check: the 16-panel sums are its reference, and their
+        # distance from the 8-panel sums its error estimate
+        _check_moments(f"{name}: blend stage", self._totals,
+                       [np.longdouble(eps) * _panel_sums(half, m)[-1]
+                        for half, m in zip(tab.halves[1:], moments[1:])], R - eps, R)
         slope_total, value_total = self._totals
         self.slope_gap = c1 - (b1 + slope_total)
         self.value_gap = c0 - (b0 - value_total)
@@ -535,28 +523,23 @@ class SmoothedJunction:
     def _terms(self, phi, window: _Values, plateaus, orders):
         """a - b, or its derivative of each of orders, at collar points: the
         plateau correction, from the stack of each order that the collar
-        record's lookups give, plus the blend stage where phi_eps > 0.  The
-        blend is (c'' - b'') phi_eps (order 2), or its integral once (1) or
-        twice (0) from R - eps by parts (see the module docstring);
-        ``window`` holds the points where phi_eps > 0, so that a c undefined
-        below the blending window never meets 0 * nan.  Orders 0 and 1 share
-        one lookup in the blend cache."""
+        record's lookups give, plus the blend stage u where phi_eps > 0:
+        u'' = (c'' - b'') phi_eps, u' = I_0 and u = (s - R) I_0 - I_1 from the
+        blend cache.  ``window`` holds the points where phi_eps > 0, so that a
+        c undefined below the blending window never meets 0 * nan.  Orders 0
+        and 1 share one lookup in the blend cache."""
         inside = phi > 0.0
-        t, p = window.x, phi[inside]
-        i = self._blend(t) if t.size and min(orders) < 2 else None
-        gaps = _gaps(self.b, self.c, window, orders) if t.size else None
-        corrections = plateaus @ self._coef.astype(phi.dtype)
-        outs = []
-        for k, order in enumerate(orders):
-            out = corrections[k]
-            if t.size:
-                blend = gaps[k] * p
-                if order == 1:
-                    blend = blend - i[..., 0]
-                elif order == 0:
-                    blend = blend - (t - np.asarray(self.R, t.dtype)) * i[..., 0] + i[..., 1] - i[..., 2]
-                out[inside] += blend
-            outs.append(out)
+        t = window.x
+        outs = list(plateaus @ self._coef.astype(phi.dtype))
+        if t.size:
+            i = self._blend(t) if min(orders) < 2 else None
+            for out, order in zip(outs, orders):
+                if order == 2:
+                    out[inside] += _gaps(self.b, self.c, window) * phi[inside]
+                elif order == 1:
+                    out[inside] += i[..., 0]
+                else:
+                    out[inside] += (t - np.asarray(self.R, t.dtype)) * i[..., 0] - i[..., 1]
         return outs
 
     def a(self, r):

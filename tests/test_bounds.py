@@ -57,6 +57,13 @@ class TestDrilledVolumeBound:
         assert est.warnings
         assert est.bound_tight > 0.0  # still reported
 
+    def test_tube_fits_at_equality(self):
+        """A parent volume equal to the tube's still holds the tube."""
+        est = drilled_volume_bound(tube_volume(TubeParams(0.5, 0.3)), 0.3, 0.5)
+        assert est.tube_volume == est.vol_parent
+        assert est.tube_fits
+        assert est.warnings == ()
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             drilled_volume_bound(0.0, 1.0, 1.0)

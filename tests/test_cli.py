@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 from conftest import FIXTURE_CSV, REPO_ROOT, parse_kv
 from drillvol.cli import run
 
+# an output directory that does not exist
+MISSING_DIR = REPO_ROOT / "data" / "no-such-directory"
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -296,6 +299,18 @@ class TestAnalyze:
         svg = plot_path.read_text()
         assert svg.count('class="marker"') == 80
         assert "Vol(drilled)" in svg
+
+    def test_unopenable_plot_path_leaves_no_report(self, capsys, tmp_path):
+        """A plot path in a missing directory ends the command before its
+        first line, and the report file it names is never created."""
+        report_path = tmp_path / "r.csv"
+        code, out, err = invoke(capsys, "analyze", "--input", str(FIXTURE_CSV),
+                                "--output", str(report_path),
+                                "--plot", str(tmp_path / "missing" / "p.svg"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:io:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_log10_plot_needs_all_radii(self, capsys, tmp_path):
         # two bundled records ship without a tube radius, so the coarse-bound
@@ -579,6 +594,11 @@ def _tolerance_ok(argv) -> bool:
 @example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--hi", "1e300", "--samples", "3"])
 @example(argv=["bound", "--vol", "1", "--length", "1", "--R", "0.05", "--quadrature-check"])
 @example(argv=["analyze", "--input", str(FIXTURE_CSV), "--plot", os.devnull, "--style", "log10"])
+@example(argv=["smooth", "--R", "0.8", "--eps", "1e-2", "--csv", str(MISSING_DIR / "s.csv")])
+@example(argv=["analyze", "--input", str(FIXTURE_CSV), "--output", str(MISSING_DIR / "r.csv")])
+@example(argv=["analyze", "--input", str(FIXTURE_CSV), "--output", str(REPO_ROOT / "data")])
+@example(argv=["analyze", "--input", str(FIXTURE_CSV), "--output", os.devnull,
+               "--plot", str(MISSING_DIR / "p.svg")])
 def test_any_argv_ends_with_exit_code_and_error_line(argv):
     """Every input exits 0, 1 or 2, a nonzero exit prints an ``error:`` line
     and, unless the oracle rejected a report it printed, nothing else, a

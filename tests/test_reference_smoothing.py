@@ -33,7 +33,7 @@ def test_family_matches_reference(R, eps):
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: deep in the collar the flat plateau "
-                   "corrections outweigh the extension's b'', so g'' dips to -0.0041")
+                   "corrections outweigh the extension's b'', so g'' dips to -0.0032")
 def test_g_is_convex_on_the_collar():
     """g'' > 0 on the collar at (0.4, 0.1), a pair in smooth_sweep's range.
     The reference rebuild dips to the same minimum, so the defect is the

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,10 +33,10 @@ from drillvol.smoothing import (
     _CHECK_PANELS,
     _check_moments,
     _eval,
-    _moments,
     _panel_sums,
     _panels,
-    _ramp_beta_prime,
+    _powers,
+    _ramp_moments,
     _ramp_tables,
     _ricci_sup_half,
 )
@@ -72,7 +73,9 @@ def identity_junction(R: float, eps: float) -> SmoothedJunction:
 
 class TestBump:
     def test_midpoint_value(self):
-        assert float(bump_alpha(0.5)) == pytest.approx(math.exp(-8.0), rel=1e-12)
+        # the peak 630/256, which bounds alpha
+        assert float(bump_alpha(0.5)) == 630.0 / 256.0
+        assert float(np.max(bump_alpha(np.linspace(0.0, 1.0, 1001)))) == 630.0 / 256.0
 
     @pytest.mark.parametrize("r", [0.0, 1.0, -1.0, 2.0])
     def test_vanishes_outside(self, r):
@@ -83,10 +86,18 @@ class TestBump:
         r = rng.uniform(0.0, 1.0, 200)
         assert np.allclose(bump_alpha(r), bump_alpha(1.0 - r), rtol=1e-12, atol=0.0)
 
-    def test_underflow_cutoff(self):
-        # exponent below -700 is flushed to an exact zero, no denormals
-        assert float(bump_alpha(1e-8)) == 0.0
-        assert float(bump_alpha(0.03)) == 0.0
+    def test_c3_with_mass_one(self):
+        """On (0, 1) alpha is the degree-8 polynomial through its values at 9
+        Chebyshev points: it and its first three derivatives vanish at 0 and
+        1, so alpha is C^3 on the line, its fourth is 630 * 4! there, and its
+        integral over [0, 1] is 1."""
+        x = 0.5 - 0.5 * np.cos((np.arange(9) + 0.5) * math.pi / 9)
+        p = np.polynomial.Polynomial.fit(x, bump_alpha(x), 8)
+        for end in (0.0, 1.0):
+            for k in range(4):
+                assert abs(p.deriv(k)(end)) <= (1e-9 if k else 1e-12)
+            assert p.deriv(4)(end) == pytest.approx(630.0 * 24.0, rel=1e-9)
+        assert p.integ()(1.0) - p.integ()(0.0) == pytest.approx(1.0, rel=1e-13)
 
 
 class TestRamp:
@@ -111,7 +122,7 @@ class TestRamp:
         h = 1e-6
         for x in (0.21, 0.4, 0.55, 0.65):
             fd = (float(ramp_beta(x + h)) - float(ramp_beta(x - h))) / (2 * h)
-            assert fd == pytest.approx(float(_ramp_beta_prime(x)), rel=1e-6)
+            assert fd == pytest.approx(float(bump_alpha(x)), rel=1e-6)
 
     @pytest.mark.parametrize("x,want", [(math.inf, 1.0), (-math.inf, 0.0), (1e200, 1.0),
                                         (-1e200, 0.0), (np.longdouble("1e3000"), 1.0)])
@@ -122,6 +133,21 @@ class TestRamp:
             warnings.simplefilter("error")
             got = ramp_beta(x)
         assert got == want and got.dtype == np.asarray(x).dtype
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="ulps counted for the x87 80-bit longdouble")
+    def test_moments_are_exact_rationals(self):
+        """The cumulative moments int_0^x t^j alpha, j < 3, in extended
+        precision at x = 1/4, 1/2 and 3/4, and the totals at x = 1, are within
+        4 units of the longdouble's eps of the exact rationals, from
+        alpha = 630 (t^4 - 4 t^5 + 6 t^6 - 4 t^7 + t^8)."""
+        ulp = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
+        for x in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            got = _ramp_moments(np.array([x.numerator / x.denominator], np.longdouble))[0]
+            for j in range(3):
+                want = sum(630 * c * x ** (k + 5 + j) / (k + 5 + j)
+                           for k, c in enumerate((1, -4, 6, -4, 1)))
+                assert abs(Fraction(*got[j].as_integer_ratio()) - want) <= 4 * ulp * want, (x, j)
 
     def test_gauss_legendre_literals_match_leggauss(self):
         """The rule's literal nodes and weights are leggauss(24)'s, bit for bit."""
@@ -352,7 +378,7 @@ class TestSmoothedMetric:
         The k values are regression constants pinned by a dense-grid run.
         """
         target = coth(0.8) * coth(1.6)
-        pinned = {1e-1: 1.8591152676333442, 1e-2: 1.663941239167829, 1e-3: 1.6391112566672177}
+        pinned = {1e-1: 1.8567367405326471, 1e-2: 1.6637724170719888, 1e-3: 1.6390959947177195}
         gaps = []
         for eps in EPS_SEQ:
             k = cached_family(0.8, eps).k_eps
@@ -420,8 +446,8 @@ def test_blend_totals_match_adaptive_quadrature(R, eps):
 
     fam = cached_family(R, eps)
     for junction in (fam.junction_f, fam.junction_g):
-        blend = _moments(lambda t: (junction.c[2](t) - junction.b[2](t)) * step_phi(eps, R, t),
-                         R, 2)
+        def blend(t):
+            return _powers((junction.c[2](t) - junction.b[2](t)) * step_phi(eps, R, t), t - R, 2)
         check, errs = _check_moments("blend", junction._totals, panel_checks(blend, R - eps, R),
                                      R - eps, R)
         for j in (0, 1):
@@ -434,7 +460,6 @@ def test_blend_totals_match_adaptive_quadrature(R, eps):
 
 def test_perturbed_blend_total_rejected(monkeypatch):
     """A blend total off by 1e-10 fails the build check."""
-    _ramp_tables()  # built and checked before the check is perturbed
     check = smoothing._check_moments
 
     def perturbed(label, totals, sums, lo, hi):
@@ -462,17 +487,6 @@ def test_junction_builds_go_through_smooth_junction(monkeypatch):
     assert [j.name for j in built] == ["f-junction(R=0.8)", "g-junction(R=0.8)"]
     assert built[0] is fam.junction_f and built[1] is fam.junction_g
     assert fam.k_eps == want
-
-
-@pytest.mark.parametrize("j", [0, 1, 2])
-def test_perturbed_ramp_moment_rejected(j):
-    """The ramp moments pass the check, and fail it when one is off by 1e-10."""
-    totals = [float(v) for v in _ramp_tables().cum._cum[-1]]
-    checks = panel_checks(_ramp_tables().cum.fun, 0.0, 1.0)
-    _check_moments("ramp moments", totals, checks, 0.0, 1.0)
-    totals[j] += 1e-10
-    with pytest.raises(QuadratureError, match=f"moment {j}"):
-        _check_moments("ramp moments", totals, checks, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID)
@@ -642,7 +656,7 @@ def test_kinked_peak_ends_when_the_bracket_stops_shrinking(monkeypatch):
 # the calls per callable that each run made on the counted copy while every
 # callable of the smoothed pair was its own evaluator pass, before they
 # shared one; the collar quadrature's count depends on the family
-COUNTED_QUADRATURE_CALLS = {(0.5, 1e-1): 14, (0.8, 1e-2): 12, (1.2, 1e-3): 3}
+COUNTED_QUADRATURE_CALLS = {(0.5, 1e-1): 9, (0.8, 1e-2): 9, (1.2, 1e-3): 3}
 
 
 @pytest.mark.parametrize("R,eps", list(COUNTED_QUADRATURE_CALLS))
@@ -677,24 +691,24 @@ def test_counted_copy_sees_every_call(R, eps):
 
 
 def record_ramp_lookups(monkeypatch) -> list:
-    """Record the shape of each lookup in the ramp tables, which this builds
-    first, from here to the end of the test."""
-    tab = _ramp_tables()
+    """Record the shape of each lookup of all three ramp moments, from here
+    to the end of the test; reads of beta alone, which the ramp tables and
+    the blend cache's integrand make, are not recorded."""
     lookups = []
-    original = smoothing._Cumulative.__call__
+    ramp_moments = smoothing._ramp_moments
 
-    def counting(self, x):
-        if self is tab.cum:
+    def counting(x, count=3):
+        if count == 3:
             lookups.append(np.shape(x))
-        return original(self, x)
+        return ramp_moments(x, count)
 
-    monkeypatch.setattr(smoothing._Cumulative, "__call__", counting)
+    monkeypatch.setattr(smoothing, "_ramp_moments", counting)
     return lookups
 
 
 def test_one_ramp_lookup_per_eval_pass(monkeypatch):
-    """An evaluator pass over collar points makes one ramp-table lookup, of
-    any orders, for one junction or both, on float64 and longdouble arrays
+    """An evaluator pass over collar points makes one ramp lookup, of any
+    orders, for one junction or both, on float64 and longdouble arrays
     and scalars: phi_eps's argument rides beside the four plateau ramps (two
     lookups when phi_eps had its own).  A pass with no collar point makes
     none."""
@@ -713,18 +727,18 @@ def test_one_ramp_lookup_per_eval_pass(monkeypatch):
 
 
 def test_junctions_share_one_collar_record(monkeypatch):
-    """The two junctions of a family hold one collar record.  With the ramp
-    tables built, a build makes 7 lookups in them, one at R and one per
-    Ricci grid (14 when the refinement ran until its bracket stopped
-    shrinking, 28 when each pass looked phi_eps up on its own, 32 when the
-    build check looked phi_eps up on its own panels, 172 with lookups per
-    callable and order), evaluates the bump on at most 1000 points (6912
-    when each record tabulated phi_eps' on its own blend nodes), and
-    evaluates each longdouble side array on the blending window's nodes
-    once: one exponential per extension function, whose three callables
-    share it, and the tube's sinh and cosh, which the record keeps for both
-    junctions (12 arrays when each junction evaluated its sides per order
-    and stage)."""
+    """The two junctions of a family hold one collar record.  A build makes
+    7 lookups of the three ramp moments, one at R and one per Ricci grid (14
+    when the refinement ran until its bracket stopped shrinking, 28 when
+    each pass looked phi_eps up on its own, 32 when the build check looked
+    phi_eps up on its own panels, 172 with lookups per callable and order),
+    evaluates no bump (6912 points when each record tabulated phi_eps' on
+    its own blend nodes, up to 1000 while the blend cache integrated
+    phi_eps'), and evaluates each longdouble side array on the blending
+    window's nodes once: one exponential per extension function, whose
+    three callables share it, and the tube's sinh and cosh, which the
+    record keeps for both junctions (12 arrays when each junction evaluated
+    its sides per order and stage)."""
     want = cached_family(0.8, 1e-2).k_eps
     tab = _ramp_tables()
     smoothing._collar_of.cache_clear()
@@ -737,7 +751,7 @@ def test_junctions_share_one_collar_record(monkeypatch):
         return bump(r)
 
     def counting_exp(x, *args, **kwargs):
-        if np.asarray(x).dtype == np.longdouble and np.size(x) >= tab.blend_x.size:
+        if np.asarray(x).dtype == np.longdouble and np.size(x) >= tab.window_x.size:
             window_exps.append(np.size(x))
         return exp(x, *args, **kwargs)
 
@@ -749,7 +763,7 @@ def test_junctions_share_one_collar_record(monkeypatch):
     assert collar is fam.junction_g._collar
     # one at R, then one per Ricci grid: the 4096-point grid and five brackets
     assert len(lookups) == 7
-    assert sum(bump_points) <= 1000
+    assert bump_points == []
     assert len(window_exps) == 2
     assert set(collar.ufunc_values) == {np.sinh, np.cosh}
     assert fam.k_eps == want
@@ -777,17 +791,37 @@ def test_family_pass_with_distinct_deltas():
 
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID + [(R, e) for R in (3.0, 8.0) for e in EPS_SEQ])
 def test_blend_cache_and_totals_agree_by_parts(R, eps):
-    """The blend cache and the totals share the window's nodes, so they agree
-    by parts at R, where phi_eps = 1: with I_k the cache's totals,
-    T0 = (c' - b')(R) - I0 and T1 = -I1 - (c - b)(R) + I2, to 1e-16 cosh R."""
+    """The blend cache integrates the totals' integrand I_j' = (c'' - b'')
+    phi_eps (t - R)^j: its end row, read at R in either precision, rounds to
+    the blend totals bit for bit.  The totals agree by parts, where
+    phi_eps(R) = 1, with the 64-panel integrals J_k of w_k phi_eps' for
+    w = (c' - b', (c' - b') (t - R), c - b): T0 = (c' - b')(R) - J0 and
+    T1 = -J1 - (c - b)(R) + J2, to 1e-16 cosh R.  At R - eps/3, where the
+    cache's rule runs on a panel's remainder with phi_eps from the
+    polynomial, I_j is within 1e-12 relative of adaptive quadrature, or of
+    the float64 rounding of c'' and b'' that the quadrature's integrand
+    carries, 1e-15 cosh R per unit of eps^(j + 1)."""
+    from scipy.integrate import quad
+
     fam = cached_family(R, eps)
-    R_ld = np.longdouble(R)
+    R_ld, s = np.longdouble(R), R - eps / 3.0
+    _, t, half = _panels(R - eps, R, smoothing._BLEND_PANELS + 1)
+    dphi = bump_alpha((t - R_ld) / np.longdouble(eps) + 1) / np.longdouble(eps)
     for junction in (fam.junction_f, fam.junction_g):
-        i0, i1, i2 = junction._blend(R_ld)
+        for at_R in (R_ld, np.float64(R)):
+            assert tuple(map(float, junction._blend(np.array([at_R]))[0])) == junction._totals
+        d0, d1 = (junction.c[k](t) - junction.b[k](t) for k in (0, 1))
+        j0, j1, j2 = _panel_sums(half, np.stack([d1 * dphi, d1 * dphi * (t - R_ld), d0 * dphi], -1))[-1]
         d0, d1 = (junction.c[k](R_ld) - junction.b[k](R_ld) for k in (0, 1))
         t0, t1 = junction._totals
-        assert abs(float(t0 - (d1 - i0))) <= 1e-16 * math.cosh(R)
-        assert abs(float(t1 - (-i1 - d0 + i2))) <= 1e-16 * math.cosh(R)
+        assert abs(float(t0 - (d1 - j0))) <= 1e-16 * math.cosh(R)
+        assert abs(float(t1 - (-j1 - d0 + j2))) <= 1e-16 * math.cosh(R)
+        got = junction._blend(np.array([s]))[0]
+        for j in (0, 1):
+            tol = 1e-15 * math.cosh(R) * eps ** (j + 1)
+            want, _ = quad(lambda t: float((junction.c[2](t) - junction.b[2](t)) * step_phi(eps, R, t))
+                           * (t - R) ** j, R - eps, s, epsabs=0.1 * tol, epsrel=1e-13, limit=400)
+            assert got[j] == pytest.approx(want, rel=1e-12, abs=tol)
 
 
 def blend_rule_outputs(fam):

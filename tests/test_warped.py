@@ -163,7 +163,7 @@ def test_smoothed_pair_ricci_bound_near_limit(family_08):
     k = ricci_lower_bound_constant(fam.pair, (0.8 - fam.delta - 1.0, 0.8 + fam.margin), 4096)
     target = coth(0.8) * coth(1.6)
     assert k >= target - 1e-9
-    assert k == pytest.approx(1.663940883329807, rel=1e-6)
+    assert k == pytest.approx(1.663771698362283, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +262,19 @@ class TestWarpedVolumeQuadrature:
         )
         with pytest.raises(QuadratureError):
             warped_volume_quadrature(noisy, 0.0, 1.0, 1.0)
+
+    def test_converges_past_forty_intervals(self):
+        """A step integrand f = 1 + sum [r > j] with g = 1 and jumps at
+        pi/10, 1/e and sqrt(2)/2 converges to 2 pi (1 + sum (1 - j)), but
+        only on more than 40 intervals (scipy's quad takes 106): the
+        interval limit is 400."""
+        jumps = np.array([math.pi / 10.0, 1.0 / math.e, math.sqrt(2.0) / 2.0])
+        steps = WarpingPair(
+            f=lambda r: 1.0 + np.sum(np.asarray(r)[..., None] > jumps, axis=-1),
+            fp=np.zeros_like, fpp=np.zeros_like, g=np.ones_like, gp=np.zeros_like,
+            gpp=np.zeros_like, domain=(0.0, 1.0), name="steps")
+        q = warped_volume_quadrature(steps, 0.0, 1.0, 1.0)
+        assert q.value == pytest.approx(2.0 * math.pi * (1.0 + np.sum(1.0 - jumps)), abs=1e-12)
 
     def test_agrees_with_scipy_quad(self):
         """The QUADPACK port returns scipy quad's value bit for bit, its error
