@@ -449,9 +449,9 @@ def test_error_path_does_not_load_numpy():
 
 
 def test_import_does_not_load_scipy():
-    """Neither the import nor the ramp tables, checked on first use, load
-    scipy; the import alone loads no numpy, and the ramp tables load neither
-    the oracle nor the data layer."""
+    """Neither the import nor a first ramp_beta loads scipy; the import
+    alone loads no numpy, and ramp_beta loads neither the oracle nor the
+    data layer."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, drillvol; print('numpy' in sys.modules); drillvol.ramp_beta(0.5); "
