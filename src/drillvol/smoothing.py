@@ -43,9 +43,14 @@ I_j(s) = int_{R-eps}^s (c'' - b'') phi_eps (t - R)^j dt,
 
 and the blend cache tabulates I_0 and I_1 on a monotone knot grid; panel
 values and point evaluations use one fixed Gauss-Legendre rule in extended
-precision, so evaluation is seamless across knots (a requirement for the
-value-only finite-difference oracle) and costs O(log n) after
-construction; a float64 lookup is rounded row by row, and no
+precision, so evaluation costs O(log n) after construction and crossing a
+knot adds no jump of the rule (the value-only finite-difference oracle
+needs that).  The seam left is rounding: the integrand maps its nodes t
+back to the ramp variable, while the panels use the exact layout, so the
+extended-precision value 4 ulps left of an interior knot differs from the
+value at it by up to 2.6e-16 of the totals at (R, eps) = (0.5, 1e-3),
+5.3e-17 at (0.8, 1e-2) and 2.2e-15 at (8.0, 1e-2), measured, and pinned
+by a test at about twice that.  A float64 lookup is rounded row by row, and no
 extended-precision array is raised to a power (numpy calls powl per
 element for x**0 and x**1), so moments are products.  The blending window
 has one node layout: the ramp tables hold the blend rule's 64 panels and
@@ -63,7 +68,13 @@ callables per function scale one exponential, and the tube's sinh and cosh
 serve both junctions.  One evaluator pass serves any junctions on one
 record and any derivative orders, from one collar mask, one ramp lookup
 (phi_eps's argument rides beside the four plateau ramps), one blend-cache
-lookup per junction, and each side's transcendentals once per region.
+lookup for all its junctions (one set of remainder panels, their nodes'
+_Values and phi_eps there; each junction adds only its own c'' - b'' and
+sums its own cache's columns), and each side's transcendentals once per
+region.  Constants that a pass needs in a given dtype are held once: the
+ramp polynomials' per (dtype, count) in a module cache, and the record's
+and each junction's on their own instance, never in a cache keyed on a
+record or a junction, which would keep every family alive.
 The smoothed pair's six callables share that
 pass: read together through warped._Values, as every Ricci, curvature,
 quadrature and oracle reader does, they take a, a' and a'' of both
@@ -78,7 +89,9 @@ rounding.  The uniform grid is exempt, since its cells may alias the narrow
 collar features; a bracket that stops shrinking also ends it.
 Each input of the construction has one producer: _floats coerces every
 input array (float64 unless it already holds floats), _window_x maps r to
-the ramp variable (r - R)/eps + 1, _ramp_moments is the one evaluation of
+the ramp variable (r - R)/eps + 1 (the collar lookups form the same bits
+beside the plateau ramps' arguments, as (r - R)/eps - (-1)),
+_ramp_moments is the one evaluation of
 the ramp polynomials, and _gaps the one read of c'' - b'', so closed-form
 gaps would change that function alone.
 """
@@ -128,12 +141,12 @@ _GL_WEIGHTS_LD = _GL_WEIGHTS_F8.astype(np.longdouble)
 # The bump's cumulative moments int_0^x t^j alpha(t) dt on [0, 1], j < 3, are
 # x^(5 + j) q_j(x) / d_j: the integer coefficients of q_j from x^4 down, and
 # d_j.  Their totals q_j(1) / d_j are 1, 1/2 and 3/11.  Since alpha(1 - t) =
-# alpha(t), int_x^1 t^j alpha is sum_k _RAMP_MIRROR[j, k] M_k(1 - x).
+# alpha(t), int_x^1 t^j alpha is M_0(1 - x), M_0 - M_1 and M_0 - 2 M_1 + M_2
+# there (_ramp_moments).
 _RAMP_Q = np.array([[70, -315, 540, -420, 126],
                     [126, -560, 945, -720, 210],
                     [630, -2772, 4620, -3465, 990]])
 _RAMP_D = np.array([1, 2, 11])
-_RAMP_MIRROR = np.array([[1, 0, 0], [1, -1, 0], [1, -2, 1]])
 
 # Finite-difference step hint for table-backed pairs; resolves the collar
 # features well below their width while staying above the evaluation noise.
@@ -165,6 +178,7 @@ _K_GRID_N = 4096
 # of at most 8 ulps of the running supremum ends the refinement; the uniform
 # grid never does, as it may alias the collar.
 _BRACKET_POINTS = 33
+_BRACKET_STEPS = np.arange(_BRACKET_POINTS, dtype=np.float64)
 
 
 def _floats(x):
@@ -202,59 +216,45 @@ def _panels(lo: float, hi: float, n_knots: int):
 def _panel_sums(half, values):
     """Running sums over the panels of the rule's integral of each
     component, from the integrand's values at the panel nodes."""
-    return np.cumsum(half[:, None] * (np.swapaxes(values, -1, -2) @ _GL_WEIGHTS_LD), axis=0)
+    return (half[:, None] * (np.swapaxes(values, -1, -2) @ _GL_WEIGHTS_LD)).cumsum(axis=0)
 
 
 class _Cumulative:
     """Antiderivatives from lo of an integrand with several components,
     memoized on a uniform knot grid.
 
-    ``fun`` maps an array of points to its component values, stacked on a
-    new last axis; ``knots`` and ``half`` are the panel grid's knots and
-    half-widths, and ``values`` is fun at its nodes.  The knot values are
-    partial sums of fixed Gauss-Legendre panels computed in extended
-    precision, and point evaluation adds the same rule on the remainder
-    [knot, x], so crossing a knot never introduces a jump beyond
-    extended-precision rounding.  All components share one evaluation of
-    fun.  A float64 lookup is built in float64: its end rows (0 and the
-    totals) are rounded once here, and only the rows inside are summed in
-    extended precision and then rounded, the same bits as rounding the
-    whole extended-precision lookup.
+    ``half`` holds the panel grid's half-widths and ``values`` the
+    integrand at its nodes, with the components on the last axis.  The
+    knot values are partial sums of fixed Gauss-Legendre panels computed
+    in extended precision, and a lookup adds the same rule on the
+    remainder [knot, x], whose panels a _Remainder holds: caches on the
+    same knots share one.  Crossing a knot moves a value by the rounding of
+    the remainder's nodes, not by a jump of the rule (see _Remainder).  A
+    float64 lookup is built in float64: its end rows (0 and the totals)
+    are rounded once here, and only the rows inside are summed in extended
+    precision and then rounded, the same bits as rounding the whole
+    extended-precision lookup.  ``ends`` holds the end rows, in extended
+    precision under True and rounded to float64 under False.
     """
 
-    def __init__(self, fun: Callable, knots, half, values):
-        self.fun = fun
-        self._knots_ld = knots
-        self._knots_f8 = knots.astype(np.float64)
+    def __init__(self, half, values):
         sums = _panel_sums(half, values)
         self._cum = np.concatenate([np.zeros((1, sums.shape[-1]), np.longdouble), sums])
-        self._ends_ld = self._cum[[0, -1]]
-        self._ends_f8 = self._ends_ld.astype(np.float64)
+        ends = self._cum[[0, -1]]
+        self.ends = {True: ends, False: ends.astype(np.float64)}
 
-    def __call__(self, x):
-        """The antiderivatives at x, stacked on a new last axis.
+    def __call__(self, rem, fun):
+        """The antiderivatives at the points of ``rem``, stacked on a new
+        last axis; fun(rem) gives the integrand at its nodes.
 
         They are 0 at or below lo and the totals at or above hi; the rule
-        runs only for x strictly inside.
+        runs only for points strictly inside.
         """
-        x = np.asarray(x)
-        ld = x.dtype == np.longdouble
-        knots, ends = (self._knots_ld, self._ends_ld) if ld else (self._knots_f8, self._ends_f8)
-        above = x >= knots[-1]
-        out = np.where(above[..., None], ends[1], ends[0])
-        inside = ~above & ~(x <= knots[0])  # NaN stays inside and propagates
-        if inside.any():
-            nodes = _GL_NODES_LD if ld else _GL_NODES_F8
-            weights = _GL_WEIGHTS_LD if ld else _GL_WEIGHTS_F8
-            xi = x[inside]
-            # xi > lo, so idx >= 0; NaN sorts past the last knot
-            idx = np.minimum(np.searchsorted(knots, xi, side="right") - 1, len(knots) - 2)
-            a = knots[idx]
-            half = 0.5 * (xi - a)
-            mid = 0.5 * (xi + a)
-            t = mid[..., None] + half[..., None] * nodes
-            values = np.swapaxes(self.fun(t), -1, -2) @ weights
-            out[inside] = self._cum[idx] + half[..., None] * values
+        lo, hi = self.ends[rem.ld]
+        out = np.where(rem.above[..., None], hi, lo)
+        if rem.idx is not None:
+            values = np.swapaxes(fun(rem), -1, -2) @ rem.weights
+            out[rem.inside] = self._cum[rem.idx] + rem.half[..., None] * values
         return out
 
 
@@ -264,7 +264,13 @@ def _powers(v, x, count: int):
     The powers are products: numpy raises an extended-precision array to
     the power 0 or 1 with libm's powl per element, at six times a product's
     cost, and x**0, x**1, x**2 equal 1, x, x * x bit for bit."""
-    return np.stack([v, v * x, v * (x * x)][:count], axis=-1)
+    out = np.empty(v.shape + (count,), np.result_type(v, x))
+    out[..., 0] = v
+    if count > 1:
+        out[..., 1] = v * x
+    if count > 2:
+        out[..., 2] = v * (x * x)
+    return out
 
 
 def _check_moments(label: str, totals, sums, lo: float, hi: float):
@@ -290,24 +296,29 @@ class _RampTables:
     t = R + eps (x - 1) maps [0, 1] onto every blending window [R - eps, R],
     so the junctions of all (R, eps) share these layouts: the blend rule's
     64 panels, whose knots are kept, and the build check's 16 and 8 panels.
-    ``halves`` and ``betas`` hold, per layout in that order, the panel
-    half-widths and beta at the nodes, computed in extended precision and
-    rounded once to float64.  ``window_x`` holds the nodes of all three in
-    one flat array, so that a side is evaluated on all of them in one call,
-    and ``split`` cuts such an array back into the layouts.
+    ``halves`` holds, per layout in that order, the panel half-widths.
+    ``window_x`` holds the nodes of all three in one flat array, so that a
+    side is evaluated on all of them in one call, and ``betas`` beta there,
+    computed in extended precision and rounded once to float64 (kept in
+    extended precision, which holds the rounded values exactly, as every
+    build multiplies them there); ``split`` cuts such an array back into
+    the layouts.
     """
 
     def __init__(self) -> None:
         layouts = [_panels(0.0, 1.0, n + 1) for n in (_BLEND_PANELS, *_CHECK_PANELS)]
         self.blend_knots = layouts[0][0]
         self.halves = [h for _, _, h in layouts]
-        self.betas = [_ramp_moments(x, 1)[..., 0].astype(np.float64) for _, x, _ in layouts]
         self.window_x = np.concatenate([x.ravel() for _, x, _ in layouts])
-        self._cuts = np.cumsum([x.size for _, x, _ in layouts])[:-1]
+        self.betas = _ramp_moments(self.window_x, 1)[..., 0].astype(np.float64).astype(np.longdouble)
+        ends = np.cumsum([0] + [x.size for _, x, _ in layouts]).tolist()
+        self._spans = list(zip(ends[:-1], ends[1:]))
 
     def split(self, values) -> list:
-        """An array over window_x, as one (panels, nodes) array per layout."""
-        return [v.reshape(-1, len(_GL_NODES_LD)) for v in np.split(values, self._cuts)]
+        """An array over window_x, with any trailing axes, as one
+        (panels, nodes, ...) array per layout."""
+        shape = (-1, len(_GL_NODES_LD)) + values.shape[1:]
+        return [values[a:b].reshape(shape) for a, b in self._spans]
 
 
 @functools.cache
@@ -325,24 +336,40 @@ def _ramp_moments(x, count: int = 3):
     moments at 1 - x, which is exact there.  Points at or outside the ends
     skip them, and NaN propagates.
     """
-    dt = x.dtype
-    q, d = _RAMP_Q[:count].astype(dt), _RAMP_D[:count].astype(dt)
-    totals = q.sum(axis=1) / d
+    q, d, totals = _ramp_constants(x.dtype, count)
+    # the points flat, and the moments along a new first axis while they are
+    # formed, so that numpy's loops run over the points, not over the count
+    shape, x = x.shape, x.reshape(-1)
     above = x >= 1.0
-    out = np.where(above[..., None], totals, 0.0)
-    inside = ~above & ~(x <= 0.0)
-    if inside.any():
-        xi = x[inside]
-        upper = xi > 0.5
-        y = np.where(upper, 1.0 - xi, xi)
-        acc = q[:, 0] * y[:, None] + q[:, 1]
-        for coef in q.T[2:]:
-            acc = acc * y[:, None] + coef
+    inside = ~(above | (x <= 0.0))
+    out = above.astype(x.dtype) * totals
+    xi = x[inside]
+    if xi.size:
+        y = np.minimum(xi, 1.0 - xi)  # 1 - xi above 1/2, where it is exact and below xi
+        acc = q[0] * y + q[1]
+        for coef in q[2:]:
+            acc = acc * y + coef
         y2 = y * y
-        m = _powers(y2 * y2 * y, y, count) * acc / d
-        m[upper] = totals - m[upper] @ _RAMP_MIRROR[:count, :count].T.astype(dt)
-        out[inside] = m
-    return out
+        m = _powers(y2 * y2 * y, y, count).T * acc / d
+        # int_x^1 t^j alpha from the moments at 1 - x, summed left to right
+        tail = [m[0]]
+        if count > 1:
+            tail.append(m[0] - m[1])
+        if count > 2:
+            tail.append(m[0] - 2.0 * m[1] + m[2])
+        m = np.where(xi > 0.5, totals - np.array(tail), m)
+        for row, moment in zip(out, m):
+            row[inside] = moment
+    return out.reshape((count,) + shape).transpose(*range(1, len(shape) + 1), 0)
+
+
+@functools.cache
+def _ramp_constants(dt, count: int):
+    """_ramp_moments' constants in dtype dt for count moments, built once
+    per (dtype, count): the q_j's coefficients from x^4 down, d_j and the
+    totals q_j(1) / d_j, each as a column."""
+    q, d = _RAMP_Q[:count].astype(dt), _RAMP_D[:count].astype(dt)
+    return tuple(q.T[:, :, None]), d[:, None], (q.sum(axis=1) / d)[:, None]
 
 
 def _ramp_antiderivatives(x):
@@ -392,12 +419,16 @@ class _Collar:
 
     The collar width W(eps), the reach max(eps, W) below R that covers the
     collar of every junction, and the starts of the four plateau ramps (rise
-    and fall of the plateau on [R - W, cut], then of the one on [cut, R]);
-    the ramp tables' window layouts mapped onto [R - eps, R] by
+    and fall of the plateau on [R - W, cut], then of the one on [cut, R]),
+    with ``ramps_collapse`` set when they do not increase in float64; the
+    ramp tables' window layouts mapped onto [R - eps, R] by
     t = R + eps (x - 1): the blend cache's knots and half-widths, and the
-    offsets t - R at every node of the three layouts; the nodes themselves
-    with ``ufunc_values``, the values of numpy ufuncs there, which serve both
-    junctions; and ``at_R``, the lookups at R that both junctions take.
+    offsets t - R at every node of the three layouts (flat, as the tables'
+    window_x); the nodes themselves with ``ufunc_values``, the values of
+    numpy ufuncs there, which serve both junctions; ``at_R``, the pass at R
+    that both junctions take, and ``units``, the two unit corrections' lambdas
+    that its plateau moments give.  The constants of a pass are built once per
+    dtype (``constants``).
     """
 
     def __init__(self, R: float, eps: float):
@@ -407,36 +438,122 @@ class _Collar:
         self.reach = max(eps, self.width)
         self.ramp_w = _COLLAR_RAMP * self.width
         cut = R - _COLLAR_SPLIT * self.width
-        self.ramp_starts = np.array([R - self.width, cut - self.ramp_w, cut, R - self.ramp_w])
+        self.ramp_starts = [R - self.width, cut - self.ramp_w, cut, R - self.ramp_w]
+        ends = self.ramp_starts[1:] + [R]
+        self.ramps_collapse = not all(a < b for a, b in zip(self.ramp_starts, ends))
         R_ld, eps_ld = np.longdouble(R), np.longdouble(eps)
-        offsets = eps_ld * (tab.window_x - 1)
-        self.offsets = tab.split(offsets)
-        self.nodes = R_ld + offsets
+        self.offsets = eps_ld * (tab.window_x - 1)
+        self.nodes = R_ld + self.offsets
         self.ufunc_values: dict = {}
         self.blend_knots = R_ld + eps_ld * (tab.blend_knots - 1)
+        self.blend_knots_f8 = self.blend_knots.astype(np.float64)
         self.blend_half = eps_ld * tab.halves[0]
+        self._constants: dict = {}
+
+    def constants(self, dt, orders):
+        """A pass's constants in dtype dt for orders, built on first use:
+        R and the collar's low end R - reach; the lookups' ramp starts and
+        widths, phi_eps's start R and width eps beside them, and the shifts
+        (0, and -1 for phi_eps) whose subtraction adds phi_eps's 1 and
+        leaves the plateau ramps' arguments as they are; and w^(2 - k) for
+        each order k."""
+        key = (dt, orders)
+        if key not in self._constants:
+            w = np.asarray(self.ramp_w, dtype=dt)
+            self._constants[key] = (
+                np.asarray(self.R, dt), np.asarray(self.R - self.reach, dt),
+                np.array(self.ramp_starts + [self.R], dt)[:, None],
+                np.array([w, w, w, w, self.eps], dt)[:, None],
+                np.array([0, 0, 0, 0, -1], dt)[:, None],
+                np.array([w ** (2 - k) for k in orders], dt)[:, None, None])
+        return self._constants[key]
 
     def lookups(self, s, orders):
-        """phi_eps at the collar points s, and for each of orders, along a
-        new first axis, the stack (on a new last axis) of the two plateaus'
-        antiderivatives that a's derivative of that order needs: the
-        plateaus for order 2, their first antiderivatives for 1 and second
-        for 0.  One ramp lookup gives all: phi_eps's argument is a fifth
-        column beside the four plateau ramps."""
-        dt = s.dtype
-        w = np.asarray(self.ramp_w, dtype=dt)
-        ramps = _ramp_antiderivatives(np.concatenate(
-            [(s[..., None] - self.ramp_starts.astype(dt)) / w,
-             _window_x(self.R, self.eps, s)[..., None]], axis=-1))
-        g = (np.array([ramps[2 - k][..., :4] for k in orders])
-             * np.array([w ** (2 - k) for k in orders], dt)[:, None, None])
-        return ramps[0][..., 4], g[..., 0::2] - g[..., 1::2]
+        """phi_eps at the collar points s (1-d), and for each of orders,
+        along a new first axis, the stack (on a new last axis) of the two
+        plateaus' antiderivatives that a's derivative of that order needs:
+        the plateaus for order 2, their first antiderivatives for 1 and
+        second for 0.  One ramp lookup gives all: phi_eps's argument is a
+        fifth row beside the four plateau ramps, each row running over the
+        points."""
+        _, _, starts, widths, shifts, powers = self.constants(s.dtype, orders)
+        ramps = _ramp_antiderivatives((s - starts) / widths - shifts)
+        g = np.array([ramps[2 - k][:4] for k in orders]) * powers
+        # C-contiguous (orders, points, 2): the layout whose product with
+        # lambda (BLAS for float64) gave the values that the tests pin
+        return ramps[0][4], np.ascontiguousarray((g[:, 0::2] - g[:, 1::2]).transpose(0, 2, 1))
 
     @functools.cached_property
-    def at_R(self):
-        """The lookups of orders 0 and 1 at R in extended precision, which
-        give both junctions their plateau moments and seam residuals."""
-        return self.lookups(np.array([self.R], dtype=np.longdouble), (0, 1))
+    def at_R(self) -> "_CollarPass":
+        """The pass of orders 0 and 1 at R in extended precision, which gives
+        both junctions their plateau moments and seam residuals.  It reads no
+        side, so it keeps no junction's values."""
+        R = np.array([self.R], dtype=np.longdouble)
+        return _CollarPass(self, R, (0, 1), self.lookups(R, (0, 1)))
+
+    @functools.cached_property
+    def units(self):
+        """lambda of the unit correction of mass 1 and zero first moment
+        about R, and of the reverse, from the plateau moments at R."""
+        (m00, m01), (m10, m11) = self.at_R.plateaus[1][0], self.at_R.plateaus[0][0]
+        det = m00 * m11 - m01 * m10
+        return np.array([m11, -m10]) / det, np.array([-m01, m00]) / det
+
+
+class _Remainder:
+    """The remainder panels [knot, x] of blend-cache lookups at points x of
+    a collar record's blending window, and what each junction's integrand
+    reads at their Gauss nodes t: the sides through one _Values
+    (``sides``), phi_eps and the offsets t - R.  The caches of all
+    junctions on the record share one.
+
+    ``above`` and ``inside`` mark the points at or above the last knot and
+    strictly inside; for those inside, ``idx`` is the panel and ``half``
+    the remainder's half-width, and ``weights`` is the rule in the nodes'
+    dtype.  ``idx`` is None when no point lies inside.  The integrand maps t
+    back to the ramp variable, while the cache's panels use the exact
+    layout x, so a value next to a knot differs from the value at it by
+    the rounding of t amplified by R/eps (the module docstring gives the
+    measured levels).
+    """
+
+    def __init__(self, collar: _Collar, x):
+        self.ld = ld = x.dtype == np.longdouble
+        knots = collar.blend_knots if ld else collar.blend_knots_f8
+        self.above = x >= knots[-1]
+        self.inside = ~self.above & ~(x <= knots[0])  # NaN stays inside and propagates
+        self.idx = None
+        if self.inside.any():
+            nodes, self.weights = (_GL_NODES_LD, _GL_WEIGHTS_LD) if ld else (_GL_NODES_F8, _GL_WEIGHTS_F8)
+            xi = x[self.inside]
+            # xi > lo, so idx >= 0; NaN sorts past the last knot
+            self.idx = np.minimum(np.searchsorted(knots, xi, side="right") - 1, len(knots) - 2)
+            a = knots[self.idx]
+            self.half = 0.5 * (xi - a)
+            t = (0.5 * (xi + a))[..., None] + self.half[..., None] * nodes
+            self.sides = _Values(t)
+            self.phi = ramp_beta(_window_x(collar.R, collar.eps, t))
+            self.offsets = t - np.asarray(collar.R, t.dtype)
+
+
+class _CollarPass:
+    """The work of one evaluator pass at its collar points s that every
+    junction on the record shares: ``phi`` (phi_eps) and ``plateaus`` from
+    the record's lookups, the points where phi_eps > 0 (``inside``) with
+    the sides there (``window``, one _Values), phi_eps and t - R at them,
+    and, when an order below 2 reads the blend caches, their remainder
+    panels (``blend``)."""
+
+    def __init__(self, collar: _Collar, s, orders, lookups):
+        self.orders = orders
+        self.phi, self.plateaus = lookups
+        self.inside = self.phi > 0.0
+        self.window = _Values(s[self.inside])
+        t = self.window.x
+        if t.size:
+            self.phi_in = self.phi[self.inside]
+            self.offsets = t - np.asarray(collar.R, t.dtype)
+            self.blend = _Remainder(collar, t) if min(orders) < 2 else None
 
 
 # The two junctions that smoothed_metric builds in a row share one record.
@@ -478,19 +595,13 @@ class SmoothedJunction:
         # c'' - b'' once at the window's nodes for the whole build; the tube's
         # sinh and cosh there come from the record, for both junctions.  With
         # phi_eps (t - R)^j, j = 0, 1, it gives each layout's integrand values
-        d2 = tab.split(_gaps(b, c, _Values(collar.nodes, collar.ufunc_values)))
-        moments = [_powers(gap * beta, x, 2)
-                   for gap, beta, x in zip(d2, tab.betas, collar.offsets)]
+        moments = tab.split(_powers(_gaps(b, c, _Values(collar.nodes, collar.ufunc_values))
+                                    * tab.betas, collar.offsets, 2))
         # the blend cache: I_j(s) = int_{R-eps}^s (c'' - b'') phi_eps (t - R)^j
         # on the 64 panels, whose end row is the blend totals that size the
-        # correction.  Its integrand holds b, c and the record, not self: no
-        # reference cycle keeps a junction and its record alive after its
-        # last use
-        self._blend = _Cumulative(
-            lambda t: _powers(_gaps(b, c, _Values(t)) * step_phi(eps, R, t),
-                              t - np.asarray(R, t.dtype), 2),
-            collar.blend_knots, collar.blend_half, moments[0])
-        self._totals = tuple(map(float, self._blend._ends_f8[1]))
+        # correction; a lookup reads _integrand at its remainder's nodes
+        self._blend = _Cumulative(collar.blend_half, moments[0])
+        self._totals = tuple(map(float, self._blend.ends[False][1]))
         # the build check: the 16-panel sums are its reference, and their
         # distance from the 8-panel sums its error estimate
         _check_moments(f"{name}: blend stage", self._totals,
@@ -502,44 +613,54 @@ class SmoothedJunction:
         self.iota = collar.width if self.slope_gap != 0.0 else 0.0
         self.omega = collar.width if self.value_gap != 0.0 else 0.0
         self.delta = max(self.eps, self.iota, self.omega)
-        if not np.all(np.diff(collar.ramp_starts, append=R) > 0.0):
+        if collar.ramps_collapse:
             raise WidthError(f"{name}: collar width W={collar.width:.3g} (eps={eps:g}) is below "
                              f"the float64 resolution at R={R:g}: the plateau ramps collapse")
 
         # the slope gap times the unit correction of mass 1 and zero first
         # moment about R, plus the value gap times the reverse; the collar
-        # record's lookups at R give the plateau moments and seam residuals
+        # record's pass at R gives the plateau moments and seam residuals
         R_ld = np.longdouble(R)
-        phi, plateaus = collar.at_R
-        (m00, m01), (m10, m11) = plateaus[1][0], plateaus[0][0]
-        det = m00 * m11 - m01 * m10
-        self._coef = (np.longdouble(self.slope_gap) * (np.array([m11, -m10]) / det)
-                      + np.longdouble(self.value_gap) * (np.array([-m01, m00]) / det))
+        slope_unit, value_unit = collar.units
+        self._coef = np.longdouble(self.slope_gap) * slope_unit + np.longdouble(self.value_gap) * value_unit
         # rounding left by the moment match, carried above R so that a stays
         # seamless at R for the value-only oracle; phi_eps(R) = 1
-        terms = self._terms(phi, _Values(np.array([R_ld])), plateaus, (0, 1))
+        terms = self._terms(collar.at_R, self._coef)
         self._res0, self._res1 = (b[k](R_ld) + terms[k][0] - c[k](R_ld) for k in (0, 1))
+        self._casts: dict = {}
 
-    def _terms(self, phi, window: _Values, plateaus, orders):
-        """a - b, or its derivative of each of orders, at collar points: the
-        plateau correction, from the stack of each order that the collar
-        record's lookups give, plus the blend stage u where phi_eps > 0:
-        u'' = (c'' - b'') phi_eps, u' = I_0 and u = (s - R) I_0 - I_1 from the
-        blend cache.  ``window`` holds the points where phi_eps > 0, so that a
-        c undefined below the blending window never meets 0 * nan.  Orders 0
-        and 1 share one lookup in the blend cache."""
-        inside = phi > 0.0
-        t = window.x
-        outs = list(plateaus @ self._coef.astype(phi.dtype))
-        if t.size:
-            i = self._blend(t) if min(orders) < 2 else None
-            for out, order in zip(outs, orders):
+    def _cast(self, dt):
+        """lambda and the seam residuals in dtype dt, cast once per dtype."""
+        cast = self._casts.get(dt)
+        if cast is None:
+            cast = self._casts[dt] = tuple(v.astype(dt) for v in (self._coef, self._res0, self._res1))
+        return cast
+
+    def _integrand(self, rem: _Remainder):
+        """The blend cache's integrand (c'' - b'') phi_eps (t - R)^j, j = 0, 1,
+        at the nodes t of rem."""
+        return _powers(_gaps(self.b, self.c, rem.sides) * rem.phi, rem.offsets, 2)
+
+    def _terms(self, p: _CollarPass, coef):
+        """a - b, or its derivative of each of the pass's orders, at its
+        collar points: the plateau correction, from the stack of each order
+        that the collar record's lookups give, times lambda (``coef``), plus
+        the blend stage u where phi_eps > 0: u'' = (c'' - b'') phi_eps,
+        u' = I_0 and u = (s - R) I_0 - I_1 from the blend cache, whose
+        remainder the pass shares.  Only the points where phi_eps > 0 meet
+        the sides, so that a c undefined below the blending window never
+        meets 0 * nan.  Orders 0 and 1 share one lookup in the blend
+        cache."""
+        outs = list(p.plateaus @ coef)
+        if p.window.x.size:
+            i = self._blend(p.blend, self._integrand) if p.blend is not None else None
+            for out, order in zip(outs, p.orders):
                 if order == 2:
-                    out[inside] += _gaps(self.b, self.c, window) * phi[inside]
+                    out[p.inside] += _gaps(self.b, self.c, p.window) * p.phi_in
                 elif order == 1:
-                    out[inside] += i[..., 0]
+                    out[p.inside] += i[..., 0]
                 else:
-                    out[inside] += (t - np.asarray(self.R, t.dtype)) * i[..., 0] - i[..., 1]
+                    out[p.inside] += p.offsets * i[..., 0] - i[..., 1]
         return outs
 
     def a(self, r):
@@ -559,41 +680,51 @@ def _eval(junctions, r, orders) -> list:
     collar's on [R - delta, R], and c's plus the seam residuals above R.
 
     One pass serves all junctions and orders: one split of r at R, one
-    collar mask [R - reach, R], one set of collar lookups with the plateau
-    stacks of each order, and each side's transcendentals evaluated once
-    per region (above R, below R, and the blending window).  A junction
-    whose delta falls short of the reach has no gaps, so lambda = 0 and
-    phi_eps = 0 give it exact zeros there.
+    collar mask [R - reach, R], one _CollarPass with the collar lookups,
+    the plateau stacks of each order and one set of blend-cache remainder
+    panels, and each side's transcendentals evaluated once per region
+    (above R, below R, and the blending window).  A junction whose delta
+    falls short of the reach has no gaps, so lambda = 0 and phi_eps = 0
+    give it exact zeros there.  The tube side is skipped when no radius
+    lies above R, and when every radius lies on the collar a is b's value
+    plus the collar's.
     """
     r = _floats(r)
     dt = r.dtype
     collar = junctions[0]._collar
-    R = np.asarray(collar.R, dtype=dt)
+    R, lo = collar.constants(dt, orders)[:2]
     above = r > R
     below = ~above
-    # b and c each only on their own side: c may overflow far below R
-    ru = r[above]
-    upper, lower = _Values(ru), _Values(r[below])
-    on = (r >= np.asarray(collar.R - collar.reach, dtype=dt)) & below
+    on = (r >= lo) & below
     s = r[on]
-    if s.size:
-        phi, plateaus = collar.lookups(s, orders)
-        window = _Values(s[phi > 0.0])
+    p = _CollarPass(collar, s, orders, collar.lookups(s, orders)) if s.size else None
+    every = 0 < s.size == r.size
+    # b and c each only on their own side: c may overflow far below R
+    if every:
+        lower = _Values(s)
+    else:
+        ru = r[above]
+        upper, lower = _Values(ru), _Values(r[below])
+        dr = ru - R
     outs = []
     for j in junctions:
-        terms = j._terms(phi, window, plateaus, orders) if s.size else None
+        coef, res0, res1 = j._cast(dt)
+        terms = j._terms(p, coef) if p is not None else None
         mine = []
         for k, order in enumerate(orders):
-            up = upper(j.c[order])
-            if order == 0:
-                up = up + j._res0.astype(dt) + j._res1.astype(dt) * (ru - R)
-            elif order == 1:
-                up = up + j._res1.astype(dt)
             low = lower(j.b[order])
-            out = np.empty(r.shape, np.result_type(up, low))
-            out[above], out[below] = up, low
-            if terms is not None:
-                out[on] += terms[k]
+            if every:
+                out = (low + terms[k]).reshape(r.shape)
+            else:
+                up = upper(j.c[order]) if ru.size else low[:0]
+                if order == 0:
+                    up = up + res0 + res1 * dr
+                elif order == 1:
+                    up = up + res1
+                out = np.empty(r.shape, np.result_type(up, low))
+                out[above], out[below] = up, low
+                if terms is not None:
+                    out[on] += terms[k]
             mine.append(out if out.shape else out[()])
         outs.append(mine)
     return outs
@@ -652,13 +783,16 @@ def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float) -> float:
         best = max(best, float(vals[i]))
         if width < math.inf:  # a bracket round, not the uniform grid
             m = min(max(i, 1), len(vals) - 2)
-            if abs(vals[m - 1] - 2.0 * vals[m] + vals[m + 1]) / 8.0 <= math.ulp(best):
+            left, mid, right = vals[m - 1:m + 2].tolist()
+            if abs(left - 2.0 * mid + right) / 8.0 <= math.ulp(best):
                 return best
         b_lo, b_hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
         if not b_hi - b_lo < width:
             return best
         width = b_hi - b_lo
-        rs = np.linspace(b_lo, b_hi, _BRACKET_POINTS)
+        # np.linspace(b_lo, b_hi, _BRACKET_POINTS) by its own formula
+        rs = b_lo + _BRACKET_STEPS * (width / (_BRACKET_POINTS - 1))
+        rs[-1] = b_hi
 
 
 def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:

@@ -152,7 +152,7 @@ def _sectional_grid(w: WarpingPair, rs: np.ndarray) -> tuple[np.ndarray, np.ndar
     at = _Values(rs)
     f, fp, fpp, g, gp, gpp = (np.asarray(at(fn), float)
                               for fn in (w.f, w.fp, w.fpp, w.g, w.gp, w.gpp))
-    if not (np.all(f > 0.0) and np.all(g > 0.0)):
+    if not ((f > 0.0).all() and (g > 0.0).all()):
         raise SingularAxisError(f"{w.name}: a warping function is not positive inside "
                                 f"[{np.min(rs):.6g}, {np.max(rs):.6g}]")
     return -fpp / f, -gpp / g, -fp * gp / (f * g)

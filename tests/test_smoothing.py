@@ -1,9 +1,11 @@
 """The staged junction smoothing and the smoothed metric family."""
 
+import gc
 import math
 import pickle
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -789,6 +791,12 @@ def test_family_pass_with_distinct_deltas():
         assert_same_bits(fn(own), side(own))
 
 
+def blend_lookup(junction, x):
+    """I_0 and I_1 of the junction's blend cache at the points x, read as an
+    evaluator pass reads them: through its record's remainder panels."""
+    return junction._blend(smoothing._Remainder(junction._collar, x), junction._integrand)
+
+
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID + [(R, e) for R in (3.0, 8.0) for e in EPS_SEQ])
 def test_blend_cache_and_totals_agree_by_parts(R, eps):
     """The blend cache integrates the totals' integrand I_j' = (c'' - b'')
@@ -809,14 +817,14 @@ def test_blend_cache_and_totals_agree_by_parts(R, eps):
     dphi = bump_alpha((t - R_ld) / np.longdouble(eps) + 1) / np.longdouble(eps)
     for junction in (fam.junction_f, fam.junction_g):
         for at_R in (R_ld, np.float64(R)):
-            assert tuple(map(float, junction._blend(np.array([at_R]))[0])) == junction._totals
+            assert tuple(map(float, blend_lookup(junction, np.array([at_R]))[0])) == junction._totals
         d0, d1 = (junction.c[k](t) - junction.b[k](t) for k in (0, 1))
         j0, j1, j2 = _panel_sums(half, np.stack([d1 * dphi, d1 * dphi * (t - R_ld), d0 * dphi], -1))[-1]
         d0, d1 = (junction.c[k](R_ld) - junction.b[k](R_ld) for k in (0, 1))
         t0, t1 = junction._totals
         assert abs(float(t0 - (d1 - j0))) <= 1e-16 * math.cosh(R)
         assert abs(float(t1 - (-j1 - d0 + j2))) <= 1e-16 * math.cosh(R)
-        got = junction._blend(np.array([s]))[0]
+        got = blend_lookup(junction, np.array([s]))[0]
         for j in (0, 1):
             tol = 1e-15 * math.cosh(R) * eps ** (j + 1)
             want, _ = quad(lambda t: float((junction.c[2](t) - junction.b[2](t)) * step_phi(eps, R, t))
@@ -864,3 +872,77 @@ def test_blend_rule_agrees_with_1024_panels(monkeypatch):
     for (R, eps), (scalars, values), (fine_scalars, fine_values) in zip(families, default, fine):
         assert scalars == fine_scalars, (R, eps)
         assert np.all(np.abs(values - fine_values) <= 1e-18 * np.abs(fine_values)), (R, eps)
+
+
+def nudged_left(x, ulps):
+    """x moved ulps units in the last place toward -inf, in its dtype."""
+    for _ in range(ulps):
+        x = np.nextafter(x, -np.inf)
+    return x
+
+
+@pytest.mark.parametrize("R,eps", [(0.5, 1e-1), (0.8, 1e-2), (1.2, 1e-3)])
+def test_shared_blend_lookup_is_each_junctions_own(R, eps):
+    """The family pass looks the blend cache up once for both junctions: one
+    set of remainder panels, nodes and phi_eps, with each junction's own
+    c'' - b'' and its own cache's columns.  a, a' and a'' of each junction
+    from the pass equal, bit for bit, a pass of that junction and order
+    alone and its own evaluators, at the interior blend knots, 4 ulps left
+    of them, R - eps, R and a NaN, in float64 and in extended precision.
+    A pass that read the other junction's cache or integrand would move
+    the values inside the blending window, where the two differ."""
+    fam = cached_family(R, eps)
+    junctions = (fam.junction_f, fam.junction_g)
+    knots = junctions[0]._collar.blend_knots[1:-1]
+    for dt in (np.float64, np.longdouble):
+        at = knots.astype(dt)
+        r = np.concatenate([at, nudged_left(at, 4), np.array([R - eps, R, np.nan], dt)])
+        family = _eval(junctions, r, (0, 1, 2))
+        for junction, values in zip(junctions, family):
+            evaluators = (junction.a, junction.a_prime, junction.a_second)
+            for order, (got, fn) in enumerate(zip(values, evaluators)):
+                for want in (_eval((junction,), r, (order,))[0][0], fn(r)):
+                    assert_same_bits(got[:-1], want[:-1])
+                    assert np.isnan(got[-1]) and np.isnan(want[-1])
+        # the window's points do tell the junctions apart
+        assert not np.array_equal(family[0][2][:-1], family[1][2][:-1])
+
+
+def test_nothing_keeps_a_family_alive():
+    """Once a family is dropped and two other (R, eps) have pushed its collar
+    record out of the 2-entry record cache, nothing holds its junctions or
+    its record: no cache is keyed on either (a cache on a method of the
+    record or the junction kept every family of a sweep alive)."""
+    fam = smoothed_metric(0.6125, 3e-2)
+    for r in (np.linspace(0.5, 0.7, 33), np.linspace(0.5, 0.7, 33).astype(np.longdouble), 0.6):
+        fam.pair.f(r), _eval((fam.junction_f, fam.junction_g), r, (0, 1, 2))
+    refs = [weakref.ref(obj) for obj in (fam.junction_f, fam.junction_g, fam.junction_f._collar)]
+    del fam
+    smoothed_metric(0.6250, 3e-2), smoothed_metric(0.6375, 3e-2)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+# The largest share of its total by which a blend-cache value 4 ulps left of
+# an interior knot differs from the value at the knot, measured: 2.6e-16 at
+# (0.5, 1e-3), 5.3e-17 at (0.8, 1e-2) and 2.2e-15 at (8.0, 1e-2).  The bounds
+# are about twice those.
+BLEND_SEAMS = {(0.5, 1e-3): 5.5e-16, (0.8, 1e-2): 1.1e-16, (8.0, 1e-2): 4.5e-15}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="levels measured with the x87 80-bit longdouble")
+@pytest.mark.parametrize("R,eps", list(BLEND_SEAMS))
+def test_blend_cache_seams_stay_at_their_measured_level(R, eps):
+    """The blend cache's integrand maps its nodes t back to the ramp
+    variable, while its tabulated panels use the exact layout, so its
+    extended-precision value next to a knot differs from the value at the
+    knot by the rounding of t, amplified by R/eps, on top of the integral
+    over the 4 ulps.  That seam stays within its measured level, as a share
+    of each total: a change that widens it fails here."""
+    fam = cached_family(R, eps)
+    for junction in (fam.junction_f, fam.junction_g):
+        knots = junction._collar.blend_knots[1:-1]
+        at, left = blend_lookup(junction, knots), blend_lookup(junction, nudged_left(knots, 4))
+        share = np.abs(at - left) / np.abs(np.array(junction._totals, np.longdouble))
+        assert float(share.max()) <= BLEND_SEAMS[R, eps]
