@@ -60,18 +60,30 @@ once on all three and evaluates no ramp there: the 64-panel values are
 the blend cache's, whose end row is the blend totals that size the
 correction, and the build check compares those with the 16-panel sums
 (the 8-panel sums give its error).
+The gap c'' - b'' of the tube against its exponential extension, the pair
+that smoothed_metric smooths, is warped's closed form (_TubeGap): as a
+function of x = t - R its terms are each O(e^(-R)) at large R, where the
+sides are about sinh R and their difference is rounding noise once sinh R
+exceeds about 1e8 (the build check then judged noise, and failed 24 of 400
+seeded builds with R in [15, 354]).  Any other derivative triples keep the
+sides' difference.  On the window's layouts each node's offset is a
+per-panel term eps (m_p - 1) plus a per-node term eps h xi_j, so
+e^(mu x) and expm1(mu x) split into factors of the two: a build takes its
+transcendentals on 88 panel and 72 node offsets and forms the 2112 gaps as
+one small product per layout (_Collar.window_gaps); evaluator passes and
+the blend cache's remainder nodes read the closed form pointwise.
 The rest of the ramp work depends on (R, eps) alone, so both junctions of a
 family share one collar record: W, the ramp starts, the mapped nodes with
-their offsets t - R, the ramp lookups at R, and the sides' values at the
-nodes.  Each side is evaluated once per node set: the extension's three
-callables per function scale one exponential, and the tube's sinh and cosh
-serve both junctions.  One evaluator pass serves any junctions on one
-record and any derivative orders, from one collar mask, one ramp lookup
+their offsets t - R and those offsets' per-panel and per-node terms, and
+the ramp lookups at R.  The record keeps no side's values, which belong to
+each junction's own functions.  One evaluator pass serves any junctions on
+one record and any derivative orders, from one collar mask, one ramp lookup
 (phi_eps's argument rides beside the four plateau ramps), one blend-cache
 lookup for all its junctions (one set of remainder panels, their nodes'
 _Values and phi_eps there; each junction adds only its own c'' - b'' and
 sums its own cache's columns), and each side's transcendentals once per
-region.  Constants that a pass needs in a given dtype are held once: the
+region, with e^x of the window's offsets shared by both closed-form gaps.
+Constants that a pass needs in a given dtype are held once: the
 ramp polynomials' per (dtype, count) in a module cache, and the record's
 and each junction's on their own instance, never in a cache keyed on a
 record or a junction, which would keep every family alive.
@@ -79,21 +91,25 @@ The smoothed pair's six callables share that
 pass: read together through warped._Values, as every Ricci, curvature,
 quadrature and oracle reader does, they take a, a' and a'' of both
 junctions from one pass; called alone, each runs its own junction and
-order.  The Ricci constant is the supremum over a uniform grid, refined by
-bracket grids of 33 points across the two cells around the running argmax;
-each grid is one warped._ricci_grid.  A bracket round ends the refinement
-once the second difference at its peak, over 8, is within an ulp of the
-running supremum: under a quadratic model the peak between samples exceeds
-the sampled maximum by at most that, so a further round would only chase
-rounding.  The uniform grid is exempt, since its cells may alias the narrow
-collar features; a bracket that stops shrinking also ends it.
+order.  The Ricci constant is the supremum over the collar's slice of a
+uniform 4096-point grid (below R - delta the pair is the extension, with
+-Ric/2 = k_limit(R), and above R the tube, with -Ric/2 = 1; one grid point
+on each side samples those), refined by bracket grids of 129 points across
+the two cells around the running argmax; each grid is one
+warped._ricci_grid, whose cost is mostly its fixed per-pass work, so 129
+points take 4.0 grids per build where 33 took 5.7.  A bracket round ends
+the refinement once the second difference at its peak, over 8, is within
+an ulp of the running supremum: under a quadratic model the peak between
+samples exceeds the sampled maximum by at most that, so a further round
+would only chase rounding.  The uniform grid is exempt, since its cells
+may alias the narrow collar features; a bracket that stops shrinking also
+ends it.
 Each input of the construction has one producer: _floats coerces every
 input array (float64 unless it already holds floats), _window_x maps r to
 the ramp variable (r - R)/eps + 1 (the collar lookups form the same bits
 beside the plateau ramps' arguments, as (r - R)/eps - (-1)),
-_ramp_moments is the one evaluation of
-the ramp polynomials, and _gaps the one read of c'' - b'', so closed-form
-gaps would change that function alone.
+_ramp_moments is the one evaluation of the ramp polynomials, and
+SmoothedJunction._gaps the one read of c'' - b''.
 """
 
 from __future__ import annotations
@@ -107,8 +123,8 @@ import numpy as np
 
 from .bounds import _require_positive, _require_sinh
 from .errors import JunctionError, ParameterError, QuadratureError, WidthError
-from .warped import (WarpingPair, _ricci_grid, _Shared, _Values, hyperbolic_tube,
-                     kerckhoff_extension)
+from .warped import (WarpingPair, _Offsets, _ricci_grid, _Shared, _tube_gap, _Values,
+                     hyperbolic_tube, kerckhoff_extension)
 
 __all__ = [
     "bump_alpha",
@@ -168,16 +184,19 @@ _BLEND_PANELS = 64
 _CHECK_PANELS = (16, 8)
 
 # The smoothed pair's domain reaches _MARGIN past R, and its Ricci supremum
-# is sampled on _K_GRID_N points of [R - delta - 1, R + _MARGIN].
+# is sampled on the points of a _K_GRID_N-point grid of
+# [R - delta - 1, R + _MARGIN] that cover the collar (_k_grid).
 _MARGIN = 1.0
 _K_GRID_N = 4096
 
-# Points of each bracket grid in the refinement of the Ricci supremum: 32
+# Points of each bracket grid in the refinement of the Ricci supremum: 128
 # cells across the two around the running argmax, so the bracket shrinks
-# sixteenfold per round.  A bracket round whose peak has a second difference
-# of at most 8 ulps of the running supremum ends the refinement; the uniform
-# grid never does, as it may alias the collar.
-_BRACKET_POINTS = 33
+# 64-fold per round.  A round costs little more than its fixed per-pass work
+# at 33 points or at 129, and 129 take 4.0 grids per build where 33 took
+# 5.7.  A bracket round whose peak has a second difference of at most 8 ulps
+# of the running supremum ends the refinement; the uniform grid never does,
+# as it may alias the collar.
+_BRACKET_POINTS = 129
 _BRACKET_STEPS = np.arange(_BRACKET_POINTS, dtype=np.float64)
 
 
@@ -302,7 +321,11 @@ class _RampTables:
     computed in extended precision and rounded once to float64 (kept in
     extended precision, which holds the rounded values exactly, as every
     build multiplies them there); ``split`` cuts such an array back into
-    the layouts.
+    the layouts.  Node j of panel p lies at x - 1 = (m_p - 1) + h xi_j, with
+    m_p the panel's midpoint, h the layout's half-width and xi_j the Gauss
+    node, all but xi_j dyadic: ``panel_x`` holds the 88 terms m_p - 1 of the
+    three layouts, ``node_x`` their 72 terms h xi_j, and ``panel_spans``
+    each layout's span of panel_x (its span of node_x is its 24 nodes).
     """
 
     def __init__(self) -> None:
@@ -313,6 +336,10 @@ class _RampTables:
         self.betas = _ramp_moments(self.window_x, 1)[..., 0].astype(np.float64).astype(np.longdouble)
         ends = np.cumsum([0] + [x.size for _, x, _ in layouts]).tolist()
         self._spans = list(zip(ends[:-1], ends[1:]))
+        self.panel_x = np.concatenate([0.5 * (k[1:] + k[:-1]) - 1 for k, _, _ in layouts])
+        self.node_x = np.concatenate([h[0] * _GL_NODES_LD for h in self.halves])
+        ends = np.cumsum([0] + [len(h) for h in self.halves]).tolist()
+        self.panel_spans = list(zip(ends[:-1], ends[1:]))
 
     def split(self, values) -> list:
         """An array over window_x, with any trailing axes, as one
@@ -408,12 +435,6 @@ def step_phi(eps: float, R: float, r):
     return ramp_beta(_window_x(R, eps, _floats(r)))
 
 
-def _gaps(b, c, values: _Values):
-    """c'' - b'' at the points of values: the blend's only read of the
-    sides' difference."""
-    return values(c[2]) - values(b[2])
-
-
 class _Collar:
     """The ramp work of one (R, eps), which depends on neither junction.
 
@@ -422,10 +443,11 @@ class _Collar:
     and fall of the plateau on [R - W, cut], then of the one on [cut, R]),
     with ``ramps_collapse`` set when they do not increase in float64; the
     ramp tables' window layouts mapped onto [R - eps, R] by
-    t = R + eps (x - 1): the blend cache's knots and half-widths, and the
+    t = R + eps (x - 1): the blend cache's knots and half-widths, the
     offsets t - R at every node of the three layouts (flat, as the tables'
-    window_x); the nodes themselves with ``ufunc_values``, the values of
-    numpy ufuncs there, which serve both junctions; ``at_R``, the pass at R
+    window_x), the nodes themselves, and the offsets' per-panel and per-node
+    terms (``panel_offsets`` and ``node_offsets``, the tables' panel_x and
+    node_x times eps); ``at_R``, the pass at R
     that both junctions take, and ``units``, the two unit corrections' lambdas
     that its plateau moments give.  The constants of a pass are built once per
     dtype (``constants``).
@@ -444,7 +466,7 @@ class _Collar:
         R_ld, eps_ld = np.longdouble(R), np.longdouble(eps)
         self.offsets = eps_ld * (tab.window_x - 1)
         self.nodes = R_ld + self.offsets
-        self.ufunc_values: dict = {}
+        self.panel_offsets, self.node_offsets = eps_ld * tab.panel_x, eps_ld * tab.node_x
         self.blend_knots = R_ld + eps_ld * (tab.blend_knots - 1)
         self.blend_knots_f8 = self.blend_knots.astype(np.float64)
         self.blend_half = eps_ld * tab.halves[0]
@@ -483,6 +505,16 @@ class _Collar:
         # lambda (BLAS for float64) gave the values that the tests pin
         return ramps[0][4], np.ascontiguousarray((g[:, 0::2] - g[:, 1::2]).transpose(0, 2, 1))
 
+    def window_gaps(self, gap):
+        """A warped._TubeGap at the nodes of the three window layouts, flat
+        as the tables' window_x, from its factors of the per-panel and the
+        per-node offsets: one product of a (panels, 3) and a (3, 24) array
+        per layout, and no transcendental on the 2112 nodes."""
+        P, Q = gap.factors(self.panel_offsets, self.node_offsets)
+        n = len(_GL_NODES_LD)
+        return np.concatenate([(P[a:b] @ Q[:, n * i:n * (i + 1)]).ravel()
+                               for i, (a, b) in enumerate(_ramp_tables().panel_spans)])
+
     @functools.cached_property
     def at_R(self) -> "_CollarPass":
         """The pass of orders 0 and 1 at R in extended precision, which gives
@@ -504,8 +536,9 @@ class _Remainder:
     """The remainder panels [knot, x] of blend-cache lookups at points x of
     a collar record's blending window, and what each junction's integrand
     reads at their Gauss nodes t: the sides through one _Values
-    (``sides``), phi_eps and the offsets t - R.  The caches of all
-    junctions on the record share one.
+    (``sides``), phi_eps and the offsets t - R, also through one
+    warped._Offsets (``x``).  The caches of all junctions on the record
+    share one.
 
     ``above`` and ``inside`` mark the points at or above the last knot and
     strictly inside; for those inside, ``idx`` is the panel and ``half``
@@ -534,15 +567,16 @@ class _Remainder:
             self.sides = _Values(t)
             self.phi = ramp_beta(_window_x(collar.R, collar.eps, t))
             self.offsets = t - np.asarray(collar.R, t.dtype)
+            self.x = _Offsets(self.offsets)
 
 
 class _CollarPass:
     """The work of one evaluator pass at its collar points s that every
     junction on the record shares: ``phi`` (phi_eps) and ``plateaus`` from
     the record's lookups, the points where phi_eps > 0 (``inside``) with
-    the sides there (``window``, one _Values), phi_eps and t - R at them,
-    and, when an order below 2 reads the blend caches, their remainder
-    panels (``blend``)."""
+    the sides there (``window``, one _Values), phi_eps and t - R at them
+    (also as a warped._Offsets, ``x``), and, when an order below 2 reads the
+    blend caches, their remainder panels (``blend``)."""
 
     def __init__(self, collar: _Collar, s, orders, lookups):
         self.orders = orders
@@ -553,6 +587,7 @@ class _CollarPass:
         if t.size:
             self.phi_in = self.phi[self.inside]
             self.offsets = t - np.asarray(collar.R, t.dtype)
+            self.x = _Offsets(self.offsets)
             self.blend = _Remainder(collar, t) if min(orders) < 2 else None
 
 
@@ -591,12 +626,12 @@ class SmoothedJunction:
                                 f"|b-c|={v:.3e}, |b'-c'|={d:.3e}")
 
         self._collar = collar = _collar_of(R, eps)
+        self._tube_gap = _tube_gap(b, c, R)
         tab = _ramp_tables()
-        # c'' - b'' once at the window's nodes for the whole build; the tube's
-        # sinh and cosh there come from the record, for both junctions.  With
+        # c'' - b'' once at the window's nodes for the whole build; with
         # phi_eps (t - R)^j, j = 0, 1, it gives each layout's integrand values
-        moments = tab.split(_powers(_gaps(b, c, _Values(collar.nodes, collar.ufunc_values))
-                                    * tab.betas, collar.offsets, 2))
+        moments = tab.split(_powers(self._gaps(_Values(collar.nodes)) * tab.betas,
+                                    collar.offsets, 2))
         # the blend cache: I_j(s) = int_{R-eps}^s (c'' - b'') phi_eps (t - R)^j
         # on the 64 panels, whose end row is the blend totals that size the
         # correction; a lookup reads _integrand at its remainder's nodes
@@ -636,10 +671,24 @@ class SmoothedJunction:
             cast = self._casts[dt] = tuple(v.astype(dt) for v in (self._coef, self._res0, self._res1))
         return cast
 
+    def _gaps(self, at: _Values, x=None):
+        """c'' - b'' at the points of ``at``: the one read of the gap.
+
+        For the tube against its exponential extension, as smoothed_metric
+        builds them, it is warped's closed form (_TubeGap), which loses
+        nothing to cancellation at large R: at the offsets from R that ``x``
+        holds (a warped._Offsets), or, with no x, at the record's window
+        layouts from its factors (_Collar.window_gaps).  For any other
+        triples it is the sides' difference.
+        """
+        if self._tube_gap is None:
+            return at(self.c[2]) - at(self.b[2])
+        return self._tube_gap(x) if x is not None else self._collar.window_gaps(self._tube_gap)
+
     def _integrand(self, rem: _Remainder):
         """The blend cache's integrand (c'' - b'') phi_eps (t - R)^j, j = 0, 1,
         at the nodes t of rem."""
-        return _powers(_gaps(self.b, self.c, rem.sides) * rem.phi, rem.offsets, 2)
+        return _powers(self._gaps(rem.sides, rem.x) * rem.phi, rem.offsets, 2)
 
     def _terms(self, p: _CollarPass, coef):
         """a - b, or its derivative of each of the pass's orders, at its
@@ -656,7 +705,7 @@ class SmoothedJunction:
             i = self._blend(p.blend, self._integrand) if p.blend is not None else None
             for out, order in zip(outs, p.orders):
                 if order == 2:
-                    out[p.inside] += _gaps(self.b, self.c, p.window) * p.phi_in
+                    out[p.inside] += self._gaps(p.window, p.x) * p.phi_in
                 elif order == 1:
                     out[p.inside] += i[..., 0]
                 else:
@@ -755,9 +804,25 @@ class SmoothedWarpingFamily:
     k_eps: float
 
 
-def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float) -> float:
-    """Grid supremum of max(-Ric)/2 for ``pair`` on [lo, hi], refined on
-    bracket grids at the peak.
+def _k_grid(R: float, delta: float):
+    """The first grid of the smoothed pair's Ricci supremum: the points of
+    the uniform _K_GRID_N-point grid of [R - delta - 1, R + _MARGIN] that
+    lie on the collar [R - delta, R], and one neighbour on each side.
+
+    Below R - delta the pair is the extension bit for bit, with
+    -Ric/2 = k_limit(R), and above R it is the tube, with -Ric/2 = 1:
+    constants, which the two neighbours sample.  They also give a peak at
+    either end of the collar the same bracket as on the whole grid.
+    """
+    rs = np.linspace(R - delta - 1.0, R + _MARGIN, _K_GRID_N)
+    first = int(np.searchsorted(rs, R - delta))  # the first point at or above R - delta
+    past = int(np.searchsorted(rs, R, side="right"))  # the first point above R
+    return rs[max(first - 1, 0):past + 1]
+
+
+def _ricci_sup_half(pair: WarpingPair, rs) -> float:
+    """Grid supremum of max(-Ric)/2 for ``pair`` on the uniform grid rs,
+    refined on bracket grids at the peak.
 
     The refinement guards against the uniform grid aliasing the narrow
     collar features where the supremum lives.  Each round samples the two
@@ -775,7 +840,6 @@ def _ricci_sup_half(pair: WarpingPair, lo: float, hi: float) -> float:
     rejected: the collar corrections outweighed b there, which happens when
     eps is large for a small R.
     """
-    rs = np.linspace(lo, hi, _K_GRID_N)
     best, width = -math.inf, math.inf
     while True:
         vals = _ricci_grid(pair, rs)
@@ -831,7 +895,7 @@ def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
         fd_step=_FD_STEP_HINT,
         name=f"smoothed(R={R:g}, eps={eps:g})",
     )
-    k = _ricci_sup_half(pair, R - delta - 1.0, R + _MARGIN)
+    k = _ricci_sup_half(pair, _k_grid(R, delta))
     return SmoothedWarpingFamily(
         R=R, eps=eps, margin=_MARGIN,
         junction_f=jf, junction_g=jg,

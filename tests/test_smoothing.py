@@ -35,6 +35,7 @@ from drillvol.smoothing import (
     _CHECK_PANELS,
     _check_moments,
     _eval,
+    _k_grid,
     _panel_sums,
     _panels,
     _powers,
@@ -557,14 +558,31 @@ def test_k_eps_from_junction_passes_matches_pair_callables(R, eps):
     calls one by one, a pass per callable."""
     fam = cached_family(R, eps)
     wrapped, calls = counted_pair(fam.pair)
-    assert fam.k_eps == _ricci_sup_half(wrapped, R - fam.delta - 1.0, R + fam.margin)
+    assert fam.k_eps == _ricci_sup_half(wrapped, _k_grid(R, fam.delta))
     assert len(set(calls.values())) == 1 and set(calls) == set(PAIR_FIELDS)
 
 
-def full_depth_sup_half(pair, lo, hi):
-    """The refinement without the curvature stop: bracket rounds until the
-    bracket stops shrinking, which spends its last rounds on rounding."""
-    rs = np.linspace(lo, hi, smoothing._K_GRID_N)
+@pytest.mark.parametrize("R,eps", CRITERION_7_GRID + SWEEP_LIKE)
+def test_collar_grid_gives_the_whole_grids_supremum(R, eps):
+    """The first Ricci grid is the slice of the uniform 4096-point grid of
+    [R - delta - 1, R + margin] that covers the collar [R - delta, R], with
+    one neighbour on each side: outside the collar -Ric/2 is the extension's
+    constant below and the tube's above.  The refinement from it gives the
+    refinement from the whole grid bit for bit (also on all 2304
+    sweep_pairs(1) and sweep_pairs(2) families, measured)."""
+    fam = cached_family(R, eps)
+    whole = np.linspace(R - fam.delta - 1.0, R + fam.margin, smoothing._K_GRID_N)
+    rs = _k_grid(R, fam.delta)
+    first = int(np.flatnonzero(whole == rs[0])[0])
+    assert np.array_equal(rs, whole[first:first + len(rs)])
+    assert rs[0] < R - fam.delta <= rs[1] and rs[-2] <= R < rs[-1]
+    assert fam.k_eps == _ricci_sup_half(fam.pair, whole)
+
+
+def full_depth_sup_half(pair, rs):
+    """The refinement from the first grid rs without the curvature stop:
+    bracket rounds until the bracket stops shrinking, which spends its last
+    rounds on rounding."""
     best, width = -math.inf, math.inf
     while True:
         vals = _ricci_grid(pair, rs)
@@ -597,17 +615,18 @@ LARGE_R = [(20.0, 1e-2), (100.0, 1e-4), (354.0, 0.1)]
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID + SWEEP_LIKE + LARGE_R)
 def test_curvature_stop_matches_full_depth(R, eps, monkeypatch):
     """k_eps stops refining once the sampled peak's second difference says a
-    further round cannot raise it by more than rounding.  It never exceeds
-    the full-depth refinement, stays within 2e-15 relative of it (7.4e-16 at
-    most on 2304 sweep families), and takes at most 6 grids on these pairs
-    (the full depth takes 10 to 14)."""
+    further round cannot raise it by more than rounding.  From the same
+    first grid it never exceeds the full-depth refinement, stays within
+    2e-15 relative of it (6.6e-16 at most on 2304 sweep families), and takes
+    at most 6 grids on these pairs (4 to 5 on the sweep families, where the
+    full depth takes 9 to 13)."""
     fam = cached_family(R, eps)
-    lo, hi = R - fam.delta - 1.0, R + fam.margin
-    full = full_depth_sup_half(fam.pair, lo, hi)
+    rs = _k_grid(R, fam.delta)
+    full = full_depth_sup_half(fam.pair, rs)
     grids = count_ricci_grids(monkeypatch)
-    assert _ricci_sup_half(fam.pair, lo, hi) == fam.k_eps
+    assert _ricci_sup_half(fam.pair, rs) == fam.k_eps
     assert 0.0 <= full - fam.k_eps <= 2e-15 * full
-    assert grids[0] == smoothing._K_GRID_N and 2 <= len(grids) <= 6
+    assert grids[0] == len(rs) and 2 <= len(grids) <= 6
 
 
 def test_first_grid_is_always_refined(monkeypatch):
@@ -615,7 +634,7 @@ def test_first_grid_is_always_refined(monkeypatch):
     the 4096-point grid never stops the refinement (it guards against
     aliasing): one bracket round follows it, and stops."""
     grids = count_ricci_grids(monkeypatch)
-    assert _ricci_sup_half(hyperbolic_tube(), 0.5, 1.5) == 1.0
+    assert _ricci_sup_half(hyperbolic_tube(), np.linspace(0.5, 1.5, smoothing._K_GRID_N)) == 1.0
     assert grids == [smoothing._K_GRID_N, smoothing._BRACKET_POINTS]
 
 
@@ -632,7 +651,8 @@ def test_peak_at_an_end_stops_early(monkeypatch):
     grids = count_ricci_grids(monkeypatch)
     for lo, hi in ((0.5, 1.5), (-1.5, -0.5)):
         grids.clear()
-        assert _ricci_sup_half(pair, lo, hi) == pytest.approx(3.25, rel=1e-15, abs=0.0)
+        rs = np.linspace(lo, hi, smoothing._K_GRID_N)
+        assert _ricci_sup_half(pair, rs) == pytest.approx(3.25, rel=1e-15, abs=0.0)
         assert len(grids) <= 4
 
 
@@ -650,7 +670,7 @@ def test_kinked_peak_ends_when_the_bracket_stops_shrinking(monkeypatch):
         return 1.0 - 1e3 * np.abs(rs - math.pi / 4)
 
     monkeypatch.setattr(smoothing, "_ricci_grid", kinked)
-    assert _ricci_sup_half(None, 0.0, 2.0) == 1.0
+    assert _ricci_sup_half(None, np.linspace(0.0, 2.0, smoothing._K_GRID_N)) == 1.0
     assert len(grids) <= 16
     assert len(np.unique(grids[-1])) < smoothing._BRACKET_POINTS
 
@@ -730,44 +750,47 @@ def test_one_ramp_lookup_per_eval_pass(monkeypatch):
 
 def test_junctions_share_one_collar_record(monkeypatch):
     """The two junctions of a family hold one collar record.  A build makes
-    7 lookups of the three ramp moments, one at R and one per Ricci grid (14
-    when the refinement ran until its bracket stopped shrinking, 28 when
-    each pass looked phi_eps up on its own, 32 when the build check looked
-    phi_eps up on its own panels, 172 with lookups per callable and order),
-    evaluates no bump (6912 points when each record tabulated phi_eps' on
-    its own blend nodes, up to 1000 while the blend cache integrated
-    phi_eps'), and evaluates each longdouble side array on the blending
-    window's nodes once: one exponential per extension function, whose
-    three callables share it, and the tube's sinh and cosh, which the
-    record keeps for both junctions (12 arrays when each junction evaluated
-    its sides per order and stage)."""
+    5 lookups of the three ramp moments, one at R and one per Ricci grid:
+    the collar's slice of the uniform grid and three 129-point brackets (7
+    with 33-point brackets, 14 when the refinement ran until its bracket
+    stopped shrinking, 28 when each pass looked phi_eps up on its own, 32
+    when the build check looked phi_eps up on its own panels, 172 with
+    lookups per callable and order).  It evaluates no bump (6912 points
+    when each record tabulated phi_eps' on its own blend nodes, up to 1000
+    while the blend cache integrated phi_eps'), and no extended-precision
+    exp, expm1, sinh or cosh of the blending window's size: the closed-form
+    gaps take their exponentials at 88 panel and 72 node offsets (2 window
+    exponentials and the tube's sinh and cosh when each junction
+    subtracted its sides there, 12 arrays when each junction evaluated its
+    sides per order and stage)."""
     want = cached_family(0.8, 1e-2).k_eps
     tab = _ramp_tables()
     smoothing._collar_of.cache_clear()
     lookups = record_ramp_lookups(monkeypatch)
-    bump_points, window_exps = [], []
-    bump, exp = smoothing.bump_alpha, np.exp
+    bump_points, window_calls = [], []
+    bump = smoothing.bump_alpha
 
     def counting_bump(r):
         bump_points.append(np.size(r))
         return bump(r)
 
-    def counting_exp(x, *args, **kwargs):
-        if np.asarray(x).dtype == np.longdouble and np.size(x) >= tab.window_x.size:
-            window_exps.append(np.size(x))
-        return exp(x, *args, **kwargs)
+    def counting(fn):
+        def call(x, *args, **kwargs):
+            if np.asarray(x).dtype == np.longdouble and np.size(x) >= tab.window_x.size:
+                window_calls.append((fn.__name__, np.size(x)))
+            return fn(x, *args, **kwargs)
+        return call
 
     monkeypatch.setattr(smoothing, "bump_alpha", counting_bump)
-    monkeypatch.setattr(np, "exp", counting_exp)
+    for name in ("exp", "expm1", "sinh", "cosh"):
+        monkeypatch.setattr(np, name, counting(getattr(np, name)))
     fam = smoothed_metric(0.8, 1e-2)
     monkeypatch.undo()
     collar = fam.junction_f._collar
     assert collar is fam.junction_g._collar
-    # one at R, then one per Ricci grid: the 4096-point grid and five brackets
-    assert len(lookups) == 7
+    assert len(lookups) == 5
     assert bump_points == []
-    assert len(window_exps) == 2
-    assert set(collar.ufunc_values) == {np.sinh, np.cosh}
+    assert window_calls == []
     assert fam.k_eps == want
 
 
