@@ -41,52 +41,42 @@ I_j(s) = int_{R-eps}^s (c'' - b'') phi_eps (t - R)^j dt,
     u_blend'' = (c'' - b'') phi_eps,  u_blend' = I_0,
     u_blend(s) = (s - R) I_0(s) - I_1(s),
 
-and the blend cache tabulates I_0 and I_1 on a monotone knot grid; panel
-values and point evaluations use one fixed Gauss-Legendre rule in extended
-precision, so evaluation costs O(log n) after construction and crossing a
-knot adds no jump of the rule (the value-only finite-difference oracle
-needs that).  The seam left is rounding: the integrand maps its nodes t
-back to the ramp variable, while the panels use the exact layout, so the
-extended-precision value 4 ulps left of an interior knot differs from the
-value at it by up to 2.6e-16 of the totals at (R, eps) = (0.5, 1e-3),
-5.3e-17 at (0.8, 1e-2) and 2.2e-15 at (8.0, 1e-2), measured, and pinned
-by a test at about twice that.  A float64 lookup is rounded row by row, and no
-extended-precision array is raised to a power (numpy calls powl per
-element for x**0 and x**1), so moments are products.  The blending window
-has one node layout: the ramp tables hold the blend rule's 64 panels and
-the build check's 16 and 8 on [0, 1], with beta at their nodes, and
-t = R + eps (x - 1) maps them onto [R - eps, R].  A build forms c'' - b''
-once on all three and evaluates no ramp there: the 64-panel values are
-the blend cache's, whose end row is the blend totals that size the
-correction, and the build check compares those with the 16-panel sums
-(the 8-panel sums give its error).
+and each I_j is one Gauss-Legendre rule of 24 points in the ramp variable
+x = (s - R)/eps + 1: on [0, x], where t = R + eps (x - 1), phi_eps = beta(x)
+is a polynomial of degree 9 and t - R = eps (x - 1), so the integrand is a
+polynomial of degree 10 or less times the smooth gap, and the rule gives
+I_j to rounding (within 2e-19 of each total, against values pinned at 140
+digits).  The same rule gives the blend totals (x = 1), which size the
+correction, and I_j at every window point of an evaluator pass, so I_j has
+no knots and no seams (the value-only finite-difference oracle needs a
+smooth a).  Its nodes and weights are computed once in extended precision
+(_gauss_legendre): their float64 roundings would leave 8e-16 of each total.
+The build check compares the totals with the rule on 4 equal panels of
+[0, 1], and takes the distance from the rule on 2 as its error estimate:
+168 nodes per build, which both junctions share.  No extended-precision
+array is raised to a power (numpy calls powl per element for x**0 and
+x**1), so moments are products.
 The gap c'' - b'' of the tube against its exponential extension, the pair
-that smoothed_metric smooths, is warped's closed form (_TubeGap): as a
-function of x = t - R its terms are each O(e^(-R)) at large R, where the
-sides are about sinh R and their difference is rounding noise once sinh R
-exceeds about 1e8 (the build check then judged noise, and failed 24 of 400
-seeded builds with R in [15, 354]).  Any other derivative triples keep the
-sides' difference.  On the window's layouts each node's offset is a
-per-panel term eps (m_p - 1) plus a per-node term eps h xi_j, so
-e^(mu x) and expm1(mu x) split into factors of the two: a build takes its
-transcendentals on 88 panel and 72 node offsets and forms the 2112 gaps as
-one small product per layout (_Collar.window_gaps); evaluator passes and
-the blend cache's remainder nodes read the closed form pointwise.
+that smoothed_metric smooths, is warped's closed form (_TubeGap) at the
+offsets t - R: its terms are each O(e^(-R)) at large R, where the sides are
+about sinh R and their difference is rounding noise once sinh R exceeds
+about 1e8 (the build check then judged noise, and failed 24 of 400 seeded
+builds with R in [15, 354]).  Any other derivative triples keep the sides'
+difference.
 The rest of the ramp work depends on (R, eps) alone, so both junctions of a
-family share one collar record: W, the ramp starts, the mapped nodes with
-their offsets t - R and those offsets' per-panel and per-node terms, and
-the ramp lookups at R.  The record keeps no side's values, which belong to
-each junction's own functions.  One evaluator pass serves any junctions on
-one record and any derivative orders, from one collar mask, one ramp lookup
-(phi_eps's argument rides beside the four plateau ramps), one blend-cache
-lookup for all its junctions (one set of remainder panels, their nodes'
-_Values and phi_eps there; each junction adds only its own c'' - b'' and
-sums its own cache's columns), and each side's transcendentals once per
+family share one collar record: W, the ramp starts, the build's window
+rule with its nodes' phi_eps and offsets, and the ramp lookups at R.  The
+record keeps no side's values, which belong to each junction's own
+functions.  One evaluator pass serves any junctions on one record and any
+derivative orders, from one collar mask, one ramp lookup (phi_eps's
+argument rides beside the four plateau ramps), one window rule for all its
+junctions (its nodes' _Values, offsets and phi_eps; each junction adds only
+its own c'' - b'' and totals), and each side's transcendentals once per
 region, with e^x of the window's offsets shared by both closed-form gaps.
-Constants that a pass needs in a given dtype are held once: the
-ramp polynomials' per (dtype, count) in a module cache, and the record's
-and each junction's on their own instance, never in a cache keyed on a
-record or a junction, which would keep every family alive.
+Constants that a pass needs in a given dtype are held once: the ramp
+polynomials' per (dtype, count) and the rule's per dtype in module caches,
+and the record's and each junction's on their own instance, never in a
+cache keyed on a record or a junction, which would keep every family alive.
 The smoothed pair's six callables share that
 pass: read together through warped._Values, as every Ricci, curvature,
 quadrature and oracle reader does, they take a, a' and a'' of both
@@ -136,23 +126,10 @@ __all__ = [
     "smoothed_metric",
 ]
 
-# The 24-point Gauss-Legendre rule on [-1, 1]: nodes -_GL_X[::-1] and _GL_X,
-# with the mirrored weights, as numpy.polynomial.legendre.leggauss(24) gives
-# them (it symmetrizes its output); literals spare importing numpy.polynomial.
-_GL_X = np.array([
-    0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
-    0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
-    0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
-])
-_GL_W = np.array([
-    0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
-    0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
-    0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
-])
-_GL_NODES_F8 = np.concatenate([-_GL_X[::-1], _GL_X])
-_GL_WEIGHTS_F8 = np.concatenate([_GL_W[::-1], _GL_W])
-_GL_NODES_LD = _GL_NODES_F8.astype(np.longdouble)
-_GL_WEIGHTS_LD = _GL_WEIGHTS_F8.astype(np.longdouble)
+# Points of the Gauss-Legendre rule (_gauss_legendre): it is exact for
+# polynomials of degree 47, and the blend integrand is one of degree 10 in
+# the ramp variable times the smooth gap c'' - b''.
+_GL_POINTS = 24
 
 # The bump's cumulative moments int_0^x t^j alpha(t) dt on [0, 1], j < 3, are
 # x^(5 + j) q_j(x) / d_j: the integer coefficients of q_j from x^4 down, and
@@ -164,7 +141,7 @@ _RAMP_Q = np.array([[70, -315, 540, -420, 126],
                     [630, -2772, 4620, -3465, 990]])
 _RAMP_D = np.array([1, 2, 11])
 
-# Finite-difference step hint for table-backed pairs; resolves the collar
+# Finite-difference step hint for the smoothed pair; resolves the collar
 # features well below their width while staying above the evaluation noise.
 _FD_STEP_HINT = 1e-6
 
@@ -175,13 +152,11 @@ _COLLAR_POWER = 1.0 / 3.0
 _COLLAR_SPLIT = 2.0 / 3.0
 _COLLAR_RAMP = 0.05
 
-# Panels of the blend stage's rule on the blending window, and of the build
-# check's reference rule and its error estimate.  64 blend panels give a,
-# a' and a'' on the window within extended-precision rounding (2e-19
-# relative) of a 1024-panel rule, as 256 do, with the same k_eps, delta and
-# gaps; 32 are measurably worse (5e-19), and 16 reach 2e-18.
-_BLEND_PANELS = 64
-_CHECK_PANELS = (16, 8)
+# The build's panels of [0, 1], the blending window in the ramp variable:
+# the blend totals' one, then the build check's reference on 4 and its
+# error estimate on 2.
+_BUILD_LO = np.array([0, 0, 0.25, 0.5, 0.75, 0, 0.5], np.longdouble)
+_BUILD_HI = np.array([1, 0.25, 0.5, 0.75, 1, 0.5, 1], np.longdouble)
 
 # The smoothed pair's domain reaches _MARGIN past R, and its Ricci supremum
 # is sampled on the points of a _K_GRID_N-point grid of
@@ -223,58 +198,51 @@ def bump_alpha(r):
     return out if out.shape else out[()]
 
 
-def _panels(lo: float, hi: float, n_knots: int):
-    """The knots of n_knots - 1 equal panels on [lo, hi] in extended
-    precision, the Gauss-Legendre nodes of each panel, and its half-width."""
-    knots = np.linspace(np.longdouble(lo), np.longdouble(hi), n_knots)
-    half = 0.5 * (knots[1:] - knots[:-1])
-    mid = 0.5 * (knots[1:] + knots[:-1])
-    return knots, mid[:, None] + half[:, None] * _GL_NODES_LD, half
+@functools.cache
+def _gauss_legendre():
+    """The _GL_POINTS-point Gauss-Legendre rule on [-1, 1] in extended
+    precision: its nodes, increasing, and their weights.
 
-
-def _panel_sums(half, values):
-    """Running sums over the panels of the rule's integral of each
-    component, from the integrand's values at the panel nodes."""
-    return (half[:, None] * (np.swapaxes(values, -1, -2) @ _GL_WEIGHTS_LD)).cumsum(axis=0)
-
-
-class _Cumulative:
-    """Antiderivatives from lo of an integrand with several components,
-    memoized on a uniform knot grid.
-
-    ``half`` holds the panel grid's half-widths and ``values`` the
-    integrand at its nodes, with the components on the last axis.  The
-    knot values are partial sums of fixed Gauss-Legendre panels computed
-    in extended precision, and a lookup adds the same rule on the
-    remainder [knot, x], whose panels a _Remainder holds: caches on the
-    same knots share one.  Crossing a knot moves a value by the rounding of
-    the remainder's nodes, not by a jump of the rule (see _Remainder).  A
-    float64 lookup is built in float64: its end rows (0 and the totals)
-    are rounded once here, and only the rows inside are summed in extended
-    precision and then rounded, the same bits as rounding the whole
-    extended-precision lookup.  ``ends`` holds the end rows, in extended
-    precision under True and rounded to float64 under False.
+    Newton's method on P_n runs in 256-bit fixed point on Python integers,
+    from the estimate cos(pi (k - 1/4) / (n + 1/2)) of the k-th largest
+    root, with P_n and P_(n-1) from the three-term recurrence and
+    P_n' = n (P_(n-1) - x P_n) / (1 - x^2); the weights are
+    2 (1 - x^2) / (n P_(n-1))^2 there.  Each value is rounded once to
+    extended precision, as the sum of its float64 rounding and that
+    rounding's error.  The same recurrence in extended precision is off by
+    up to 90 units in the last place of a weight near the ends.
     """
+    n, one = _GL_POINTS, 1 << 256
 
-    def __init__(self, half, values):
-        sums = _panel_sums(half, values)
-        self._cum = np.concatenate([np.zeros((1, sums.shape[-1]), np.longdouble), sums])
-        ends = self._cum[[0, -1]]
-        self.ends = {True: ends, False: ends.astype(np.float64)}
+    def legendre(X):  # P_n and P_(n-1) at X / one, times one
+        p0, p1 = one, X
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * X * p1 // one - (m - 1) * p0) // m
+        return p1, p0
 
-    def __call__(self, rem, fun):
-        """The antiderivatives at the points of ``rem``, stacked on a new
-        last axis; fun(rem) gives the integrand at its nodes.
+    def rounded(V):  # V / one in extended precision
+        hi = V / one
+        a, b = hi.as_integer_ratio()
+        return np.longdouble(hi) + np.longdouble((V * b - a * one) / (one * b))
 
-        They are 0 at or below lo and the totals at or above hi; the rule
-        runs only for points strictly inside.
-        """
-        lo, hi = self.ends[rem.ld]
-        out = np.where(rem.above[..., None], hi, lo)
-        if rem.idx is not None:
-            values = np.swapaxes(fun(rem), -1, -2) @ rem.weights
-            out[rem.inside] = self._cum[rem.idx] + rem.half[..., None] * values
-        return out
+    nodes, weights = [], []
+    for k in range(n // 2, 0, -1):
+        X = int(math.cos(math.pi * (k - 0.25) / (n + 0.5)) * one)
+        for _ in range(8):  # from within 2e-4 of the root, the step is 0 by the seventh
+            pn, pm = legendre(X)
+            X -= pn * (one * one - X * X) // (n * (pm * one - X * pn))
+        pm = legendre(X)[1]
+        nodes.append(rounded(X))
+        weights.append(rounded(2 * (one * one - X * X) * one // (n * pm) ** 2))
+    nodes, weights = np.array(nodes), np.array(weights)
+    return np.concatenate([-nodes[::-1], nodes]), np.concatenate([weights[::-1], weights])
+
+
+@functools.cache
+def _unit_rule(dt):
+    """The rule on [0, 1] in dtype dt: nodes (1 + xi) / 2 and weights w / 2."""
+    xi, w = _gauss_legendre()
+    return ((1 + xi) / 2).astype(dt), (w / 2).astype(dt)
 
 
 def _powers(v, x, count: int):
@@ -294,63 +262,19 @@ def _powers(v, x, count: int):
 
 def _check_moments(label: str, totals, sums, lo: float, hi: float):
     """Compare totals[j] with the reference integral of the j-th moment over
-    [lo, hi].  ``sums`` holds the moments' integrals by the panel rule on 16
-    and on 8 equal panels: the first is the reference, and its distance
-    from the second the error estimate.  Raises QuadratureError on a
-    disagreement; returns the references and their errors."""
+    [lo, hi].  ``sums`` holds the moments' integrals by the Gauss-Legendre
+    rule on 4 and on 2 equal panels: the first is the reference, and its
+    distance from the second the error estimate.  Raises QuadratureError on
+    a disagreement; returns the references and their errors."""
     refs, coarse = sums
     errs = np.abs(refs - coarse)
     for j, (total, ref, err) in enumerate(zip(totals, refs, errs)):
         drift = float(abs(total - ref))
         if drift > max(5e-12, 10.0 * float(err)):
             raise QuadratureError(
-                f"{label}: panel quadrature of moment {j} disagrees with the 16-panel "
+                f"{label}: panel quadrature of moment {j} disagrees with the 4-panel "
                 f"reference by {drift:.3e} on [{lo}, {hi}] (reference error {float(err):.1e})")
     return refs, errs
-
-
-class _RampTables:
-    """Module-wide cache: the blending window's node layouts on [0, 1].
-
-    t = R + eps (x - 1) maps [0, 1] onto every blending window [R - eps, R],
-    so the junctions of all (R, eps) share these layouts: the blend rule's
-    64 panels, whose knots are kept, and the build check's 16 and 8 panels.
-    ``halves`` holds, per layout in that order, the panel half-widths.
-    ``window_x`` holds the nodes of all three in one flat array, so that a
-    side is evaluated on all of them in one call, and ``betas`` beta there,
-    computed in extended precision and rounded once to float64 (kept in
-    extended precision, which holds the rounded values exactly, as every
-    build multiplies them there); ``split`` cuts such an array back into
-    the layouts.  Node j of panel p lies at x - 1 = (m_p - 1) + h xi_j, with
-    m_p the panel's midpoint, h the layout's half-width and xi_j the Gauss
-    node, all but xi_j dyadic: ``panel_x`` holds the 88 terms m_p - 1 of the
-    three layouts, ``node_x`` their 72 terms h xi_j, and ``panel_spans``
-    each layout's span of panel_x (its span of node_x is its 24 nodes).
-    """
-
-    def __init__(self) -> None:
-        layouts = [_panels(0.0, 1.0, n + 1) for n in (_BLEND_PANELS, *_CHECK_PANELS)]
-        self.blend_knots = layouts[0][0]
-        self.halves = [h for _, _, h in layouts]
-        self.window_x = np.concatenate([x.ravel() for _, x, _ in layouts])
-        self.betas = _ramp_moments(self.window_x, 1)[..., 0].astype(np.float64).astype(np.longdouble)
-        ends = np.cumsum([0] + [x.size for _, x, _ in layouts]).tolist()
-        self._spans = list(zip(ends[:-1], ends[1:]))
-        self.panel_x = np.concatenate([0.5 * (k[1:] + k[:-1]) - 1 for k, _, _ in layouts])
-        self.node_x = np.concatenate([h[0] * _GL_NODES_LD for h in self.halves])
-        ends = np.cumsum([0] + [len(h) for h in self.halves]).tolist()
-        self.panel_spans = list(zip(ends[:-1], ends[1:]))
-
-    def split(self, values) -> list:
-        """An array over window_x, with any trailing axes, as one
-        (panels, nodes, ...) array per layout."""
-        shape = (-1, len(_GL_NODES_LD)) + values.shape[1:]
-        return [values[a:b].reshape(shape) for a, b in self._spans]
-
-
-@functools.cache
-def _ramp_tables() -> _RampTables:
-    return _RampTables()
 
 
 def _ramp_moments(x, count: int = 3):
@@ -441,20 +365,15 @@ class _Collar:
     The collar width W(eps), the reach max(eps, W) below R that covers the
     collar of every junction, and the starts of the four plateau ramps (rise
     and fall of the plateau on [R - W, cut], then of the one on [cut, R]),
-    with ``ramps_collapse`` set when they do not increase in float64; the
-    ramp tables' window layouts mapped onto [R - eps, R] by
-    t = R + eps (x - 1): the blend cache's knots and half-widths, the
-    offsets t - R at every node of the three layouts (flat, as the tables'
-    window_x), the nodes themselves, and the offsets' per-panel and per-node
-    terms (``panel_offsets`` and ``node_offsets``, the tables' panel_x and
-    node_x times eps); ``at_R``, the pass at R
-    that both junctions take, and ``units``, the two unit corrections' lambdas
-    that its plateau moments give.  The constants of a pass are built once per
+    with ``ramps_collapse`` set when they do not increase in float64;
+    ``rule``, the window rule on the build's seven panels of [0, 1] that
+    both junctions' builds read; ``at_R``, the pass at R that both
+    junctions take, and ``units``, the two unit corrections' lambdas that
+    its plateau moments give.  The constants of a pass are built once per
     dtype (``constants``).
     """
 
     def __init__(self, R: float, eps: float):
-        tab = _ramp_tables()
         self.R, self.eps = R, eps
         self.width = _COLLAR_SCALE * eps ** _COLLAR_POWER
         self.reach = max(eps, self.width)
@@ -463,13 +382,7 @@ class _Collar:
         self.ramp_starts = [R - self.width, cut - self.ramp_w, cut, R - self.ramp_w]
         ends = self.ramp_starts[1:] + [R]
         self.ramps_collapse = not all(a < b for a, b in zip(self.ramp_starts, ends))
-        R_ld, eps_ld = np.longdouble(R), np.longdouble(eps)
-        self.offsets = eps_ld * (tab.window_x - 1)
-        self.nodes = R_ld + self.offsets
-        self.panel_offsets, self.node_offsets = eps_ld * tab.panel_x, eps_ld * tab.node_x
-        self.blend_knots = R_ld + eps_ld * (tab.blend_knots - 1)
-        self.blend_knots_f8 = self.blend_knots.astype(np.float64)
-        self.blend_half = eps_ld * tab.halves[0]
+        self.rule = _WindowRule(self, _BUILD_LO, _BUILD_HI)
         self._constants: dict = {}
 
     def constants(self, dt, orders):
@@ -505,16 +418,6 @@ class _Collar:
         # lambda (BLAS for float64) gave the values that the tests pin
         return ramps[0][4], np.ascontiguousarray((g[:, 0::2] - g[:, 1::2]).transpose(0, 2, 1))
 
-    def window_gaps(self, gap):
-        """A warped._TubeGap at the nodes of the three window layouts, flat
-        as the tables' window_x, from its factors of the per-panel and the
-        per-node offsets: one product of a (panels, 3) and a (3, 24) array
-        per layout, and no transcendental on the 2112 nodes."""
-        P, Q = gap.factors(self.panel_offsets, self.node_offsets)
-        n = len(_GL_NODES_LD)
-        return np.concatenate([(P[a:b] @ Q[:, n * i:n * (i + 1)]).ravel()
-                               for i, (a, b) in enumerate(_ramp_tables().panel_spans)])
-
     @functools.cached_property
     def at_R(self) -> "_CollarPass":
         """The pass of orders 0 and 1 at R in extended precision, which gives
@@ -532,42 +435,33 @@ class _Collar:
         return np.array([m11, -m10]) / det, np.array([-m01, m00]) / det
 
 
-class _Remainder:
-    """The remainder panels [knot, x] of blend-cache lookups at points x of
-    a collar record's blending window, and what each junction's integrand
-    reads at their Gauss nodes t: the sides through one _Values
-    (``sides``), phi_eps and the offsets t - R, also through one
-    warped._Offsets (``x``).  The caches of all junctions on the record
-    share one.
-
-    ``above`` and ``inside`` mark the points at or above the last knot and
-    strictly inside; for those inside, ``idx`` is the panel and ``half``
-    the remainder's half-width, and ``weights`` is the rule in the nodes'
-    dtype.  ``idx`` is None when no point lies inside.  The integrand maps t
-    back to the ramp variable, while the cache's panels use the exact
-    layout x, so a value next to a knot differs from the value at it by
-    the rounding of t amplified by R/eps (the module docstring gives the
-    measured levels).
+class _WindowRule:
+    """The Gauss-Legendre rule on panels [lo, hi] of [0, 1], the blending
+    window in the ramp variable x, and what the blend integrand reads at
+    its nodes x: phi_eps = beta(x), the offsets t - R = eps (x - 1), also
+    through one warped._Offsets (``x``), and the sides at t through one
+    _Values (``sides``).  ``scale`` is eps (hi - lo) per panel, and
+    ``weights`` the rule's on [0, 1], in the dtype of lo and hi.  The
+    junctions on a collar record share its build rule and, in each
+    evaluator pass, the pass's rule on [0, x] for its points below R.
     """
 
-    def __init__(self, collar: _Collar, x):
-        self.ld = ld = x.dtype == np.longdouble
-        knots = collar.blend_knots if ld else collar.blend_knots_f8
-        self.above = x >= knots[-1]
-        self.inside = ~self.above & ~(x <= knots[0])  # NaN stays inside and propagates
-        self.idx = None
-        if self.inside.any():
-            nodes, self.weights = (_GL_NODES_LD, _GL_WEIGHTS_LD) if ld else (_GL_NODES_F8, _GL_WEIGHTS_F8)
-            xi = x[self.inside]
-            # xi > lo, so idx >= 0; NaN sorts past the last knot
-            self.idx = np.minimum(np.searchsorted(knots, xi, side="right") - 1, len(knots) - 2)
-            a = knots[self.idx]
-            self.half = 0.5 * (xi - a)
-            t = (0.5 * (xi + a))[..., None] + self.half[..., None] * nodes
-            self.sides = _Values(t)
-            self.phi = ramp_beta(_window_x(collar.R, collar.eps, t))
-            self.offsets = t - np.asarray(collar.R, t.dtype)
-            self.x = _Offsets(self.offsets)
+    def __init__(self, collar: _Collar, lo, hi):
+        u, self.weights = _unit_rule(hi.dtype)
+        eps = np.asarray(collar.eps, hi.dtype)
+        x = lo[:, None] + (hi - lo)[:, None] * u
+        self.scale = eps * (hi - lo)
+        self.phi = ramp_beta(x)
+        self.offsets = eps * (x - 1)
+        self.x = _Offsets(self.offsets)
+        self.sides = _Values(np.asarray(collar.R, hi.dtype) + self.offsets)
+
+    def integrals(self, gaps):
+        """I_0 and I_1 over each panel, stacked on a new last axis, from
+        c'' - b'' at the nodes: eps (hi - lo) times the rule's sum of
+        (c'' - b'') phi_eps (t - R)^j."""
+        values = np.swapaxes(_powers(gaps * self.phi, self.offsets, 2), -1, -2)
+        return self.scale[:, None] * (values @ self.weights)
 
 
 class _CollarPass:
@@ -575,8 +469,10 @@ class _CollarPass:
     junction on the record shares: ``phi`` (phi_eps) and ``plateaus`` from
     the record's lookups, the points where phi_eps > 0 (``inside``) with
     the sides there (``window``, one _Values), phi_eps and t - R at them
-    (also as a warped._Offsets, ``x``), and, when an order below 2 reads the
-    blend caches, their remainder panels (``blend``)."""
+    (also as a warped._Offsets, ``x``), and, when an order below 2 reads
+    I_0 and I_1, the window rule on [0, x] in the ramp variable for the
+    points below R (``blend``, with ``below_R`` marking them among the
+    window's points; those at R read the blend totals)."""
 
     def __init__(self, collar: _Collar, s, orders, lookups):
         self.orders = orders
@@ -588,7 +484,11 @@ class _CollarPass:
             self.phi_in = self.phi[self.inside]
             self.offsets = t - np.asarray(collar.R, t.dtype)
             self.x = _Offsets(self.offsets)
-            self.blend = _Remainder(collar, t) if min(orders) < 2 else None
+            if min(orders) < 2:
+                x = _window_x(collar.R, collar.eps, t)
+                self.below_R = x < 1.0
+                x = x[self.below_R]
+                self.blend = _WindowRule(collar, np.zeros_like(x), x)
 
 
 # The two junctions that smoothed_metric builds in a row share one record.
@@ -627,21 +527,16 @@ class SmoothedJunction:
 
         self._collar = collar = _collar_of(R, eps)
         self._tube_gap = _tube_gap(b, c, R)
-        tab = _ramp_tables()
-        # c'' - b'' once at the window's nodes for the whole build; with
-        # phi_eps (t - R)^j, j = 0, 1, it gives each layout's integrand values
-        moments = tab.split(_powers(self._gaps(_Values(collar.nodes)) * tab.betas,
-                                    collar.offsets, 2))
-        # the blend cache: I_j(s) = int_{R-eps}^s (c'' - b'') phi_eps (t - R)^j
-        # on the 64 panels, whose end row is the blend totals that size the
-        # correction; a lookup reads _integrand at its remainder's nodes
-        self._blend = _Cumulative(collar.blend_half, moments[0])
-        self._totals = tuple(map(float, self._blend.ends[False][1]))
-        # the build check: the 16-panel sums are its reference, and their
-        # distance from the 8-panel sums its error estimate
+        # I_j = int_{R-eps}^R (c'' - b'') phi_eps (t - R)^j, j = 0, 1, on the
+        # record's build panels: the blend totals, which size the correction,
+        # on one, and the build check's reference on 4 and its error
+        # estimate on 2
+        rule = collar.rule
+        panels = rule.integrals(self._gaps(rule.sides, rule.x))
+        self._blend_totals = panels[0]
+        self._totals = tuple(map(float, panels[0]))
         _check_moments(f"{name}: blend stage", self._totals,
-                       [np.longdouble(eps) * _panel_sums(half, m)[-1]
-                        for half, m in zip(tab.halves[1:], moments[1:])], R - eps, R)
+                       (panels[1:5].sum(axis=0), panels[5:].sum(axis=0)), R - eps, R)
         slope_total, value_total = self._totals
         self.slope_gap = c1 - (b1 + slope_total)
         self.value_gap = c0 - (b0 - value_total)
@@ -671,38 +566,42 @@ class SmoothedJunction:
             cast = self._casts[dt] = tuple(v.astype(dt) for v in (self._coef, self._res0, self._res1))
         return cast
 
-    def _gaps(self, at: _Values, x=None):
-        """c'' - b'' at the points of ``at``: the one read of the gap.
+    def _gaps(self, at: _Values, x: _Offsets):
+        """c'' - b'' at the points of ``at``, whose offsets from R ``x``
+        holds: the one read of the gap.
 
         For the tube against its exponential extension, as smoothed_metric
-        builds them, it is warped's closed form (_TubeGap), which loses
-        nothing to cancellation at large R: at the offsets from R that ``x``
-        holds (a warped._Offsets), or, with no x, at the record's window
-        layouts from its factors (_Collar.window_gaps).  For any other
+        builds them, it is warped's closed form (_TubeGap) at the offsets,
+        which loses nothing to cancellation at large R.  For any other
         triples it is the sides' difference.
         """
         if self._tube_gap is None:
             return at(self.c[2]) - at(self.b[2])
-        return self._tube_gap(x) if x is not None else self._collar.window_gaps(self._tube_gap)
+        return self._tube_gap(x)
 
-    def _integrand(self, rem: _Remainder):
-        """The blend cache's integrand (c'' - b'') phi_eps (t - R)^j, j = 0, 1,
-        at the nodes t of rem."""
-        return _powers(self._gaps(rem.sides, rem.x) * rem.phi, rem.offsets, 2)
+    def _blend(self, p: _CollarPass):
+        """I_0 and I_1 at the window points of p, stacked on a new last
+        axis: the pass's window rule on [0, x] below R, and the blend
+        totals, rounded to the points' dtype, at R."""
+        rule = p.blend
+        out = np.empty(p.offsets.shape + (2,), p.offsets.dtype)
+        out[...] = self._blend_totals
+        if rule.scale.size:
+            out[p.below_R] = rule.integrals(self._gaps(rule.sides, rule.x))
+        return out
 
     def _terms(self, p: _CollarPass, coef):
         """a - b, or its derivative of each of the pass's orders, at its
         collar points: the plateau correction, from the stack of each order
         that the collar record's lookups give, times lambda (``coef``), plus
         the blend stage u where phi_eps > 0: u'' = (c'' - b'') phi_eps,
-        u' = I_0 and u = (s - R) I_0 - I_1 from the blend cache, whose
-        remainder the pass shares.  Only the points where phi_eps > 0 meet
-        the sides, so that a c undefined below the blending window never
-        meets 0 * nan.  Orders 0 and 1 share one lookup in the blend
-        cache."""
+        u' = I_0 and u = (s - R) I_0 - I_1, from the window rule that the
+        pass shares.  Only the points where phi_eps > 0 meet the sides, so
+        that a c undefined below the blending window never meets 0 * nan.
+        Orders 0 and 1 share one run of the rule."""
         outs = list(p.plateaus @ coef)
         if p.window.x.size:
-            i = self._blend(p.blend, self._integrand) if p.blend is not None else None
+            i = self._blend(p) if min(p.orders) < 2 else None
             for out, order in zip(outs, p.orders):
                 if order == 2:
                     out[p.inside] += self._gaps(p.window, p.x) * p.phi_in
@@ -730,13 +629,12 @@ def _eval(junctions, r, orders) -> list:
 
     One pass serves all junctions and orders: one split of r at R, one
     collar mask [R - reach, R], one _CollarPass with the collar lookups,
-    the plateau stacks of each order and one set of blend-cache remainder
-    panels, and each side's transcendentals evaluated once per region
-    (above R, below R, and the blending window).  A junction whose delta
-    falls short of the reach has no gaps, so lambda = 0 and phi_eps = 0
-    give it exact zeros there.  The tube side is skipped when no radius
-    lies above R, and when every radius lies on the collar a is b's value
-    plus the collar's.
+    the plateau stacks of each order and one window rule, and each side's
+    transcendentals evaluated once per region (above R, below R, and the
+    blending window).  A junction whose delta falls short of the reach has
+    no gaps, so lambda = 0 and phi_eps = 0 give it exact zeros there.  The
+    tube side is skipped when no radius lies above R, and when every radius
+    lies on the collar a is b's value plus the collar's.
     """
     r = _floats(r)
     dt = r.dtype

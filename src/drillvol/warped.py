@@ -107,8 +107,8 @@ class WarpingPair:
     analytic curvature limit at the axis.
 
     ``fd_step`` is the step for value-only finite differencing of this
-    pair; table-backed pairs set it to resolve their narrowest feature, and
-    the exponential extension shrinks it with its rate coth R.
+    pair; the smoothed pair sets it to resolve its narrow collar features,
+    and the exponential extension shrinks it with its rate coth R.
     """
 
     f: RadialFunc
@@ -251,8 +251,8 @@ class _Values:
 class _Offsets:
     """Offsets x = r - R from a junction radius, read by their exponentials:
     ``exp``, e^x, computed on first use, and expm1(mu x) for a rate mu.
-    drillvol.smoothing reads the blending window's fixed node layouts
-    through a factored reader with the same two members."""
+    The two gaps of a smoothed family (_TubeGap) share one at the same
+    points, and so share e^x."""
 
     def __init__(self, x):
         self.x, self.dtype = x, x.dtype
@@ -299,6 +299,8 @@ class _TubeGap:
     about 1e8.  The constants are those of the exact extension, in extended
     precision (and then in the offsets' dtype): the extension's callables
     carry float64 roundings of sinh R and coth R, a relative 1e-16 away.
+    drillvol.smoothing reads it pointwise, at the offsets of the window
+    rules' nodes and of the collar's points.
     """
 
     def __init__(self, R: float, sign: int):
@@ -318,29 +320,6 @@ class _TubeGap:
         h, inverse, k, excess = consts
         e = x.exp
         return h * (e - 1 / e) - e * (k * x.expm1(excess) + inverse)
-
-    def factors(self, X, Y):
-        """P and Q, extended-precision arrays of shapes (len(X), 3) and
-        (3, len(Y)), with (P @ Q)[p, j] the gap at X[p] + Y[j], from two
-        transcendentals on the len(X) + len(Y) offsets.
-
-        Since e^(X + Y) = e^X e^Y and expm1(e (X + Y)) = u + (1 + u) v, with
-        u = expm1(e X) and v = expm1(e Y), the gap is the sum of three
-        products of a factor of X and one of Y:
-        e^X (h - sign / A - k u) e^Y, -e^X k (1 + u) e^Y v and -h e^-X e^-Y.
-        Little cancels among them: the first and last terms have the sign
-        of the gap, the middle one, whose v is of the size of e Y, a node's
-        offset within its panel, is at most 3.3 % of the gap, and
-        h - sign / A - k u is at least a third of its larger term (measured
-        on the window layouts for R from 0.05 to 354, eps up to 0.9).
-        """
-        h, inverse, k, excess = self._ld
-        xy = np.concatenate([X, Y])
-        e, m = np.exp(xy), np.expm1(excess * xy)
-        n = len(X)
-        ex, a, ey = e[:n], m[:n], e[n:]
-        P = np.stack([ex * (h - inverse - k * a), -k * ex * (1 + a), -h / ex], axis=1)
-        return P, np.stack([ey, ey * m[n:], 1 / ey])
 
 
 def _tube_gap(b, c, R: float) -> Optional[_TubeGap]:

@@ -32,18 +32,15 @@ from drillvol import (
 )
 from drillvol import smoothing
 from drillvol.smoothing import (
-    _CHECK_PANELS,
-    _check_moments,
     _eval,
+    _gauss_legendre,
     _k_grid,
-    _panel_sums,
-    _panels,
     _powers,
     _ramp_moments,
-    _ramp_tables,
     _ricci_sup_half,
 )
-from drillvol.warped import WarpingPair, _ricci_grid, hyperbolic_tube, kerckhoff_extension
+from drillvol.warped import (WarpingPair, _Offsets, _ricci_grid, _Values, hyperbolic_tube,
+                             kerckhoff_extension)
 
 EPS_SEQ = (1e-1, 1e-2, 1e-3)
 
@@ -152,11 +149,32 @@ class TestRamp:
                            for k, c in enumerate((1, -4, 6, -4, 1)))
                 assert abs(Fraction(*got[j].as_integer_ratio()) - want) <= 4 * ulp * want, (x, j)
 
-    def test_gauss_legendre_literals_match_leggauss(self):
-        """The rule's literal nodes and weights are leggauss(24)'s, bit for bit."""
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="ulps counted for the x87 80-bit longdouble")
+    def test_gauss_legendre_rule_is_exact(self):
+        """The extended-precision 24-point rule integrates xi^m over [-1, 1]
+        exactly for m <= 46, summed in rational arithmetic on the binary
+        values of its nodes and weights: within 4 units of the longdouble's
+        eps of 2/(m + 1), relative, for even m (3.7 at m = 46, measured),
+        and to exactly 0 for odd m, the nodes and weights being mirrored.
+        Its nodes round to leggauss(24)'s bit for bit.  Its weights round to
+        within 1.3e-13 relative of leggauss's: those are off by up to 859
+        float64 units in the last place at the end nodes (1.2e-13), and
+        with them the rule misses 2/(m + 1) by up to 5.2e-14 relative."""
+        xi, w = _gauss_legendre()
+        assert xi.dtype == w.dtype == np.longdouble and xi.size == w.size == 24
+        ulp = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
+        nodes = [Fraction(*v.as_integer_ratio()) for v in xi]
+        weights = [Fraction(*v.as_integer_ratio()) for v in w]
+        for m in range(47):
+            got = sum(wj * x ** m for wj, x in zip(weights, nodes))
+            if m % 2:
+                assert got == 0, m
+            else:
+                assert abs(got - Fraction(2, m + 1)) <= 4 * ulp * Fraction(2, m + 1), m
         nodes, weights = np.polynomial.legendre.leggauss(24)
-        assert smoothing._GL_NODES_F8.tobytes() == nodes.tobytes()
-        assert smoothing._GL_WEIGHTS_F8.tobytes() == weights.tobytes()
+        assert xi.astype(np.float64).tobytes() == nodes.tobytes()
+        assert np.all(np.abs(w.astype(np.float64) - weights) <= 1.3e-13 * weights)
 
 
 class TestStep:
@@ -424,11 +442,21 @@ class TestSmoothedMetric:
 CRITERION_7_GRID = [(R, eps) for R in (0.5, 0.8, 1.2) for eps in EPS_SEQ]
 
 
-def panel_checks(moments, lo, hi):
-    """The moments' integrals over [lo, hi] by the build check's two panel
-    rules: its reference and the rule that gives its error estimate."""
-    layouts = (_panels(lo, hi, n + 1) for n in _CHECK_PANELS)
-    return [_panel_sums(half, moments(nodes))[-1] for _, nodes, half in layouts]
+def build_checks(junction, monkeypatch) -> list:
+    """The references and error estimates that the build check of a new
+    build of the junction's sides returns, recorded around
+    smoothing._check_moments."""
+    checks = []
+    check = smoothing._check_moments
+
+    def recording(*args):
+        checks.append(check(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(smoothing, "_check_moments", recording)
+    smooth_junction(junction.b, junction.c, junction.R, junction.eps)
+    monkeypatch.undo()
+    return checks
 
 
 def half_neg_ricci(pair, rs):
@@ -441,18 +469,15 @@ def half_neg_ricci(pair, rs):
 
 
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID)
-def test_blend_totals_match_adaptive_quadrature(R, eps):
-    """The cached slope and value totals are int (c'' - b'') phi_eps (t - R)^j,
-    and so is the build check's 16-panel reference, whose distance from the
-    8-panel rule is at most 5e-13."""
+def test_blend_totals_match_adaptive_quadrature(R, eps, monkeypatch):
+    """The slope and value totals are int (c'' - b'') phi_eps (t - R)^j, and
+    so is the build check's reference, the rule on 4 panels, whose distance
+    from the rule on 2 panels is at most 5e-13."""
     from scipy.integrate import quad
 
     fam = cached_family(R, eps)
     for junction in (fam.junction_f, fam.junction_g):
-        def blend(t):
-            return _powers((junction.c[2](t) - junction.b[2](t)) * step_phi(eps, R, t), t - R, 2)
-        check, errs = _check_moments("blend", junction._totals, panel_checks(blend, R - eps, R),
-                                     R - eps, R)
+        [(check, errs)] = build_checks(junction, monkeypatch)
         for j in (0, 1):
             ref, _ = quad(lambda t: float((junction.c[2](t) - junction.b[2](t)) * step_phi(eps, R, t)) * (t - R) ** j,
                           R - eps, R, epsabs=1e-13, epsrel=1e-12, limit=400)
@@ -472,6 +497,19 @@ def test_perturbed_blend_total_rejected(monkeypatch):
     monkeypatch.setattr(smoothing, "_check_moments", perturbed)
     with pytest.raises(QuadratureError, match="blend stage: panel quadrature of moment 0"):
         sinh_junction(0.8, 1e-2)
+
+
+def test_check_reference_resolves_a_jump_the_totals_miss():
+    """The build check's reference is a rule of its own: with a jump of
+    1e-3 in c'' at R - eps/2, an edge of the check's 4- and 2-panel rules,
+    the one-panel totals miss the reference by 4.2e-9 while the two check
+    rules agree to rounding, so the build fails its check.  A reference
+    that read the totals would pass it."""
+    R, eps = 0.8, 1e-2
+    ext = kerckhoff_extension(R)
+    c = (np.sinh, np.cosh, lambda r: np.sinh(r) + 1e-3 * (r > R - eps / 2))
+    with pytest.raises(QuadratureError, match="blend stage: panel quadrature of moment 0"):
+        smooth_junction((ext.f, ext.fp, ext.fpp), c, R, eps)
 
 
 def test_junction_builds_go_through_smooth_junction(monkeypatch):
@@ -714,8 +752,8 @@ def test_counted_copy_sees_every_call(R, eps):
 
 def record_ramp_lookups(monkeypatch) -> list:
     """Record the shape of each lookup of all three ramp moments, from here
-    to the end of the test; reads of beta alone, which the ramp tables and
-    the blend cache's integrand make, are not recorded."""
+    to the end of the test; reads of beta alone, which the window rules'
+    nodes make, are not recorded."""
     lookups = []
     ramp_moments = smoothing._ramp_moments
 
@@ -757,14 +795,15 @@ def test_junctions_share_one_collar_record(monkeypatch):
     when the build check looked phi_eps up on its own panels, 172 with
     lookups per callable and order).  It evaluates no bump (6912 points
     when each record tabulated phi_eps' on its own blend nodes, up to 1000
-    while the blend cache integrated phi_eps'), and no extended-precision
-    exp, expm1, sinh or cosh of the blending window's size: the closed-form
-    gaps take their exponentials at 88 panel and 72 node offsets (2 window
+    while the blend cache integrated phi_eps').  Its extended-precision
+    exp, expm1, sinh and cosh of more than one point are the closed-form
+    gaps' on the 168 nodes of the record's build rule: e^x once for both
+    junctions and one expm1 each (at 88 panel and 72 node offsets while a
+    build integrated on 2112 nodes in fixed layouts, and 2 window
     exponentials and the tube's sinh and cosh when each junction
     subtracted its sides there, 12 arrays when each junction evaluated its
     sides per order and stage)."""
     want = cached_family(0.8, 1e-2).k_eps
-    tab = _ramp_tables()
     smoothing._collar_of.cache_clear()
     lookups = record_ramp_lookups(monkeypatch)
     bump_points, window_calls = [], []
@@ -776,7 +815,7 @@ def test_junctions_share_one_collar_record(monkeypatch):
 
     def counting(fn):
         def call(x, *args, **kwargs):
-            if np.asarray(x).dtype == np.longdouble and np.size(x) >= tab.window_x.size:
+            if np.asarray(x).dtype == np.longdouble and np.size(x) > 1:
                 window_calls.append((fn.__name__, np.size(x)))
             return fn(x, *args, **kwargs)
         return call
@@ -790,7 +829,7 @@ def test_junctions_share_one_collar_record(monkeypatch):
     assert collar is fam.junction_g._collar
     assert len(lookups) == 5
     assert bump_points == []
-    assert window_calls == []
+    assert sorted(window_calls) == [("exp", 168), ("expm1", 168), ("expm1", 168)]
     assert fam.k_eps == want
 
 
@@ -814,35 +853,45 @@ def test_family_pass_with_distinct_deltas():
         assert_same_bits(fn(own), side(own))
 
 
-def blend_lookup(junction, x):
-    """I_0 and I_1 of the junction's blend cache at the points x, read as an
-    evaluator pass reads them: through its record's remainder panels."""
-    return junction._blend(smoothing._Remainder(junction._collar, x), junction._integrand)
+def blend_lookup(junction, s):
+    """I_0 and I_1 of the junction at the blending window's points s, read
+    as an evaluator pass reads them: through the pass's window rule."""
+    collar = junction._collar
+    return junction._blend(smoothing._CollarPass(collar, s, (0, 1), collar.lookups(s, (0, 1))))
+
+
+def panel_rule(lo, hi, panels: int):
+    """The nodes and weights, flat, of the 24-point rule on ``panels`` equal
+    panels of [lo, hi], in extended precision."""
+    xi, w = _gauss_legendre()
+    edges = np.linspace(np.longdouble(lo), np.longdouble(hi), panels + 1)
+    mid, half = (edges[1:] + edges[:-1])[:, None] / 2, (edges[1:] - edges[:-1])[:, None] / 2
+    return (mid + half * xi).ravel(), (half * w).ravel()
 
 
 @pytest.mark.parametrize("R,eps", CRITERION_7_GRID + [(R, e) for R in (3.0, 8.0) for e in EPS_SEQ])
 def test_blend_cache_and_totals_agree_by_parts(R, eps):
-    """The blend cache integrates the totals' integrand I_j' = (c'' - b'')
-    phi_eps (t - R)^j: its end row, read at R in either precision, rounds to
-    the blend totals bit for bit.  The totals agree by parts, where
-    phi_eps(R) = 1, with the 64-panel integrals J_k of w_k phi_eps' for
-    w = (c' - b', (c' - b') (t - R), c - b): T0 = (c' - b')(R) - J0 and
-    T1 = -J1 - (c - b)(R) + J2, to 1e-16 cosh R.  At R - eps/3, where the
-    cache's rule runs on a panel's remainder with phi_eps from the
-    polynomial, I_j is within 1e-12 relative of adaptive quadrature, or of
-    the float64 rounding of c'' and b'' that the quadrature's integrand
-    carries, 1e-15 cosh R per unit of eps^(j + 1)."""
+    """A pass reads the blend totals at R: I_j there, in either precision,
+    rounds to the totals bit for bit.  The totals agree by parts, where
+    phi_eps(R) = 1, with the integrals J_k of w_k phi_eps' for
+    w = (c' - b', (c' - b') (t - R), c - b), by the rule on 64 panels in t:
+    T0 = (c' - b')(R) - J0 and T1 = -J1 - (c - b)(R) + J2, to
+    1e-16 cosh R.  At R - eps/3, where the pass runs the rule on [0, x] in
+    the ramp variable, I_j is within 1e-12 relative of adaptive
+    quadrature, or of the float64 rounding of c'' and b'' that the
+    quadrature's integrand carries, 1e-15 cosh R per unit of
+    eps^(j + 1)."""
     from scipy.integrate import quad
 
     fam = cached_family(R, eps)
     R_ld, s = np.longdouble(R), R - eps / 3.0
-    _, t, half = _panels(R - eps, R, smoothing._BLEND_PANELS + 1)
+    t, weights = panel_rule(R - eps, R, 64)
     dphi = bump_alpha((t - R_ld) / np.longdouble(eps) + 1) / np.longdouble(eps)
     for junction in (fam.junction_f, fam.junction_g):
         for at_R in (R_ld, np.float64(R)):
             assert tuple(map(float, blend_lookup(junction, np.array([at_R]))[0])) == junction._totals
         d0, d1 = (junction.c[k](t) - junction.b[k](t) for k in (0, 1))
-        j0, j1, j2 = _panel_sums(half, np.stack([d1 * dphi, d1 * dphi * (t - R_ld), d0 * dphi], -1))[-1]
+        j0, j1, j2 = weights @ np.stack([d1 * dphi, d1 * dphi * (t - R_ld), d0 * dphi], -1)
         d0, d1 = (junction.c[k](R_ld) - junction.b[k](R_ld) for k in (0, 1))
         t0, t1 = junction._totals
         assert abs(float(t0 - (d1 - j0))) <= 1e-16 * math.cosh(R)
@@ -855,46 +904,13 @@ def test_blend_cache_and_totals_agree_by_parts(R, eps):
             assert got[j] == pytest.approx(want, rel=1e-12, abs=tol)
 
 
-def blend_rule_outputs(fam):
-    """float.hex of k_eps, delta and both junctions' slope and value gaps,
-    and a, a' and a'' of both junctions on 2001 longdouble points of the
-    blending window [R - eps, R]."""
-    js = (fam.junction_f, fam.junction_g)
-    scalars = [v.hex() for v in (fam.k_eps, fam.delta)]
-    scalars += [v.hex() for j in js for v in (j.slope_gap, j.value_gap)]
-    R, eps = np.longdouble(fam.R), np.longdouble(fam.eps)
-    return scalars, np.array(_eval(js, np.linspace(R - eps, R, 2001), (0, 1, 2)))
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
-                    reason="tolerance set for the x87 80-bit longdouble")
-def test_blend_rule_agrees_with_1024_panels(monkeypatch):
-    """The blend rule's panel count: on the criterion-7 pairs and one seeded
-    pair per eps, the default rule gives the 1024-panel rule's k_eps, delta
-    and gaps bit for bit, and a, a' and a'' of both junctions on the
-    blending window within 1e-18 relative, about 9 units of the x87
-    longdouble's eps (2^-63).
-
-    Why 64 panels, measured on these families: 64 agree with 1024 within
-    1.9e-19, as 128 and 256 do; 32 only within 4.0e-19, measurably worse
-    (and 4.1e-19 and 5.3e-19 at (0.45, 0.1) and (0.4, 0.1), against 1.3e-19
-    and 1.5e-19 at 64); 16 within 1.3e-18, which fails.  The 1024-panel
-    tables are built into cleared caches and cleared again, so that no
-    other test sees them."""
-    families = CRITERION_7_GRID + SWEEP_LIKE[::4]
-    default = [blend_rule_outputs(cached_family(R, eps)) for R, eps in families]
-    monkeypatch.setattr(smoothing, "_BLEND_PANELS", 1024)
-    _ramp_tables.cache_clear()
-    smoothing._collar_of.cache_clear()
-    try:
-        fine = [blend_rule_outputs(smoothed_metric(R, eps)) for R, eps in families]
-    finally:
-        monkeypatch.undo()
-        _ramp_tables.cache_clear()
-        smoothing._collar_of.cache_clear()
-    for (R, eps), (scalars, values), (fine_scalars, fine_values) in zip(families, default, fine):
-        assert scalars == fine_scalars, (R, eps)
-        assert np.all(np.abs(values - fine_values) <= 1e-18 * np.abs(fine_values)), (R, eps)
+def window_points(R: float, eps: float):
+    """Points of the blending window [R - eps, R] in extended precision: the
+    63 interior knots R + eps (k/64 - 1) of the 64-panel blend cache that
+    the window rule replaced, and 64 seeded ones."""
+    R_ld, eps_ld = np.longdouble(R), np.longdouble(eps)
+    seeded = np.random.default_rng(0).uniform(0.0, 1.0, 64).astype(np.longdouble)
+    return R_ld + eps_ld * (np.concatenate([np.arange(1, 64) / np.longdouble(64), seeded]) - 1)
 
 
 def nudged_left(x, ulps):
@@ -906,19 +922,18 @@ def nudged_left(x, ulps):
 
 @pytest.mark.parametrize("R,eps", [(0.5, 1e-1), (0.8, 1e-2), (1.2, 1e-3)])
 def test_shared_blend_lookup_is_each_junctions_own(R, eps):
-    """The family pass looks the blend cache up once for both junctions: one
-    set of remainder panels, nodes and phi_eps, with each junction's own
-    c'' - b'' and its own cache's columns.  a, a' and a'' of each junction
-    from the pass equal, bit for bit, a pass of that junction and order
-    alone and its own evaluators, at the interior blend knots, 4 ulps left
-    of them, R - eps, R and a NaN, in float64 and in extended precision.
-    A pass that read the other junction's cache or integrand would move
-    the values inside the blending window, where the two differ."""
+    """The family pass runs one window rule for both junctions: one set of
+    nodes, offsets and phi_eps, with each junction's own c'' - b'' and its
+    own totals.  a, a' and a'' of each junction from the pass equal, bit
+    for bit, a pass of that junction and order alone and its own
+    evaluators, at the window points of window_points, 4 ulps left of them,
+    R - eps, R and a NaN, in float64 and in extended precision.  A pass
+    that read the other junction's gaps or totals would move the values
+    inside the blending window, where the two differ."""
     fam = cached_family(R, eps)
     junctions = (fam.junction_f, fam.junction_g)
-    knots = junctions[0]._collar.blend_knots[1:-1]
     for dt in (np.float64, np.longdouble):
-        at = knots.astype(dt)
+        at = window_points(R, eps).astype(dt)
         r = np.concatenate([at, nudged_left(at, 4), np.array([R - eps, R, np.nan], dt)])
         family = _eval(junctions, r, (0, 1, 2))
         for junction, values in zip(junctions, family):
@@ -946,26 +961,31 @@ def test_nothing_keeps_a_family_alive():
     assert [ref() for ref in refs] == [None, None, None]
 
 
-# The largest share of its total by which a blend-cache value 4 ulps left of
-# an interior knot differs from the value at the knot, measured: 2.6e-16 at
-# (0.5, 1e-3), 5.3e-17 at (0.8, 1e-2) and 2.2e-15 at (8.0, 1e-2).  The bounds
-# are about twice those.
-BLEND_SEAMS = {(0.5, 1e-3): 5.5e-16, (0.8, 1e-2): 1.1e-16, (8.0, 1e-2): 4.5e-15}
+# The largest share of its total by which I_j in extended precision 4 ulps
+# left of a window point differs from I_j at the point less the integral
+# over the step, measured: 3.2e-19 at (0.5, 1e-3), 3.8e-19 at (0.8, 1e-2) and
+# 2.4e-19 at (8.0, 1e-2), 2 to 3.5 units of the longdouble's eps; the blend
+# cache's seams reached 2.6e-16, 5.3e-17 and 2.2e-15 of the totals.  The
+# bound is about twice the largest.
+BLEND_STEP = 8e-19
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                     reason="levels measured with the x87 80-bit longdouble")
-@pytest.mark.parametrize("R,eps", list(BLEND_SEAMS))
-def test_blend_cache_seams_stay_at_their_measured_level(R, eps):
-    """The blend cache's integrand maps its nodes t back to the ramp
-    variable, while its tabulated panels use the exact layout, so its
-    extended-precision value next to a knot differs from the value at the
-    knot by the rounding of t, amplified by R/eps, on top of the integral
-    over the 4 ulps.  That seam stays within its measured level, as a share
-    of each total: a change that widens it fails here."""
-    fam = cached_family(R, eps)
-    for junction in (fam.junction_f, fam.junction_g):
-        knots = junction._collar.blend_knots[1:-1]
-        at, left = blend_lookup(junction, knots), blend_lookup(junction, nudged_left(knots, 4))
-        share = np.abs(at - left) / np.abs(np.array(junction._totals, np.longdouble))
-        assert float(share.max()) <= BLEND_SEAMS[R, eps]
+@pytest.mark.parametrize("R,eps", [(0.5, 1e-3), (0.8, 1e-2), (8.0, 1e-2)])
+def test_blend_integrals_have_no_seams(R, eps):
+    """I_j in extended precision is one rule on [0, x] at every window
+    point, so it has no seams: 4 ulps left of each point of window_points
+    it differs from its value at the point by the integral over the step,
+    (c'' - b'') phi_eps (t - R)^j times the step, to within BLEND_STEP of
+    each total.  The blend cache's values moved by up to 2.2e-15 of the
+    totals across its knots."""
+    at = window_points(R, eps)
+    left = nudged_left(at, 4)
+    offsets = at - np.longdouble(R)
+    for junction in (cached_family(R, eps).junction_f, cached_family(R, eps).junction_g):
+        slopes = _powers(junction._gaps(_Values(at), _Offsets(offsets)) * step_phi(eps, R, at),
+                         offsets, 2)
+        steps = (at - left)[:, None] * slopes
+        share = np.abs(blend_lookup(junction, at) - blend_lookup(junction, left) - steps)
+        assert float((share / np.abs(junction._blend_totals)).max()) <= BLEND_STEP

@@ -2,21 +2,20 @@
 
 smoothed_metric smooths the exponential extension into the tube, and the
 junction reads c'' - b'' (the tube's second derivative less the
-extension's) from warped._TubeGap: pointwise at the blend cache's remainder
-nodes and on the collar, and from per-panel and per-node factors at the
-2112 nodes of the blending window's layouts (smoothing._Collar.window_gaps).
+extension's) from warped._TubeGap at the offsets from R of the points it
+reads: the nodes of the window rules and the collar's points.
 Subtracting the sides leaves only rounding noise once sinh R is about 1e8,
 and the build check then judged noise; any other derivative triples keep
 the sides' difference, which is the reference here below R = 10.
 """
 
+import importlib.util
 import math
-import random
 
 import numpy as np
 import pytest
 
-from conftest import cached_family
+from conftest import REPO_ROOT, cached_family
 from drillvol import hyperbolic_tube, kerckhoff_extension, smooth_junction, smoothed_metric
 from drillvol.smoothing import _collar_of
 from drillvol.warped import _Offsets, _tube_gap, _TubeGap
@@ -97,51 +96,28 @@ def extension_triples(R: float):
 @pytest.mark.parametrize("R,x", list(PINNED))
 def test_closed_form_matches_high_precision_values(R, x):
     """At R from 20 to 354, where the sides' difference is pure noise, the
-    closed form, pointwise and from factors of the offset split in two
-    halves, is within 4 units of extended-precision eps of the pinned
+    closed form is within 4 units of extended-precision eps of the pinned
     values, relative (1.6e-19, 1.5 units, at most, measured)."""
     for sign, (hi, lo) in zip((1, -1), PINNED[R, x]):
         want = LD(float.fromhex(hi)) + LD(float.fromhex(lo))
-        gap = _TubeGap(R, sign)
-        pointwise = gap(_Offsets(np.array([x], LD)))[0]
-        half = np.array([x / 2], LD)
-        P, Q = gap.factors(half, half)
-        for got in (pointwise, (P @ Q)[0, 0]):
-            assert abs(got - want) <= 4 * EPS_LD * abs(want)
+        got = _TubeGap(R, sign)(_Offsets(np.array([x], LD)))[0]
+        assert abs(got - want) <= 4 * EPS_LD * abs(want)
 
 
 @pytest.mark.parametrize("R", [0.05, 0.4, 0.8, 1.5, 8.0])
 @pytest.mark.parametrize("eps", [0.04, 1e-2, 1e-3])
 def test_closed_form_agrees_with_the_sides_difference(R, eps):
     """Below R = 10 the sides' difference, in extended precision at the
-    window layouts' nodes, is exact to the float64 rounding of the
-    extension's constants, and the closed form (the exact extension's gap)
-    agrees with it within 2.5 float64 units in the last place of
+    nodes of the record's build rule, is exact to the float64 rounding of
+    the extension's constants, and the closed form (the exact extension's
+    gap) agrees with it within 2.5 float64 units in the last place of
     max(|b''|, |c''|): 1.9 at most, measured, at these radii and widths."""
-    collar = _collar_of(R, eps)
-    t = collar.nodes
+    rule = _collar_of(R, eps).rule
+    t = rule.sides.x
     for b, c in extension_triples(R):
-        gap = _tube_gap(b, c, R)
         sides = c[2](t) - b[2](t)
         scale = np.maximum(np.abs(b[2](t)), np.abs(c[2](t))).astype(np.float64)
-        for got in (collar.window_gaps(gap), gap(_Offsets(collar.offsets))):
-            assert np.all(np.abs(got - sides) <= 2.5 * np.spacing(scale))
-
-
-@pytest.mark.parametrize("R,eps", [(0.05, 0.04), (0.4, 0.1), (0.8, 1e-2), (1.2, 1e-3),
-                                   (8.0, 1e-2), (37.25, 0.13), (354.0, 1e-6)])
-def test_factored_window_gaps_match_the_pointwise_closed_form(R, eps):
-    """At all 2112 nodes of the window layouts, the gaps from per-panel and
-    per-node factors are within 4 units of extended-precision eps of the
-    pointwise closed form at the nodes' offsets, relative (2.8 at most,
-    measured below R = 10)."""
-    collar = _collar_of(R, eps)
-    assert collar.offsets.size == 2112
-    for b, c in extension_triples(R):
-        gap = _tube_gap(b, c, R)
-        pointwise = gap(_Offsets(collar.offsets))
-        factored = collar.window_gaps(gap)
-        assert np.all(np.abs(factored - pointwise) <= 4 * EPS_LD * np.abs(pointwise))
+        assert np.all(np.abs(_tube_gap(b, c, R)(rule.x) - sides) <= 2.5 * np.spacing(scale))
 
 
 def test_only_the_extension_against_its_tube_reads_the_closed_form():
@@ -159,25 +135,21 @@ def test_only_the_extension_against_its_tube_reads_the_closed_form():
     assert junction._tube_gap is None and junction._totals == (0.0, 0.0)
 
 
-def large_r_scan(n: int) -> list:
-    """The first n pairs of the seeded large-R scan: R uniform in [15, 354],
-    then eps log-uniform in [1e-6, 0.9], from random.Random(0)."""
-    rng = random.Random(0)
-    return [(rng.uniform(15.0, 354.0), math.exp(rng.uniform(math.log(1e-6), math.log(0.9))))
-            for _ in range(n)]
+_spec = importlib.util.spec_from_file_location("large_r_scan", REPO_ROOT / "tools" / "large_r_scan.py")
+large_r_scan = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(large_r_scan)
 
-
-# the scan's first three pairs whose build check failed on rounding noise
-# while the junction subtracted its sides: (301.26, 0.0326), (201.01, 1.21e-6)
-# and (336.97, 2.83e-3)
-NOISY_AT_LARGE_R = [large_r_scan(46)[i] for i in (0, 17, 45)]
+# the seeded large-R scan's first three pairs whose build check failed on
+# rounding noise while the junction subtracted its sides: (301.26, 0.0326),
+# (201.01, 1.21e-6) and (336.97, 2.83e-3)
+NOISY_AT_LARGE_R = [large_r_scan.pairs(46)[i] for i in (0, 17, 45)]
 
 
 @pytest.mark.parametrize("R,eps", NOISY_AT_LARGE_R)
 def test_large_radius_builds_pass_their_check(R, eps):
     """Pairs whose build check judged rounding noise now build: the blend
     totals integrate the closed form, of the size of 1/sinh R, and agree
-    with the 16-panel reference.  The f gap is about -1/sinh R and the g gap
+    with the build check's reference.  The f gap is about -1/sinh R and the g gap
     about 1/cosh R on the window, so the slope totals lie strictly between 0
     and eps times those, and k_eps is the tube's 1 to rounding."""
     fam = smoothed_metric(R, eps)
