@@ -73,12 +73,16 @@ argument rides beside the four plateau ramps), one window rule for all its
 junctions (its nodes' _Values, offsets and phi_eps; each junction adds only
 its own c'' - b'' and totals), and each side's transcendentals once per
 region, with e^x of the window's offsets shared by both closed-form gaps.
-Constants that a pass needs in a given dtype are held once: the ramp
-polynomials' per (dtype, count) and the rule's per dtype in module caches,
-and the record's and each junction's on their own instance, never in a
-cache keyed on a record or a junction, which would keep every family alive.
-The smoothed pair's six callables share that
-pass: read together through warped._Values, as every Ricci, curvature,
+Only values that carry extended precision are cast to a pass's dtype, once
+per dtype: the ramp polynomials' constants per (dtype, count), for their
+totals (3/11 has no float64 value), and the rule per dtype in module
+caches, and each junction's lambda and seam residuals and its closed-form
+gap's constants on their own instance, never in a cache keyed on a record
+or a junction, which would keep every family alive.  The record's R,
+collar end, ramp starts, widths and shifts are float64 values, exact in
+longdouble, which a pass reads as they are (a float32 pass forms the ramp
+arguments in float64 and rounds them back).  The smoothed pair's six
+callables share that pass: read together through warped._Values, as every Ricci, curvature,
 quadrature and oracle reader does, they take a, a' and a'' of both
 junctions from one pass; called alone, each runs its own junction and
 order.  The Ricci constant is the supremum over the collar's slice of a
@@ -113,8 +117,8 @@ import numpy as np
 
 from .bounds import _require_positive, _require_sinh
 from .errors import JunctionError, ParameterError, QuadratureError, WidthError
-from .warped import (WarpingPair, _Offsets, _ricci_grid, _Shared, _tube_gap, _Values,
-                     hyperbolic_tube, kerckhoff_extension)
+from .warped import (WarpingPair, _ricci_grid, _Shared, _tube_gap, _Values, hyperbolic_tube,
+                     kerckhoff_extension)
 
 __all__ = [
     "bump_alpha",
@@ -369,8 +373,8 @@ class _Collar:
     ``rule``, the window rule on the build's seven panels of [0, 1] that
     both junctions' builds read; ``at_R``, the pass at R that both
     junctions take, and ``units``, the two unit corrections' lambdas that
-    its plateau moments give.  The constants of a pass are built once per
-    dtype (``constants``).
+    its plateau moments give.  The lookups read the ramp starts, widths and
+    shifts from float64 columns built here, in every dtype.
     """
 
     def __init__(self, R: float, eps: float):
@@ -382,26 +386,14 @@ class _Collar:
         self.ramp_starts = [R - self.width, cut - self.ramp_w, cut, R - self.ramp_w]
         ends = self.ramp_starts[1:] + [R]
         self.ramps_collapse = not all(a < b for a, b in zip(self.ramp_starts, ends))
+        # the lookups' ramp starts and widths, phi_eps's start R and width
+        # eps beside them, and the shifts (0, and -1 for phi_eps) whose
+        # subtraction adds phi_eps's 1 and leaves the plateau ramps'
+        # arguments as they are: float64 columns, exact in any float dtype
+        self._starts = np.array(self.ramp_starts + [R])[:, None]
+        self._widths = np.array([self.ramp_w] * 4 + [eps])[:, None]
+        self._shifts = np.array([0.0, 0.0, 0.0, 0.0, -1.0])[:, None]
         self.rule = _WindowRule(self, _BUILD_LO, _BUILD_HI)
-        self._constants: dict = {}
-
-    def constants(self, dt, orders):
-        """A pass's constants in dtype dt for orders, built on first use:
-        R and the collar's low end R - reach; the lookups' ramp starts and
-        widths, phi_eps's start R and width eps beside them, and the shifts
-        (0, and -1 for phi_eps) whose subtraction adds phi_eps's 1 and
-        leaves the plateau ramps' arguments as they are; and w^(2 - k) for
-        each order k."""
-        key = (dt, orders)
-        if key not in self._constants:
-            w = np.asarray(self.ramp_w, dtype=dt)
-            self._constants[key] = (
-                np.asarray(self.R, dt), np.asarray(self.R - self.reach, dt),
-                np.array(self.ramp_starts + [self.R], dt)[:, None],
-                np.array([w, w, w, w, self.eps], dt)[:, None],
-                np.array([0, 0, 0, 0, -1], dt)[:, None],
-                np.array([w ** (2 - k) for k in orders], dt)[:, None, None])
-        return self._constants[key]
 
     def lookups(self, s, orders):
         """phi_eps at the collar points s (1-d), and for each of orders,
@@ -410,9 +402,13 @@ class _Collar:
         the plateaus for order 2, their first antiderivatives for 1 and
         second for 0.  One ramp lookup gives all: phi_eps's argument is a
         fifth row beside the four plateau ramps, each row running over the
-        points."""
-        _, _, starts, widths, shifts, powers = self.constants(s.dtype, orders)
-        ramps = _ramp_antiderivatives((s - starts) / widths - shifts)
+        points.  The ramp arguments are formed against the float64 columns,
+        which gives the same bits in float64 and longdouble, and returned to
+        the points' dtype."""
+        x = (s - self._starts) / self._widths - self._shifts
+        ramps = _ramp_antiderivatives(x.astype(s.dtype, copy=False))
+        w = s.dtype.type(self.ramp_w)
+        powers = np.array([w ** (2 - k) for k in orders])[:, None, None]
         g = np.array([ramps[2 - k][:4] for k in orders]) * powers
         # C-contiguous (orders, points, 2): the layout whose product with
         # lambda (BLAS for float64) gave the values that the tests pin
@@ -423,8 +419,7 @@ class _Collar:
         """The pass of orders 0 and 1 at R in extended precision, which gives
         both junctions their plateau moments and seam residuals.  It reads no
         side, so it keeps no junction's values."""
-        R = np.array([self.R], dtype=np.longdouble)
-        return _CollarPass(self, R, (0, 1), self.lookups(R, (0, 1)))
+        return _CollarPass(self, np.array([self.R], dtype=np.longdouble), (0, 1))
 
     @functools.cached_property
     def units(self):
@@ -439,8 +434,8 @@ class _WindowRule:
     """The Gauss-Legendre rule on panels [lo, hi] of [0, 1], the blending
     window in the ramp variable x, and what the blend integrand reads at
     its nodes x: phi_eps = beta(x), the offsets t - R = eps (x - 1), also
-    through one warped._Offsets (``x``), and the sides at t through one
-    _Values (``sides``).  ``scale`` is eps (hi - lo) per panel, and
+    through one _Values (``x``), whose e^x both closed-form gaps share, and
+    the sides at t through another (``sides``).  ``scale`` is eps (hi - lo) per panel, and
     ``weights`` the rule's on [0, 1], in the dtype of lo and hi.  The
     junctions on a collar record share its build rule and, in each
     evaluator pass, the pass's rule on [0, x] for its points below R.
@@ -448,13 +443,12 @@ class _WindowRule:
 
     def __init__(self, collar: _Collar, lo, hi):
         u, self.weights = _unit_rule(hi.dtype)
-        eps = np.asarray(collar.eps, hi.dtype)
         x = lo[:, None] + (hi - lo)[:, None] * u
-        self.scale = eps * (hi - lo)
+        self.scale = collar.eps * (hi - lo)
         self.phi = ramp_beta(x)
-        self.offsets = eps * (x - 1)
-        self.x = _Offsets(self.offsets)
-        self.sides = _Values(np.asarray(collar.R, hi.dtype) + self.offsets)
+        self.offsets = collar.eps * (x - 1)
+        self.x = _Values(self.offsets)
+        self.sides = _Values(collar.R + self.offsets)
 
     def integrals(self, gaps):
         """I_0 and I_1 over each panel, stacked on a new last axis, from
@@ -469,21 +463,21 @@ class _CollarPass:
     junction on the record shares: ``phi`` (phi_eps) and ``plateaus`` from
     the record's lookups, the points where phi_eps > 0 (``inside``) with
     the sides there (``window``, one _Values), phi_eps and t - R at them
-    (also as a warped._Offsets, ``x``), and, when an order below 2 reads
+    (also as a _Values, ``x``), and, when an order below 2 reads
     I_0 and I_1, the window rule on [0, x] in the ramp variable for the
     points below R (``blend``, with ``below_R`` marking them among the
     window's points; those at R read the blend totals)."""
 
-    def __init__(self, collar: _Collar, s, orders, lookups):
+    def __init__(self, collar: _Collar, s, orders):
         self.orders = orders
-        self.phi, self.plateaus = lookups
+        self.phi, self.plateaus = collar.lookups(s, orders)
         self.inside = self.phi > 0.0
         self.window = _Values(s[self.inside])
         t = self.window.x
         if t.size:
             self.phi_in = self.phi[self.inside]
-            self.offsets = t - np.asarray(collar.R, t.dtype)
-            self.x = _Offsets(self.offsets)
+            self.offsets = t - collar.R
+            self.x = _Values(self.offsets)
             if min(orders) < 2:
                 x = _window_x(collar.R, collar.eps, t)
                 self.below_R = x < 1.0
@@ -566,7 +560,7 @@ class SmoothedJunction:
             cast = self._casts[dt] = tuple(v.astype(dt) for v in (self._coef, self._res0, self._res1))
         return cast
 
-    def _gaps(self, at: _Values, x: _Offsets):
+    def _gaps(self, at: _Values, x: _Values):
         """c'' - b'' at the points of ``at``, whose offsets from R ``x``
         holds: the one read of the gap.
 
@@ -639,12 +633,12 @@ def _eval(junctions, r, orders) -> list:
     r = _floats(r)
     dt = r.dtype
     collar = junctions[0]._collar
-    R, lo = collar.constants(dt, orders)[:2]
+    R = collar.R
     above = r > R
     below = ~above
-    on = (r >= lo) & below
+    on = (r >= R - collar.reach) & below
     s = r[on]
-    p = _CollarPass(collar, s, orders, collar.lookups(s, orders)) if s.size else None
+    p = _CollarPass(collar, s, orders) if s.size else None
     every = 0 < s.size == r.size
     # b and c each only on their own side: c may overflow far below R
     if every:

@@ -32,7 +32,6 @@ call at a time, with the same values.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -248,23 +247,6 @@ class _Values:
         return self._memo[fn]
 
 
-class _Offsets:
-    """Offsets x = r - R from a junction radius, read by their exponentials:
-    ``exp``, e^x, computed on first use, and expm1(mu x) for a rate mu.
-    The two gaps of a smoothed family (_TubeGap) share one at the same
-    points, and so share e^x."""
-
-    def __init__(self, x):
-        self.x, self.dtype = x, x.dtype
-
-    @functools.cached_property
-    def exp(self):
-        return np.exp(self.x)
-
-    def expm1(self, mu):
-        return np.expm1(mu * self.x)
-
-
 class _Exponential:
     """r -> exp(rate (r - R)): the base that one function of the exponential
     extension at R scales, with ``tube``, the tube's function that it
@@ -300,7 +282,8 @@ class _TubeGap:
     precision (and then in the offsets' dtype): the extension's callables
     carry float64 roundings of sinh R and coth R, a relative 1e-16 away.
     drillvol.smoothing reads it pointwise, at the offsets of the window
-    rules' nodes and of the collar's points.
+    rules' nodes and of the collar's points, each held by one _Values, so
+    that the f and the g gap at the same offsets share one e^x.
     """
 
     def __init__(self, R: float, sign: int):
@@ -310,16 +293,17 @@ class _TubeGap:
         self._ld = (sign * np.exp(-R_ld) / two, sign / scale, scale + sign / scale, excess)
         self._casts: dict = {}
 
-    def __call__(self, x: _Offsets):
-        """The gap at the offsets that x holds, in their dtype; x may share
-        E with the other function's gap."""
-        dt = x.dtype
+    def __call__(self, x: _Values):
+        """The gap at the offsets that x holds, in their dtype: ``x.x``, and
+        E = e^x as ``x(np.exp)``, which the other function's gap at the same
+        offsets shares."""
+        dt = x.x.dtype
         consts = self._casts.get(dt)
         if consts is None:
             consts = self._casts[dt] = tuple(v.astype(dt) for v in self._ld)
         h, inverse, k, excess = consts
-        e = x.exp
-        return h * (e - 1 / e) - e * (k * x.expm1(excess) + inverse)
+        e = x(np.exp)
+        return h * (e - 1 / e) - e * (k * np.expm1(excess * x.x) + inverse)
 
 
 def _tube_gap(b, c, R: float) -> Optional[_TubeGap]:

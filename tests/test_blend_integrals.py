@@ -167,7 +167,7 @@ def blend_lookup(junction, s):
     """I_0 and I_1 of the junction at the window points s, as an evaluator
     pass reads them."""
     collar = junction._collar
-    return junction._blend(_CollarPass(collar, s, (0, 1), collar.lookups(s, (0, 1))))
+    return junction._blend(_CollarPass(collar, s, (0, 1)))
 
 
 @pytest.mark.parametrize("R,eps", list(PINNED))

@@ -39,7 +39,7 @@ from drillvol.smoothing import (
     _ramp_moments,
     _ricci_sup_half,
 )
-from drillvol.warped import (WarpingPair, _Offsets, _ricci_grid, _Values, hyperbolic_tube,
+from drillvol.warped import (WarpingPair, _ricci_grid, _Values, hyperbolic_tube,
                              kerckhoff_extension)
 
 EPS_SEQ = (1e-1, 1e-2, 1e-3)
@@ -583,6 +583,27 @@ def test_eval_of_all_orders_matches_each_evaluator(R, eps):
                 assert_same_bits(got, fn(r))
 
 
+def test_evaluators_return_the_inputs_dtype():
+    """Every evaluator returns its input's float dtype and shape, for
+    float32, float64 and longdouble arrays and numpy scalars, at a point
+    below the collar, on it, on the blending window, at R and above R, one
+    at a time (a point set wholly on the collar takes its own path) and all
+    together: the pair's six callables read through one pass (_Values) and
+    each junction's a, a' and a''."""
+    R, eps = 0.8, 1e-2
+    fam = cached_family(R, eps)
+    junctions = (fam.junction_f, fam.junction_g)
+    points = (R - fam.delta - 0.1, R - fam.junction_f._collar.width / 2, R - eps / 2, R, R + 0.05)
+    for dt in (np.float32, np.float64, np.longdouble):
+        inputs = [np.array(points, dt)] + [r for p in points for r in (np.array([p], dt), dt(p))]
+        for r in inputs:
+            at = _Values(r)
+            got = [at(getattr(fam.pair, name)) for name in PAIR_FIELDS]
+            got += [fn(r) for j in junctions for fn in (j.a, j.a_prime, j.a_second)]
+            for value in got:
+                assert value.dtype == dt and np.shape(value) == np.shape(r)
+
+
 _SEEDED = random.Random(0)
 SWEEP_LIKE = [(_SEEDED.uniform(0.4, 1.5), eps) for eps in EPS_SEQ for _ in range(4)]
 PAIR_FIELDS = ("f", "fp", "fpp", "g", "gp", "gpp")
@@ -857,7 +878,7 @@ def blend_lookup(junction, s):
     """I_0 and I_1 of the junction at the blending window's points s, read
     as an evaluator pass reads them: through the pass's window rule."""
     collar = junction._collar
-    return junction._blend(smoothing._CollarPass(collar, s, (0, 1), collar.lookups(s, (0, 1))))
+    return junction._blend(smoothing._CollarPass(collar, s, (0, 1)))
 
 
 def panel_rule(lo, hi, panels: int):
@@ -984,7 +1005,7 @@ def test_blend_integrals_have_no_seams(R, eps):
     left = nudged_left(at, 4)
     offsets = at - np.longdouble(R)
     for junction in (cached_family(R, eps).junction_f, cached_family(R, eps).junction_g):
-        slopes = _powers(junction._gaps(_Values(at), _Offsets(offsets)) * step_phi(eps, R, at),
+        slopes = _powers(junction._gaps(_Values(at), _Values(offsets)) * step_phi(eps, R, at),
                          offsets, 2)
         steps = (at - left)[:, None] * slopes
         share = np.abs(blend_lookup(junction, at) - blend_lookup(junction, left) - steps)

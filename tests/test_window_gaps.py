@@ -18,7 +18,7 @@ import pytest
 from conftest import REPO_ROOT, cached_family
 from drillvol import hyperbolic_tube, kerckhoff_extension, smooth_junction, smoothed_metric
 from drillvol.smoothing import _collar_of
-from drillvol.warped import _Offsets, _tube_gap, _TubeGap
+from drillvol.warped import _tube_gap, _TubeGap, _Values
 
 LD = np.longdouble
 EPS_LD = float(np.finfo(LD).eps)
@@ -100,7 +100,7 @@ def test_closed_form_matches_high_precision_values(R, x):
     values, relative (1.6e-19, 1.5 units, at most, measured)."""
     for sign, (hi, lo) in zip((1, -1), PINNED[R, x]):
         want = LD(float.fromhex(hi)) + LD(float.fromhex(lo))
-        got = _TubeGap(R, sign)(_Offsets(np.array([x], LD)))[0]
+        got = _TubeGap(R, sign)(_Values(np.array([x], LD)))[0]
         assert abs(got - want) <= 4 * EPS_LD * abs(want)
 
 
