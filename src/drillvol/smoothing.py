@@ -416,10 +416,12 @@ class _Collar:
 
     @functools.cached_property
     def at_R(self) -> "_CollarPass":
-        """The pass of orders 0 and 1 at R in extended precision, which gives
-        both junctions their plateau moments and seam residuals.  It reads no
-        side, so it keeps no junction's values."""
-        return _CollarPass(self, np.array([self.R], dtype=np.longdouble), (0, 1))
+        """The pass of orders 0, 1 and 2 at R in extended precision, which
+        gives both junctions their plateau moments and seam residuals.  Its
+        window's _Values keeps the sides at R of the junctions that read
+        them there (those without a closed-form gap), keyed on each one's
+        callables."""
+        return _CollarPass(self, np.array([self.R], dtype=np.longdouble), (0, 1, 2))
 
     @functools.cached_property
     def units(self):
@@ -547,17 +549,19 @@ class SmoothedJunction:
         R_ld = np.longdouble(R)
         slope_unit, value_unit = collar.units
         self._coef = np.longdouble(self.slope_gap) * slope_unit + np.longdouble(self.value_gap) * value_unit
-        # rounding left by the moment match, carried above R so that a stays
-        # seamless at R for the value-only oracle; phi_eps(R) = 1
+        # rounding left by the moment match in a and a', and in a'' the
+        # distance of the exact extension's closed-form gap from the float64
+        # constants of b: carried above R as a Taylor tail, so that a, a'
+        # and a'' stay seamless at R for the value-only oracle; phi_eps(R) = 1
         terms = self._terms(collar.at_R, self._coef)
-        self._res0, self._res1 = (b[k](R_ld) + terms[k][0] - c[k](R_ld) for k in (0, 1))
+        self._res = tuple(b[k](R_ld) + terms[k][0] - c[k](R_ld) for k in (0, 1, 2))
         self._casts: dict = {}
 
     def _cast(self, dt):
         """lambda and the seam residuals in dtype dt, cast once per dtype."""
         cast = self._casts.get(dt)
         if cast is None:
-            cast = self._casts[dt] = tuple(v.astype(dt) for v in (self._coef, self._res0, self._res1))
+            cast = self._casts[dt] = tuple(v.astype(dt) for v in (self._coef, *self._res))
         return cast
 
     def _gaps(self, at: _Values, x: _Values):
@@ -619,7 +623,9 @@ class SmoothedJunction:
 def _eval(junctions, r, orders) -> list:
     """The derivatives of a of each of orders at r, for each of junctions,
     which share one collar record: b's below R - delta, b's plus the
-    collar's on [R - delta, R], and c's plus the seam residuals above R.
+    collar's on [R - delta, R], and c's plus the seam residuals' Taylor
+    tail above R (res_0 + res_1 dr + res_2 dr^2 / 2 and its derivatives,
+    dr = r - R).
 
     One pass serves all junctions and orders: one split of r at R, one
     collar mask [R - reach, R], one _CollarPass with the collar lookups,
@@ -649,7 +655,7 @@ def _eval(junctions, r, orders) -> list:
         dr = ru - R
     outs = []
     for j in junctions:
-        coef, res0, res1 = j._cast(dt)
+        coef, res0, res1, res2 = j._cast(dt)
         terms = j._terms(p, coef) if p is not None else None
         mine = []
         for k, order in enumerate(orders):
@@ -659,9 +665,11 @@ def _eval(junctions, r, orders) -> list:
             else:
                 up = upper(j.c[order]) if ru.size else low[:0]
                 if order == 0:
-                    up = up + res0 + res1 * dr
+                    up = up + res0 + res1 * dr + res2 * dr * dr / 2
                 elif order == 1:
-                    up = up + res1
+                    up = up + res1 + res2 * dr
+                else:
+                    up = up + res2
                 out = np.empty(r.shape, np.result_type(up, low))
                 out[above], out[below] = up, low
                 if terms is not None:

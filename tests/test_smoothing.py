@@ -874,6 +874,26 @@ def test_family_pass_with_distinct_deltas():
         assert_same_bits(fn(own), side(own))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="levels measured with the x87 80-bit longdouble")
+@pytest.mark.parametrize("R,eps", [(0.5, 1e-3), (0.8, 1e-2), (1.2, 1e-3), (8.0, 1e-2),
+                                   (0.4, 0.1), (37.25, 0.13)])
+def test_no_seam_at_R(R, eps):
+    """a, a' and a'' of both junctions step from R to the next longdouble
+    above it as c's do, to within 8 longdouble eps of |c^(k)(R)|: the seam
+    residuals carry the rounding of the moment match and, for a'', the
+    distance of the closed-form gap (the exact extension's constants) from
+    b's float64 constants above R.  Without the a'' residual the step
+    differed by up to 14400 eps (f at (0.4, 0.1)); 0 measured with it."""
+    r = np.array([R, np.nextafter(np.longdouble(R), np.longdouble(np.inf))])
+    fam = cached_family(R, eps)
+    for junction in (fam.junction_f, fam.junction_g):
+        for k, fn in enumerate((junction.a, junction.a_prime, junction.a_second)):
+            a, c = fn(r), junction.c[k](r)
+            jump = abs((a[1] - a[0]) - (c[1] - c[0]))
+            assert jump <= 8 * np.finfo(np.longdouble).eps * abs(c[0])
+
+
 def blend_lookup(junction, s):
     """I_0 and I_1 of the junction at the blending window's points s, read
     as an evaluator pass reads them: through the pass's window rule."""
