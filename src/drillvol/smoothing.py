@@ -82,10 +82,10 @@ or a junction, which would keep every family alive.  The record's R,
 collar end, ramp starts, widths and shifts are float64 values, exact in
 longdouble, which a pass reads as they are (a float32 pass forms the ramp
 arguments in float64 and rounds them back).  The smoothed pair's six
-callables share that pass: read together through warped._Values, as every Ricci, curvature,
-quadrature and oracle reader does, they take a, a' and a'' of both
-junctions from one pass; called alone, each runs its own junction and
-order.  The Ricci constant is the supremum over the collar's slice of a
+callables share that pass: read together through warped._Values, as every
+Ricci, curvature, quadrature and oracle reader does, they take a, a' and
+a'' of both junctions from one pass; called alone, each runs its own
+junction and order.  The Ricci constant is the supremum over the collar's slice of a
 uniform 4096-point grid (below R - delta the pair is the extension, with
 -Ric/2 = k_limit(R), and above R the tube, with -Ric/2 = 1; one grid point
 on each side samples those), refined by bracket grids of 129 points across
@@ -389,7 +389,7 @@ class _Collar:
         # the lookups' ramp starts and widths, phi_eps's start R and width
         # eps beside them, and the shifts (0, and -1 for phi_eps) whose
         # subtraction adds phi_eps's 1 and leaves the plateau ramps'
-        # arguments as they are: float64 columns, exact in any float dtype
+        # arguments as they are: float64 columns, exact in longdouble
         self._starts = np.array(self.ramp_starts + [R])[:, None]
         self._widths = np.array([self.ramp_w] * 4 + [eps])[:, None]
         self._shifts = np.array([0.0, 0.0, 0.0, 0.0, -1.0])[:, None]
@@ -437,9 +437,9 @@ class _WindowRule:
     window in the ramp variable x, and what the blend integrand reads at
     its nodes x: phi_eps = beta(x), the offsets t - R = eps (x - 1), also
     through one _Values (``x``), whose e^x both closed-form gaps share, and
-    the sides at t through another (``sides``).  ``scale`` is eps (hi - lo) per panel, and
-    ``weights`` the rule's on [0, 1], in the dtype of lo and hi.  The
-    junctions on a collar record share its build rule and, in each
+    the sides at t through another (``sides``).  ``scale`` is eps (hi - lo)
+    per panel, and ``weights`` the rule's on [0, 1], in the dtype of lo and
+    hi.  The junctions on a collar record share its build rule and, in each
     evaluator pass, the pass's rule on [0, x] for its points below R.
     """
 
