@@ -874,10 +874,12 @@ def test_family_pass_with_distinct_deltas():
         assert_same_bits(fn(own), side(own))
 
 
+SEAM_PAIRS = [(0.5, 1e-3), (0.8, 1e-2), (1.2, 1e-3), (8.0, 1e-2), (0.4, 0.1), (37.25, 0.13)]
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                     reason="levels measured with the x87 80-bit longdouble")
-@pytest.mark.parametrize("R,eps", [(0.5, 1e-3), (0.8, 1e-2), (1.2, 1e-3), (8.0, 1e-2),
-                                   (0.4, 0.1), (37.25, 0.13)])
+@pytest.mark.parametrize("R,eps", SEAM_PAIRS)
 def test_no_seam_at_R(R, eps):
     """a, a' and a'' of both junctions step from R to the next longdouble
     above it as c's do, to within 8 longdouble eps of |c^(k)(R)|: the seam
@@ -892,6 +894,29 @@ def test_no_seam_at_R(R, eps):
             a, c = fn(r), junction.c[k](r)
             jump = abs((a[1] - a[0]) - (c[1] - c[0]))
             assert jump <= 8 * np.finfo(np.longdouble).eps * abs(c[0])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="levels measured with the x87 80-bit longdouble")
+@pytest.mark.parametrize("R,eps", SEAM_PAIRS)
+def test_derivatives_agree_above_R(R, eps):
+    """Above R, a and a' change by the integral of their next derivative:
+    the seam residuals' Taylor tail keeps a, a' and a'' the derivatives of
+    one function.  Over [R, R + h], h = 0.05 and 0.5, a^(k)(R + h) - a^(k)(R)
+    is within 8 longdouble eps of |c^(k)(R + h)| of the 24-point rule's
+    integral of a^(k+1) (1.5 measured; up to 2070 for a' when the a''
+    residual is carried by a'' alone)."""
+    xi, w = _gauss_legendre()
+    fam = cached_family(R, eps)
+    for h in (0.05, 0.5):
+        lo, hi = np.longdouble(R), np.longdouble(R) + np.longdouble(h)
+        nodes, weights = (lo + hi) / 2 + (hi - lo) / 2 * xi, (hi - lo) / 2 * w
+        for junction in (fam.junction_f, fam.junction_g):
+            fns = (junction.a, junction.a_prime, junction.a_second)
+            for k in (0, 1):
+                ends = fns[k](np.array([lo, hi]))
+                drift = abs(ends[1] - ends[0] - weights @ fns[k + 1](nodes))
+                assert drift <= 8 * np.finfo(np.longdouble).eps * abs(junction.c[k](hi))
 
 
 def blend_lookup(junction, s):
