@@ -546,7 +546,6 @@ class SmoothedJunction:
         # the slope gap times the unit correction of mass 1 and zero first
         # moment about R, plus the value gap times the reverse; the collar
         # record's pass at R gives the plateau moments and seam residuals
-        R_ld = np.longdouble(R)
         slope_unit, value_unit = collar.units
         self._coef = np.longdouble(self.slope_gap) * slope_unit + np.longdouble(self.value_gap) * value_unit
         # rounding left by the moment match in a and a', and in a'' the
@@ -554,7 +553,8 @@ class SmoothedJunction:
         # constants of b: carried above R as a Taylor tail, so that a, a'
         # and a'' stay seamless at R for the value-only oracle; phi_eps(R) = 1
         terms = self._terms(collar.at_R, self._coef)
-        self._res = tuple(b[k](R_ld) + terms[k][0] - c[k](R_ld) for k in (0, 1, 2))
+        at = _Values(np.longdouble(R))
+        self._res = tuple(at(b[k]) + terms[k][0] - at(c[k]) for k in (0, 1, 2))
         self._casts: dict = {}
 
     def _cast(self, dt):
