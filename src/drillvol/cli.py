@@ -176,18 +176,18 @@ def _cmd_smooth(args, cfg: CliConfig, out) -> int:
     if not all(np.all(np.isfinite(col)) for col in [rs] + cols):
         raise ParameterError(f"the sample range [{lo:g}, {hi:g}] gives a non-finite "
                              f"r, a, a' or a''")
-    _emit(cfg, out, R=fam.R, eps=fam.eps,
-          iota_f=jf.iota, omega_f=jf.omega, delta_f=jf.delta,
-          iota_g=jg.iota, omega_g=jg.omega, delta_g=jg.delta,
-          delta=fam.delta, k_eps=fam.k_eps)
     rows = zip(rs, *cols)
     lines = ["r,a,a_prime,a_second"]
     lines += [",".join(cfg.fmt(float(v)) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
-    if args.csv:
+    if args.csv:  # written before any output, so a failed write prints nothing
         with open(args.csv, "w", encoding="utf-8") as sink:
             sink.write(text)
-    else:
+    _emit(cfg, out, R=fam.R, eps=fam.eps,
+          iota_f=jf.iota, omega_f=jf.omega, delta_f=jf.delta,
+          iota_g=jg.iota, omega_g=jg.omega, delta_g=jg.delta,
+          delta=fam.delta, k_eps=fam.k_eps)
+    if not args.csv:
         print("", file=out)
         out.write(text)
     return 0
@@ -243,9 +243,16 @@ def _cmd_analyze(args, cfg: CliConfig, out) -> int:
     with open(args.input, "r", encoding="utf-8", newline="") as stream:
         records = parse_records(stream)
     report = analyze_records(records)
-    if args.plot:  # rendered before any output, so a plot that fails writes nothing
+    if args.plot:  # rendered before any file or output, so a plot that fails writes nothing
         svg = io.StringIO()
         emit_plot(report, svg, style=args.style)
+    # the files are written before any output, so a failed write prints nothing
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as sink:
+            emit_report(report, sink)
+    if args.plot:
+        with open(args.plot, "w", encoding="utf-8", newline="") as sink:
+            sink.write(svg.getvalue())
     _emit(cfg, out,
           records=len(report.rows),
           violations=report.violation_count,
@@ -255,15 +262,10 @@ def _cmd_analyze(args, cfg: CliConfig, out) -> int:
           skipped_checks=report.skipped_check_count)
     for notice in report.notices:
         _emit(cfg, out, notice=notice)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as sink:
-            emit_report(report, sink)
-    else:
+    if not args.output:
         print("", file=out)
         emit_report(report, out)
     if args.plot:
-        with open(args.plot, "w", encoding="utf-8", newline="") as sink:
-            sink.write(svg.getvalue())
         _emit(cfg, out, plot=args.plot, style=args.style)
     return 0
 

@@ -9,7 +9,6 @@ __all__ = [
     "ParameterError",
     "DomainError",
     "SingularAxisError",
-    "JunctionError",
     "WidthError",
     "QuadratureError",
     "ParseError",
@@ -41,12 +40,6 @@ class SingularAxisError(DomainError):
     """Curvature requested where a warping function vanishes."""
 
     category = "domain"
-
-
-class JunctionError(ParameterError):
-    """The two junction functions fail to match to first order."""
-
-    category = "junction"
 
 
 class WidthError(ToolkitError):

@@ -1,8 +1,11 @@
-"""Smooth interpolation between two functions meeting to first order.
+"""Smooth junctions of the tube's warping functions with their extension.
 
-Given b and c with b(R) = c(R) and b'(R) = c'(R), the construction produces
-a function a_eps equal to b below R - delta(eps) and to c above R, with
-second derivative controlled by those of b and c at R.  On the collar
+Each junction joins one warping function of the hyperbolic tube, c = sinh
+for f or c = cosh for g, to the same function b of its exponential
+extension at R (warped.kerckhoff_extension), which meets it to first order
+there: b(R) = c(R) and b'(R) = c'(R).  The construction produces a function
+a_eps equal to b below R - delta(eps) and to c above R, with second
+derivative controlled by those of b and c at R.  On the collar
 [R - W, R], W(eps) = 2 eps^(1/3), it is one moment-matched correction of
 the blended second derivative:
 
@@ -27,9 +30,8 @@ core, since below R the correction acts on b alone.  When eps is large
 for a small R it can outweigh b and drive a warping function through 0;
 smoothed_metric rejects such a pair, and an eps whose ramps collapse below
 the float64 spacing at R.
-Applied to the exponential tube extension against (sinh, cosh) this yields
-the smoothed negatively-curved metric family whose Ricci lower bound
-constant tends to coth(R) coth(2R).
+The f and the g junction give the smoothed negatively-curved metric family
+whose Ricci lower bound constant tends to coth(R) coth(2R).
 
 Numerics: a, a' and a'' share one evaluator, and every integral has one
 quadrature level.  The bump's cumulative moments int_0^x t^j alpha, j < 3,
@@ -56,23 +58,22 @@ The build check compares the totals with the rule on 4 equal panels of
 168 nodes per build, which both junctions share.  No extended-precision
 array is raised to a power (numpy calls powl per element for x**0 and
 x**1), so moments are products.
-The gap c'' - b'' of the tube against its exponential extension, the pair
-that smoothed_metric smooths, is warped's closed form (_TubeGap) at the
-offsets t - R: its terms are each O(e^(-R)) at large R, where the sides are
-about sinh R and their difference is rounding noise once sinh R exceeds
-about 1e8 (the build check then judged noise, and failed 24 of 400 seeded
-builds with R in [15, 354]).  Any other derivative triples keep the sides'
-difference.
+The gap c'' - b'' is warped's closed form (_TubeGap), which each junction
+holds, at the offsets t - R: its terms are each O(e^(-R)) at large R, where
+the sides are about sinh R and their difference is rounding noise once
+sinh R exceeds about 1e8 (a build check of that difference judged noise,
+and failed 24 of 400 seeded builds with R in [15, 354]).
 The rest of the ramp work depends on (R, eps) alone, so both junctions of a
-family share one collar record: W, the ramp starts, the build's window
-rule with its nodes' phi_eps and offsets, and the ramp lookups at R.  The
-record keeps no side's values, which belong to each junction's own
-functions.  One evaluator pass serves any junctions on one record and any
-derivative orders, from one collar mask, one ramp lookup (phi_eps's
-argument rides beside the four plateau ramps), one window rule for all its
-junctions (its nodes' _Values, offsets and phi_eps; each junction adds only
-its own c'' - b'' and totals), and each side's transcendentals once per
-region, with e^x of the window's offsets shared by both closed-form gaps.
+family share one collar record: the extension and the tube pair, built
+once per family, W, the ramp starts, the build's window rule with its
+nodes' phi_eps and offsets, and the ramp lookups at R.  The record keeps no
+side's values: each junction reads its own function of each pair.  One
+evaluator pass serves any junctions on one record and any derivative
+orders, from one collar mask, one ramp lookup (phi_eps's argument rides
+beside the four plateau ramps), one window rule for all its junctions (its
+nodes' _Values, offsets and phi_eps; each junction adds only its own
+c'' - b'' and totals), and each side's transcendentals once per region,
+with e^x of the window's offsets shared by both closed-form gaps.
 Only values that carry extended precision are cast to a pass's dtype, once
 per dtype: the ramp polynomials' constants per (dtype, count), for their
 totals (3/11 has no float64 value), and the rule per dtype in module
@@ -102,8 +103,8 @@ Each input of the construction has one producer: _floats coerces every
 input array (float64 unless it already holds floats), _window_x maps r to
 the ramp variable (r - R)/eps + 1 (the collar lookups form the same bits
 beside the plateau ramps' arguments, as (r - R)/eps - (-1)),
-_ramp_moments is the one evaluation of the ramp polynomials, and
-SmoothedJunction._gaps the one read of c'' - b''.
+_ramp_moments is the one evaluation of the ramp polynomials, and each
+junction's _TubeGap (SmoothedJunction._gap) the one read of c'' - b''.
 """
 
 from __future__ import annotations
@@ -111,13 +112,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bounds import _require_positive, _require_sinh
-from .errors import JunctionError, ParameterError, QuadratureError, WidthError
-from .warped import (WarpingPair, _ricci_grid, _Shared, _tube_gap, _Values, hyperbolic_tube,
+from .errors import ParameterError, QuadratureError, WidthError
+from .warped import (WarpingPair, _ricci_grid, _Shared, _TubeGap, _Values, hyperbolic_tube,
                      kerckhoff_extension)
 
 __all__ = [
@@ -364,7 +364,9 @@ def step_phi(eps: float, R: float, r):
 
 
 class _Collar:
-    """The ramp work of one (R, eps), which depends on neither junction.
+    """The ramp work of one (R, eps), which depends on neither junction, and
+    the two pairs that the junctions join: ``extension``, the exponential
+    extension at R, and ``tube``, built here once for both junctions.
 
     The collar width W(eps), the reach max(eps, W) below R that covers the
     collar of every junction, and the starts of the four plateau ramps (rise
@@ -378,6 +380,7 @@ class _Collar:
     """
 
     def __init__(self, R: float, eps: float):
+        self.extension, self.tube = kerckhoff_extension(R), hyperbolic_tube()
         self.R, self.eps = R, eps
         self.width = _COLLAR_SCALE * eps ** _COLLAR_POWER
         self.reach = max(eps, self.width)
@@ -417,10 +420,7 @@ class _Collar:
     @functools.cached_property
     def at_R(self) -> "_CollarPass":
         """The pass of orders 0, 1 and 2 at R in extended precision, which
-        gives both junctions their plateau moments and seam residuals.  Its
-        window's _Values keeps the sides at R of the junctions that read
-        them there (those without a closed-form gap), keyed on each one's
-        callables."""
+        gives both junctions their plateau moments and seam residuals."""
         return _CollarPass(self, np.array([self.R], dtype=np.longdouble), (0, 1, 2))
 
     @functools.cached_property
@@ -435,12 +435,12 @@ class _Collar:
 class _WindowRule:
     """The Gauss-Legendre rule on panels [lo, hi] of [0, 1], the blending
     window in the ramp variable x, and what the blend integrand reads at
-    its nodes x: phi_eps = beta(x), the offsets t - R = eps (x - 1), also
-    through one _Values (``x``), whose e^x both closed-form gaps share, and
-    the sides at t through another (``sides``).  ``scale`` is eps (hi - lo)
-    per panel, and ``weights`` the rule's on [0, 1], in the dtype of lo and
-    hi.  The junctions on a collar record share its build rule and, in each
-    evaluator pass, the pass's rule on [0, x] for its points below R.
+    its nodes x: phi_eps = beta(x) and the offsets t - R = eps (x - 1), also
+    through one _Values (``x``), whose e^x both closed-form gaps share.
+    ``scale`` is eps (hi - lo) per panel, and ``weights`` the rule's on
+    [0, 1], in the dtype of lo and hi.  The junctions on a collar record
+    share its build rule and, in each evaluator pass, the pass's rule on
+    [0, x] for its points below R.
     """
 
     def __init__(self, collar: _Collar, lo, hi):
@@ -450,7 +450,6 @@ class _WindowRule:
         self.phi = ramp_beta(x)
         self.offsets = collar.eps * (x - 1)
         self.x = _Values(self.offsets)
-        self.sides = _Values(collar.R + self.offsets)
 
     def integrals(self, gaps):
         """I_0 and I_1 over each panel, stacked on a new last axis, from
@@ -463,28 +462,25 @@ class _WindowRule:
 class _CollarPass:
     """The work of one evaluator pass at its collar points s that every
     junction on the record shares: ``phi`` (phi_eps) and ``plateaus`` from
-    the record's lookups, the points where phi_eps > 0 (``inside``) with
-    the sides there (``window``, one _Values), phi_eps and t - R at them
-    (also as a _Values, ``x``), and, when an order below 2 reads
-    I_0 and I_1, the window rule on [0, x] in the ramp variable for the
-    points below R (``blend``, with ``below_R`` marking them among the
-    window's points; those at R read the blend totals)."""
+    the record's lookups, the points where phi_eps > 0 (``inside``), phi_eps
+    and t - R at them (``phi_in`` and ``offsets``, also as a _Values,
+    ``x``), and, when there are such points and an order below 2 reads I_0
+    and I_1, the window rule on [0, x] in the ramp variable for the points
+    below R (``blend``, with ``below_R`` marking them among the window's
+    points; those at R read the blend totals)."""
 
     def __init__(self, collar: _Collar, s, orders):
         self.orders = orders
         self.phi, self.plateaus = collar.lookups(s, orders)
         self.inside = self.phi > 0.0
-        self.window = _Values(s[self.inside])
-        t = self.window.x
-        if t.size:
-            self.phi_in = self.phi[self.inside]
-            self.offsets = t - collar.R
-            self.x = _Values(self.offsets)
-            if min(orders) < 2:
-                x = _window_x(collar.R, collar.eps, t)
-                self.below_R = x < 1.0
-                x = x[self.below_R]
-                self.blend = _WindowRule(collar, np.zeros_like(x), x)
+        t = s[self.inside]
+        self.phi_in, self.offsets = self.phi[self.inside], t - collar.R
+        self.x = _Values(self.offsets)
+        if t.size and min(orders) < 2:
+            x = _window_x(collar.R, collar.eps, t)
+            self.below_R = x < 1.0
+            x = x[self.below_R]
+            self.blend = _WindowRule(collar, np.zeros_like(x), x)
 
 
 # The two junctions that smoothed_metric builds in a row share one record.
@@ -496,39 +492,40 @@ _collar_of = functools.lru_cache(maxsize=2)(_Collar)
 class SmoothedJunction:
     """The moment-matched interpolant for one junction at one smoothing width.
 
-    ``b`` and ``c`` are (value, first, second) derivative triples of two
-    functions that meet to first order at R; b is kept below the collar and
-    c above R.  Exposes the interpolant a with its first two derivatives,
-    the slope and value gaps that the blend leaves at R, and the widths
-    iota, omega and delta.  The evaluators accept scalars or arrays,
-    preserve extended-precision inputs, and equal b bit-exactly below the
-    collar [R - delta, R] and c to rounding above it.
+    ``side`` is "f" or "g": the junction joins that function of the
+    exponential extension at R, kept below the collar, to the tube's, sinh
+    or cosh, kept above R.  ``b`` and ``c`` are their (value, first, second)
+    derivative triples, from the collar record's two pairs, and the junction
+    holds the closed form of c'' - b'' (warped._TubeGap).  Exposes the
+    interpolant a with its first two derivatives, the slope and value gaps
+    that the blend leaves at R, and the widths iota, omega and delta.  The
+    evaluators accept scalars or arrays, preserve extended-precision inputs,
+    and equal b bit-exactly below the collar [R - delta, R] and c to
+    rounding above it.
     """
 
-    def __init__(self, b: tuple[Callable, ...], c: tuple[Callable, ...], R: float, eps: float,
-                 name: str = "junction"):
+    def __init__(self, R: float, eps: float, side: str):
         _require_positive("smoothing width", eps)
-        self.b, self.c, self.name = b, c, name
+        if side not in ("f", "g"):
+            raise ParameterError(f"junction side must be 'f' or 'g', got {side!r}")
+        self.side = side
+        self.name = name = f"{side}-junction(R={R:g})"
         self.eps = eps = float(eps)
         self.R = R = float(R)
-        if not math.isfinite(R):
-            raise ParameterError(f"{name}: junction radius must be finite, got {R}")
-        b0, b1, c0, c1 = (float(side[k](R)) for side in (b, c) for k in (0, 1))
-        # relative where |c|, |c'| > 1: from R = 10 on, one float64 rounding
-        # of cosh R exceeds an absolute 1e-12
-        v, d = abs(b0 - c0), abs(b1 - c1)
-        if v > 1e-12 * max(1.0, abs(c0)) or d > 1e-12 * max(1.0, abs(c1)):
-            raise JunctionError(f"{name}: b and c must match to first order at R={R}: "
-                                f"|b-c|={v:.3e}, |b'-c'|={d:.3e}")
-
+        # the collar record's extension rejects an R that is not positive,
+        # finite and of finite sinh
         self._collar = collar = _collar_of(R, eps)
-        self._tube_gap = _tube_gap(b, c, R)
+        # b, the extension's function, and c, the tube's, with their derivatives
+        self.b, self.c = b, c = [tuple(getattr(w, side + d) for d in ("", "p", "pp"))
+                                 for w in (collar.extension, collar.tube)]
+        self._gap = _TubeGap(R, 1 if side == "f" else -1)
+        b0, b1, c0, c1 = (float(fn[k](R)) for fn in (b, c) for k in (0, 1))
         # I_j = int_{R-eps}^R (c'' - b'') phi_eps (t - R)^j, j = 0, 1, on the
         # record's build panels: the blend totals, which size the correction,
         # on one, and the build check's reference on 4 and its error
         # estimate on 2
         rule = collar.rule
-        panels = rule.integrals(self._gaps(rule.sides, rule.x))
+        panels = rule.integrals(self._gap(rule.x))
         self._blend_totals = panels[0]
         self._totals = tuple(map(float, panels[0]))
         _check_moments(f"{name}: blend stage", self._totals,
@@ -564,19 +561,6 @@ class SmoothedJunction:
             cast = self._casts[dt] = tuple(v.astype(dt) for v in (self._coef, *self._res))
         return cast
 
-    def _gaps(self, at: _Values, x: _Values):
-        """c'' - b'' at the points of ``at``, whose offsets from R ``x``
-        holds: the one read of the gap.
-
-        For the tube against its exponential extension, as smoothed_metric
-        builds them, it is warped's closed form (_TubeGap) at the offsets,
-        which loses nothing to cancellation at large R.  For any other
-        triples it is the sides' difference.
-        """
-        if self._tube_gap is None:
-            return at(self.c[2]) - at(self.b[2])
-        return self._tube_gap(x)
-
     def _blend(self, p: _CollarPass):
         """I_0 and I_1 at the window points of p, stacked on a new last
         axis: the pass's window rule on [0, x] below R, and the blend
@@ -585,7 +569,7 @@ class SmoothedJunction:
         out = np.empty(p.offsets.shape + (2,), p.offsets.dtype)
         out[...] = self._blend_totals
         if rule.scale.size:
-            out[p.below_R] = rule.integrals(self._gaps(rule.sides, rule.x))
+            out[p.below_R] = rule.integrals(self._gap(rule.x))
         return out
 
     def _terms(self, p: _CollarPass, coef):
@@ -594,15 +578,14 @@ class SmoothedJunction:
         that the collar record's lookups give, times lambda (``coef``), plus
         the blend stage u where phi_eps > 0: u'' = (c'' - b'') phi_eps,
         u' = I_0 and u = (s - R) I_0 - I_1, from the window rule that the
-        pass shares.  Only the points where phi_eps > 0 meet the sides, so
-        that a c undefined below the blending window never meets 0 * nan.
+        pass shares.  The gap is read only at the points where phi_eps > 0.
         Orders 0 and 1 share one run of the rule."""
         outs = list(p.plateaus @ coef)
-        if p.window.x.size:
+        if p.offsets.size:
             i = self._blend(p) if min(p.orders) < 2 else None
             for out, order in zip(outs, p.orders):
                 if order == 2:
-                    out[p.inside] += self._gaps(p.window, p.x) * p.phi_in
+                    out[p.inside] += self._gap(p.x) * p.phi_in
                 elif order == 1:
                     out[p.inside] += i[..., 0]
                 else:
@@ -679,9 +662,9 @@ def _eval(junctions, r, orders) -> list:
     return outs
 
 
-# The moment-matched interpolant from the derivative triple b to c at R, at
-# smoothing width eps.  smoothed_metric builds through this module-level name,
-# which a profiler may wrap to time junction builds.
+# The moment-matched junction of the tube's f or g with its exponential
+# extension at R, at smoothing width eps.  smoothed_metric builds through
+# this module-level name, which a profiler may wrap to time junction builds.
 smooth_junction = SmoothedJunction
 
 
@@ -777,13 +760,11 @@ def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
             f"blending window [R-eps, R] reaches the tube core r = 0 (R={R:g}, eps={eps:g}); "
             f"use eps < R"
         )
-    ext, tube = kerckhoff_extension(R), hyperbolic_tube()
-    # f g = sinh(2r)/2 on the Ricci grid up to R + margin
+    # the junctions' collar record, whose extension checks its radius
+    # before the Ricci grid's f g = sinh(2r)/2 up to R + margin is checked
+    _collar_of(R, eps)
     _require_sinh(2.0 * (R + _MARGIN), f"tube radius {R:g}")
-    jf = smooth_junction((ext.f, ext.fp, ext.fpp), (tube.f, tube.fp, tube.fpp), R, eps,
-                         f"f-junction(R={R:g})")
-    jg = smooth_junction((ext.g, ext.gp, ext.gpp), (tube.g, tube.gp, tube.gpp), R, eps,
-                         f"g-junction(R={R:g})")
+    jf, jg = smooth_junction(R, eps, "f"), smooth_junction(R, eps, "g")
     delta = max(jf.delta, jg.delta)
     both = functools.partial(_eval, (jf, jg), orders=(0, 1, 2))
     (f, fp, fpp), (g, gp, gpp) = ([_Shared(both, lambda v, i=i, k=k: v[i][k], alone)

@@ -10,11 +10,14 @@ and the Ricci tensor is diagonal in the orthonormal frame, with eigenvalues
 given by pairwise sums of those curvatures.  This module provides the two
 built-in pairs (the constant-curvature tube ``(sinh, cosh)`` and its
 exponential extension past the tube boundary), the closed-form curvature
-operations, and an adaptive-quadrature volume integral used as an oracle for
-the closed-form tube volumes of :mod:`drillvol.bounds`.  That integral is a
-numpy port of QUADPACK's QAGS (the 21-point Gauss-Kronrod rule ``dqk21``
-under ``dqagse``'s bisection) without its epsilon-algorithm extrapolation;
-on the built-in pairs it returns scipy's ``quad`` values bit for bit.
+operations, the closed-form gap between each tube function's second
+derivative and its extension's (``_TubeGap``, which the junctions of
+:mod:`drillvol.smoothing` read), and an adaptive-quadrature volume integral
+used as an oracle for the closed-form tube volumes of
+:mod:`drillvol.bounds`.  That integral is a numpy port of QUADPACK's QAGS
+(the 21-point Gauss-Kronrod rule ``dqk21`` under ``dqagse``'s bisection)
+without its epsilon-algorithm extrapolation; on the built-in pairs it
+returns scipy's ``quad`` values bit for bit.
 
 All warping callables must accept numpy arrays as well as scalars and should
 be numpy-ufunc based so that evaluation preserves extended-precision inputs
@@ -247,20 +250,6 @@ class _Values:
         return self._memo[fn]
 
 
-class _Exponential:
-    """r -> exp(rate (r - R)): the base that one function of the exponential
-    extension at R scales, with ``tube``, the tube's function that it
-    continues past R (np.sinh for f, np.cosh for g)."""
-
-    __slots__ = ("rate", "R", "tube")
-
-    def __init__(self, rate: float, R: float, tube: np.ufunc):
-        self.rate, self.R, self.tube = rate, R, tube
-
-    def __call__(self, r):
-        return np.exp(self.rate * (np.asarray(r) - self.R))
-
-
 class _TubeGap:
     """The tube's second derivative less its exponential extension's at R,
     as a function of x = r - R, without cancellation.
@@ -281,7 +270,8 @@ class _TubeGap:
     about 1e8.  The constants are those of the exact extension, in extended
     precision (and then in the offsets' dtype): the extension's callables
     carry float64 roundings of sinh R and coth R, a relative 1e-16 away.
-    drillvol.smoothing reads it pointwise, at the offsets of the window
+    Each junction of drillvol.smoothing holds one, for its side, and it is
+    the junction's only read of c'' - b'': at the offsets of the window
     rules' nodes and of the collar's points, each held by one _Values, so
     that the f and the g gap at the same offsets share one e^x.
     """
@@ -306,16 +296,6 @@ class _TubeGap:
         return h * (e - 1 / e) - e * (k * np.expm1(excess * x.x) + inverse)
 
 
-def _tube_gap(b, c, R: float) -> Optional[_TubeGap]:
-    """The closed form of c'' - b'' when b is a function of the exponential
-    extension at R and c the tube's function that it continues past R, as
-    smoothed_metric builds them; None for any other derivative triples."""
-    base = b[2].base if isinstance(b[2], _Shared) else None
-    if isinstance(base, _Exponential) and base.R == R and c[2] is base.tube:
-        return _TubeGap(R, 1 if base.tube is np.sinh else -1)
-    return None
-
-
 def kerckhoff_extension(R: float) -> WarpingPair:
     """Exponential continuation of the tube pair over (-inf, R].
 
@@ -329,15 +309,16 @@ def kerckhoff_extension(R: float) -> WarpingPair:
     _require_sinh(R, f"extension radius {R:g}")
     tnh = math.tanh(R)
 
-    def exponential(scale: float, rate: float, tube: np.ufunc):
+    def exponential(scale: float, rate: float):
         """scale exp(rate (r - R)) and its first two derivatives, which
         share one exponential."""
-        base = _Exponential(rate, R, tube)
+        def base(r):
+            return np.exp(rate * (np.asarray(r) - R))
         return tuple(_Shared(base, lambda v, coef=coef: coef * v)
                      for coef in (scale, scale * rate, scale * rate * rate))
 
-    f, fp, fpp = exponential(math.sinh(R), coth(R), np.sinh)
-    g, gp, gpp = exponential(math.cosh(R), tnh, np.cosh)
+    f, fp, fpp = exponential(math.sinh(R), coth(R))
+    g, gp, gpp = exponential(math.cosh(R), tnh)
 
     return WarpingPair(
         f=f, fp=fp, fpp=fpp, g=g, gp=gp, gpp=gpp,

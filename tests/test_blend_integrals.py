@@ -16,7 +16,7 @@ with hi + lo the value to about 1e-32.
 import numpy as np
 import pytest
 
-from drillvol import hyperbolic_tube, kerckhoff_extension, smooth_junction
+from drillvol import smooth_junction
 from drillvol.smoothing import _CollarPass
 
 LD = np.longdouble
@@ -158,9 +158,7 @@ LD_BOUND, F8_BOUND = 8 * float(np.finfo(LD).eps), 2 * float(np.finfo(np.float64)
 
 def junctions(R: float, eps: float) -> list:
     """The f and the g junction of the extension against the tube at R."""
-    ext, tube = kerckhoff_extension(R), hyperbolic_tube()
-    return [smooth_junction((ext.f, ext.fp, ext.fpp), (tube.f, tube.fp, tube.fpp), R, eps),
-            smooth_junction((ext.g, ext.gp, ext.gpp), (tube.g, tube.gp, tube.gpp), R, eps)]
+    return [smooth_junction(R, eps, side) for side in ("f", "g")]
 
 
 def blend_lookup(junction, s):

@@ -397,6 +397,21 @@ class TestAnalyze:
         assert out1.encode() == out2.encode()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("smooth", "--R", "0.8", "--eps", "0.5", "--csv", "/dev/full"),
+    ("analyze", "--input", str(FIXTURE_CSV), "--output", "/dev/full"),
+    ("analyze", "--input", str(FIXTURE_CSV), "--plot", "/dev/full"),
+], ids=["csv", "output", "plot"])
+def test_failed_file_write_prints_nothing(capsys, argv):
+    """The output files are written before any line goes to stdout: a write
+    that fails (/dev/full takes no data) exits 1 with an io error and leaves
+    stdout empty."""
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:io:")
+
+
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     out = capsys.readouterr().out

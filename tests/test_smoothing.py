@@ -13,7 +13,6 @@ import pytest
 
 from conftest import cached_family, counted_pair
 from drillvol import (
-    JunctionError,
     ParameterError,
     QuadratureError,
     SingularAxisError,
@@ -30,7 +29,7 @@ from drillvol import (
     validate_lemma_curvature,
     warped_volume_quadrature,
 )
-from drillvol import smoothing
+from drillvol import smoothing, warped
 from drillvol.smoothing import (
     _eval,
     _gauss_legendre,
@@ -39,31 +38,20 @@ from drillvol.smoothing import (
     _ramp_moments,
     _ricci_sup_half,
 )
-from drillvol.warped import (WarpingPair, _ricci_grid, _Values, hyperbolic_tube,
-                             kerckhoff_extension)
+from drillvol.warped import WarpingPair, _ricci_grid, _Values, hyperbolic_tube
 
 EPS_SEQ = (1e-1, 1e-2, 1e-3)
 
 
-SINH = (np.sinh, np.cosh, np.sinh)
-COSH = (np.cosh, np.sinh, np.cosh)
-
-
 def sinh_junction(R: float, eps: float) -> SmoothedJunction:
     """Exponential extension against sinh: the f-side junction."""
-    ext = kerckhoff_extension(R)
-    return smooth_junction((ext.f, ext.fp, ext.fpp), SINH, R, eps, "f-junction")
+    return smooth_junction(R, eps, "f")
 
 
 def collar_envelope(s: SmoothedJunction, grid_n: int = 4096) -> tuple[float, float]:
     """Grid-sampled (inf, sup) of a'' over the collar [R - delta, R]."""
     vals = np.asarray(s.a_second(np.linspace(s.R - s.delta, s.R, grid_n)), dtype=float)
     return float(vals.min()), float(vals.max())
-
-
-def identity_junction(R: float, eps: float) -> SmoothedJunction:
-    """Degenerate case b = c (no actual corner)."""
-    return smooth_junction(SINH, SINH, R, eps, "degenerate")
 
 
 # ---------------------------------------------------------------------------
@@ -204,33 +192,6 @@ class TestStep:
 # ---------------------------------------------------------------------------
 
 
-class TestDegenerateJunction:
-    def test_identity_passthrough(self):
-        s = identity_junction(0.8, 1e-2)
-        assert s.iota == 0.0
-        assert s.omega == 0.0
-        assert s.delta == 1e-2
-        rs = np.linspace(-1.0, 1.5, 301)
-        assert np.array_equal(np.asarray(s.a(rs), float), np.sinh(rs))
-
-    def test_envelope_matches_b(self):
-        s = identity_junction(0.8, 1e-2)
-        lo, hi = collar_envelope(s, grid_n=64)
-        window = np.sinh(np.linspace(0.8 - s.delta, 0.8, 64))
-        assert lo == pytest.approx(float(window.min()), rel=1e-12)
-        assert hi == pytest.approx(float(window.max()), rel=1e-12)
-
-    def test_unit_ricci_constant_for_all_widths(self):
-        for eps in EPS_SEQ:
-            s = identity_junction(0.8, eps)
-            c = smooth_junction(COSH, COSH, 0.8, eps)
-            pair = WarpingPair(f=s.a, fp=s.a_prime, fpp=s.a_second,
-                               g=c.a, gp=c.a_prime, gpp=c.a_second,
-                               domain=(0.01, math.inf), name="degenerate-tube")
-            k = ricci_lower_bound_constant(pair, (0.1, 2.0), 512)
-            assert k == pytest.approx(1.0, abs=1e-12)
-
-
 class TestJunctionStages:
     def test_exact_outside_collar(self):
         s = sinh_junction(0.8, 1e-2)
@@ -296,14 +257,11 @@ class TestJunctionStages:
 
     def test_junction_tolerance_scales_with_cosh(self):
         """At R = 12 the roundings of sinh R and cosh R alone leave b and c
-        more than an absolute 1e-12 apart; the family still builds."""
+        more than an absolute 1e-12 apart at R; the family builds, with a
+        finite k_eps of at least coth R coth 2R."""
         fam = smoothed_metric(12.0, 1e-2)
         assert fam.k_eps >= coth(12.0) * coth(24.0)
         assert math.isfinite(fam.k_eps)
-
-    def test_junction_hypothesis_enforced(self):
-        with pytest.raises(JunctionError):
-            smooth_junction(SINH, COSH, 0.8, 1e-2)
 
     def test_positive_width_required(self):
         with pytest.raises(ParameterError):
@@ -311,20 +269,17 @@ class TestJunctionStages:
 
     @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
     def test_non_finite_radius_rejected(self, R):
-        """A non-finite R is rejected before either side is evaluated, with
-        no warning on the way; a finite R <= 0 stays legal."""
-        called = []
+        """A non-finite R is rejected by the collar record's extension,
+        before any ramp work, with no warning on the way, for either side;
+        so is a finite R <= 0, which has no extension."""
+        for side in ("f", "g"):
+            for radius in (R, 0.0, -0.3):
+                with pytest.raises(ParameterError, match="extension radius must be positive"):
+                    smooth_junction(radius, 0.1, side)
 
-        def side(k):
-            def fn(r):
-                called.append(k)
-                return SINH[k](r)
-            return fn
-
-        with pytest.raises(ParameterError, match="junction radius must be finite"):
-            smooth_junction(tuple(side(k) for k in range(3)), SINH, R, 0.1)
-        assert called == []
-        assert smooth_junction(SINH, SINH, -0.3, 0.1).delta > 0.0
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ParameterError, match="side must be 'f' or 'g'"):
+            smooth_junction(0.8, 1e-2, "h")
 
     @pytest.mark.parametrize("R,eps", [(0.8, 1e-50), (0.05, 1e-50), (3.0, 1e-44), (20.0, 1e-60)])
     def test_collar_below_float_resolution_rejected(self, R, eps):
@@ -454,7 +409,7 @@ def build_checks(junction, monkeypatch) -> list:
         return checks[-1]
 
     monkeypatch.setattr(smoothing, "_check_moments", recording)
-    smooth_junction(junction.b, junction.c, junction.R, junction.eps)
+    smooth_junction(junction.R, junction.eps, junction.side)
     monkeypatch.undo()
     return checks
 
@@ -499,17 +454,21 @@ def test_perturbed_blend_total_rejected(monkeypatch):
         sinh_junction(0.8, 1e-2)
 
 
-def test_check_reference_resolves_a_jump_the_totals_miss():
+def test_check_reference_resolves_a_jump_the_totals_miss(monkeypatch):
     """The build check's reference is a rule of its own: with a jump of
-    1e-3 in c'' at R - eps/2, an edge of the check's 4- and 2-panel rules,
-    the one-panel totals miss the reference by 4.2e-9 while the two check
-    rules agree to rounding, so the build fails its check.  A reference
-    that read the totals would pass it."""
+    1e-3 in the gap c'' - b'' at R - eps/2, an edge of the check's 4- and
+    2-panel rules, the one-panel totals miss the reference by 4.2e-9 while
+    the two check rules agree to rounding, so the build fails its check.  A
+    reference that read the totals would pass it."""
     R, eps = 0.8, 1e-2
-    ext = kerckhoff_extension(R)
-    c = (np.sinh, np.cosh, lambda r: np.sinh(r) + 1e-3 * (r > R - eps / 2))
+    gap = warped._TubeGap.__call__
+
+    def jumping(self, x):  # x holds the offsets t - R
+        return gap(self, x) + 1e-3 * (x.x > -eps / 2)
+
+    monkeypatch.setattr(warped._TubeGap, "__call__", jumping)
     with pytest.raises(QuadratureError, match="blend stage: panel quadrature of moment 0"):
-        smooth_junction((ext.f, ext.fp, ext.fpp), c, R, eps)
+        smooth_junction(R, eps, "f")
 
 
 def test_junction_builds_go_through_smooth_junction(monkeypatch):
@@ -846,32 +805,13 @@ def test_junctions_share_one_collar_record(monkeypatch):
         monkeypatch.setattr(np, name, counting(getattr(np, name)))
     fam = smoothed_metric(0.8, 1e-2)
     monkeypatch.undo()
+    smoothing._collar_of.cache_clear()  # its tube holds the counting sinh and cosh
     collar = fam.junction_f._collar
     assert collar is fam.junction_g._collar
     assert len(lookups) == 5
     assert bump_points == []
     assert sorted(window_calls) == [("exp", 168), ("expm1", 168), ("expm1", 168)]
     assert fam.k_eps == want
-
-
-def test_family_pass_with_distinct_deltas():
-    """Junctions on one collar record whose deltas differ (b = c leaves no
-    gap, so its delta is eps) share the family pass's one collar mask: the
-    narrower junction gets exact zeros on [R - W, R - eps], where its lambda
-    and phi_eps vanish, and the pass equals each junction's own evaluators
-    bit for bit."""
-    R, eps = 0.8, 1e-2
-    plain, gapped = identity_junction(R, eps), sinh_junction(R, eps)
-    assert plain._collar is gapped._collar and plain.delta < gapped.delta
-    points = [R, R - eps, R - plain.delta, R - gapped.delta]
-    grid = np.concatenate([np.linspace(R - gapped.delta - 0.1, R + 0.1, 2001), points])
-    for r in [grid, grid.astype(np.longdouble)] + points:
-        for junction, got in zip((plain, gapped), _eval((plain, gapped), r, (0, 1, 2))):
-            for value, fn in zip(got, (junction.a, junction.a_prime, junction.a_second)):
-                assert_same_bits(value, fn(r))
-    own = grid[(grid >= R - gapped.delta) & (grid < R - eps)]
-    for fn, side in zip((plain.a, plain.a_prime, plain.a_second), SINH):
-        assert_same_bits(fn(own), side(own))
 
 
 SEAM_PAIRS = [(0.5, 1e-3), (0.8, 1e-2), (1.2, 1e-3), (8.0, 1e-2), (0.4, 0.1), (37.25, 0.13)]
@@ -1050,7 +990,7 @@ def test_blend_integrals_have_no_seams(R, eps):
     left = nudged_left(at, 4)
     offsets = at - np.longdouble(R)
     for junction in (cached_family(R, eps).junction_f, cached_family(R, eps).junction_g):
-        slopes = _powers(junction._gaps(_Values(at), _Values(offsets)) * step_phi(eps, R, at),
+        slopes = _powers(junction._gap(_Values(offsets)) * step_phi(eps, R, at),
                          offsets, 2)
         steps = (at - left)[:, None] * slopes
         share = np.abs(blend_lookup(junction, at) - blend_lookup(junction, left) - steps)

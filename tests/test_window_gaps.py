@@ -1,12 +1,12 @@
 """The closed-form window gaps of the smoothed metric.
 
-smoothed_metric smooths the exponential extension into the tube, and the
+smoothed_metric smooths the exponential extension into the tube, and each
 junction reads c'' - b'' (the tube's second derivative less the
 extension's) from warped._TubeGap at the offsets from R of the points it
 reads: the nodes of the window rules and the collar's points.
 Subtracting the sides leaves only rounding noise once sinh R is about 1e8,
-and the build check then judged noise; any other derivative triples keep
-the sides' difference, which is the reference here below R = 10.
+and the build check then judged noise; below R = 10 the sides' difference
+is exact to rounding and serves as the reference here.
 """
 
 import importlib.util
@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, cached_family
-from drillvol import hyperbolic_tube, kerckhoff_extension, smooth_junction, smoothed_metric
+from drillvol import hyperbolic_tube, kerckhoff_extension, smoothed_metric
 from drillvol.smoothing import _collar_of
-from drillvol.warped import _tube_gap, _TubeGap, _Values
+from drillvol.warped import _TubeGap, _Values
 
 LD = np.longdouble
 EPS_LD = float(np.finfo(LD).eps)
@@ -85,12 +85,12 @@ PINNED = {
 }
 
 
-def extension_triples(R: float):
-    """The (b, c) derivative triples of both junctions, as smoothed_metric
-    passes them: the extension's f against sinh, its g against cosh."""
+def second_derivatives(R: float):
+    """The closed form's sign and the sides' second derivatives b'' and c''
+    of both junctions: the extension's f'' against sinh, its g'' against
+    cosh."""
     ext, tube = kerckhoff_extension(R), hyperbolic_tube()
-    return [((ext.f, ext.fp, ext.fpp), (tube.f, tube.fp, tube.fpp)),
-            ((ext.g, ext.gp, ext.gpp), (tube.g, tube.gp, tube.gpp))]
+    return [(1, ext.fpp, tube.fpp), (-1, ext.gpp, tube.gpp)]
 
 
 @pytest.mark.parametrize("R,x", list(PINNED))
@@ -113,26 +113,11 @@ def test_closed_form_agrees_with_the_sides_difference(R, eps):
     gap) agrees with it within 2.5 float64 units in the last place of
     max(|b''|, |c''|): 1.9 at most, measured, at these radii and widths."""
     rule = _collar_of(R, eps).rule
-    t = rule.sides.x
-    for b, c in extension_triples(R):
-        sides = c[2](t) - b[2](t)
-        scale = np.maximum(np.abs(b[2](t)), np.abs(c[2](t))).astype(np.float64)
-        assert np.all(np.abs(_tube_gap(b, c, R)(rule.x) - sides) <= 2.5 * np.spacing(scale))
-
-
-def test_only_the_extension_against_its_tube_reads_the_closed_form():
-    """The closed form serves the extension's f against sinh and its g
-    against cosh at the extension's own radius; any other triples, such as
-    a side against itself, the two tube functions, the extension against
-    the other tube function or at another radius, keep the sides'
-    difference."""
-    (bf, cf), (bg, cg) = extension_triples(0.8)
-    assert _tube_gap(bf, cf, 0.8) is not None and _tube_gap(bg, cg, 0.8) is not None
-    for b, c, R in ((cf, cf, 0.8), (cf, cg, 0.8), (bf, cg, 0.8), (bg, cf, 0.8), (bf, bf, 0.8),
-                    (bf, cf, 0.9)):
-        assert _tube_gap(b, c, R) is None
-    junction = smooth_junction(cf, cf, 0.8, 1e-2)
-    assert junction._tube_gap is None and junction._totals == (0.0, 0.0)
+    t = R + rule.offsets
+    for sign, b2, c2 in second_derivatives(R):
+        sides = c2(t) - b2(t)
+        scale = np.maximum(np.abs(b2(t)), np.abs(c2(t))).astype(np.float64)
+        assert np.all(np.abs(_TubeGap(R, sign)(rule.x) - sides) <= 2.5 * np.spacing(scale))
 
 
 _spec = importlib.util.spec_from_file_location("large_r_scan", REPO_ROOT / "tools" / "large_r_scan.py")
@@ -162,11 +147,11 @@ def test_large_radius_builds_pass_their_check(R, eps):
 def test_pairs_below_the_noise_keep_their_gaps():
     """Where the sides' difference is still exact to rounding, the closed
     form moves the blend totals of the criterion-7 family (0.8, 1e-2) by
-    rounding alone: within 1e-15 relative of totals integrated from the
-    sides' difference."""
+    rounding alone: within 1e-15 relative of totals that the record's build
+    rule integrates from the sides' difference at its nodes."""
     fam = cached_family(0.8, 1e-2)
-    for junction, (b, c) in zip((fam.junction_f, fam.junction_g), extension_triples(0.8)):
-        wrapped = tuple(lambda r, fn=fn: fn(r) for fn in b)  # hides the closed form
-        plain = smooth_junction(wrapped, c, 0.8, 1e-2)
-        assert plain._tube_gap is None
-        assert np.allclose(junction._totals, plain._totals, rtol=1e-15, atol=0.0)
+    rule = fam.junction_f._collar.rule
+    t = 0.8 + rule.offsets
+    for junction, (_, b2, c2) in zip((fam.junction_f, fam.junction_g), second_derivatives(0.8)):
+        plain = tuple(map(float, rule.integrals(c2(t) - b2(t))[0]))
+        assert np.allclose(junction._totals, plain, rtol=1e-15, atol=0.0)
