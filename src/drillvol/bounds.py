@@ -65,19 +65,30 @@ TWO_PI = 2.0 * math.pi
 
 
 def coth(x: float) -> float:
-    """Hyperbolic cotangent."""
-    return math.cosh(x) / math.sinh(x)
+    """Hyperbolic cotangent: sign(x) where cosh and sinh overflow, past
+    |x| = 710, and rejected at 0, where it is infinite."""
+    try:
+        return math.cosh(x) / math.sinh(x)
+    except OverflowError:  # coth x rounds to +-1 from |x| = 19 on
+        return math.copysign(1.0, x)
+    except ZeroDivisionError:
+        raise ParameterError(f"coth({x:g}) is infinite") from None
+
+
+def _or_inf(compute) -> float:
+    """compute(), or inf where it overflows: math's functions and float **
+    raise OverflowError where float * gives inf."""
+    try:
+        return compute()
+    except OverflowError:
+        return math.inf
 
 
 def _require_sinh(x: float, what: str) -> None:
     """Reject an argument whose sinh, and with it coth, overflows or is
     infinite: 2R is inf for a finite R near the float64 limit."""
-    try:
-        if math.isfinite(math.sinh(x)):
-            return
-    except OverflowError:
-        pass
-    raise ParameterError(f"{what} is too large: sinh({x:g}) overflows")
+    if not math.isfinite(_or_inf(lambda: math.sinh(x))):
+        raise ParameterError(f"{what} is too large: sinh({x:g}) overflows")
 
 
 def _require_positive(what: str, value: float) -> None:
@@ -108,9 +119,17 @@ class TubeParams:
         _require_positive("core length", self.l)
 
 
+def _require_finite_volume(what: str, p: TubeParams, value: float) -> float:
+    """A tube volume, rejected where it is not finite."""
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} not finite for R={p.R:g}, l={p.l:g}")
+    return value
+
+
 def tube_volume(p: TubeParams) -> float:
     """Volume pi * l * sinh(R)^2 of the solid tube of radius R, core length l."""
-    return math.pi * p.l * math.sinh(p.R) ** 2
+    return _require_finite_volume("tube volume", p,
+                                  _or_inf(lambda: math.pi * p.l * math.sinh(p.R) ** 2))
 
 
 def extended_tube_volume(p: TubeParams) -> float:
@@ -120,9 +139,8 @@ def extended_tube_volume(p: TubeParams) -> float:
     the solid-tube volume and adding this equals adding
     pi l sinh(R)^2 (coth(R)/coth(2R) - 1).
     """
-    sh = math.sinh(p.R)
-    ch = math.cosh(p.R)
-    return TWO_PI * p.l * sh * ch / (coth(p.R) + math.tanh(p.R))
+    return _require_finite_volume("extended tube volume", p, _or_inf(
+        lambda: TWO_PI * p.l * math.sinh(p.R) * math.cosh(p.R) / (coth(p.R) + math.tanh(p.R))))
 
 
 def _require_radius(R: float) -> None:
@@ -142,11 +160,7 @@ def _require_finite_factor(value: float, R: float) -> float:
 def coarse_factor(R: float) -> float:
     """(coth R)^(5/2) (coth 2R)^(1/2): strictly decreasing in R, limit 1."""
     _require_radius(R)
-    try:
-        value = coth(R) ** 2.5 * coth(2.0 * R) ** 0.5
-    except OverflowError:  # float ** raises where float * gives inf
-        value = math.inf
-    return _require_finite_factor(value, R)
+    return _require_finite_factor(_or_inf(lambda: coth(R) ** 2.5 * coth(2.0 * R) ** 0.5), R)
 
 
 def k_limit(R: float) -> float:
@@ -193,8 +207,7 @@ def drilled_volume_bound(vol_parent: float, l: float, R: float) -> DrillEstimate
         coarse = coarse_factor(R) * vol_parent
     except OverflowError:  # k grows like 1/R^2 as R -> 0
         raise ParameterError(f"tube radius {R:g} is too small: the bounds overflow") from None
-    values = {"tube volume": tube_vol, "extended tube volume": ext_vol,
-              "tight bound": tight, "coarse bound": coarse}
+    values = {"tight bound": tight, "coarse bound": coarse}
     overflow = [name for name, value in values.items() if not math.isfinite(value)]
     if overflow:
         raise ParameterError(f"{', '.join(overflow)} not finite for vol={vol_parent:g}, "

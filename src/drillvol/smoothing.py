@@ -23,13 +23,13 @@ solves int u'' = 0 and int (R - s) u'' = 0 for u = a - b, which closes the
 slope and value gaps that the blend leaves at R.  The correction carries a
 slope of order eps across the collar, so its amplitude is
 O(eps / W) = O(eps^(2/3)); it and W both tend to 0 with eps.  The widths
-are iota = W and omega = W for a nonzero slope and value gap (0 for a zero
-gap), and delta(eps) = max(eps, iota, omega).  The collar may reach below
-r = 0: only the blending window [R - eps, R] has to stay off the tube
-core, since below R the correction acts on b alone.  When eps is large
-for a small R it can outweigh b and drive a warping function through 0;
-smoothed_metric rejects such a pair, and an eps whose ramps collapse below
-the float64 spacing at R.
+are iota = omega = W and delta(eps) = max(eps, W).  The collar may reach
+below r = 0: only the blending window [R - eps, R] has to stay off the
+tube core, since below R the correction acts on b alone, and the collar
+record rejects an eps >= R and an eps whose ramps collapse below the
+float64 spacing at R.  When eps is large for a small R the correction can
+outweigh b and drive a warping function through 0; smoothed_metric
+rejects such a pair.
 The f and the g junction give the smoothed negatively-curved metric family
 whose Ricci lower bound constant tends to coth(R) coth(2R).
 
@@ -61,15 +61,14 @@ x**1), so moments are products.
 The gap c'' - b'' is warped's closed form (_TubeGap), which each junction
 holds, at the offsets t - R: its terms are each O(e^(-R)) at large R, where
 the sides are about sinh R and their difference is rounding noise once
-sinh R exceeds about 1e8 (a build check of that difference judged noise,
-and failed 24 of 400 seeded builds with R in [15, 354]).
+sinh R exceeds about 1e8.
 The rest of the ramp work depends on (R, eps) alone, so both junctions of a
 family share one collar record: the extension and the tube pair, built
 once per family, W, the ramp starts, the build's window rule with its
 nodes' phi_eps and offsets, and the ramp lookups at R.  The record keeps no
 side's values: each junction reads its own function of each pair.  One
-evaluator pass serves any junctions on one record and any derivative
-orders, from one collar mask, one ramp lookup (phi_eps's argument rides
+evaluator pass gives a, a' and a'' of any junctions on one record, from
+one collar mask, one ramp lookup (phi_eps's argument rides
 beside the four plateau ramps), one window rule for all its junctions (its
 nodes' _Values, offsets and phi_eps; each junction adds only its own
 c'' - b'' and totals), and each side's transcendentals once per region,
@@ -85,15 +84,13 @@ longdouble, which a pass reads as they are (a float32 pass forms the ramp
 arguments in float64 and rounds them back).  The smoothed pair's six
 callables share that pass: read together through warped._Values, as every
 Ricci, curvature, quadrature and oracle reader does, they take a, a' and
-a'' of both junctions from one pass; called alone, each runs its own
-junction and order.  The Ricci constant is the supremum over the collar's slice of a
-uniform 4096-point grid (below R - delta the pair is the extension, with
--Ric/2 = k_limit(R), and above R the tube, with -Ric/2 = 1; one grid point
-on each side samples those), refined by bracket grids of 129 points across
-the two cells around the running argmax; each grid is one
-warped._ricci_grid, whose cost is mostly its fixed per-pass work, so 129
-points take 4.0 grids per build where 33 took 5.7.  A bracket round ends
-the refinement once the second difference at its peak, over 8, is within
+a'' of both junctions from one pass.  The Ricci constant is the supremum
+over the collar's slice of a uniform 4096-point grid (below R - delta the
+pair is the extension, with -Ric/2 = k_limit(R), and above R the tube,
+with -Ric/2 = 1; one grid point on each side samples those), refined by
+bracket grids of 129 points across the two cells around the running
+argmax; each grid is one warped._ricci_grid.  A bracket round ends the
+refinement once the second difference at its peak, over 8, is within
 an ulp of the running supremum: under a quadratic model the peak between
 samples exceeds the sampled maximum by at most that, so a further round
 would only chase rounding.  The uniform grid is exempt, since its cells
@@ -170,9 +167,8 @@ _K_GRID_N = 4096
 
 # Points of each bracket grid in the refinement of the Ricci supremum: 128
 # cells across the two around the running argmax, so the bracket shrinks
-# 64-fold per round.  A round costs little more than its fixed per-pass work
-# at 33 points or at 129, and 129 take 4.0 grids per build where 33 took
-# 5.7.  A bracket round whose peak has a second difference of at most 8 ulps
+# 64-fold per round, at little more than a round's fixed per-pass work.  A
+# bracket round whose peak has a second difference of at most 8 ulps
 # of the running supremum ends the refinement; the uniform grid never does,
 # as it may alias the collar.
 _BRACKET_POINTS = 129
@@ -368,42 +364,48 @@ class _Collar:
     the two pairs that the junctions join: ``extension``, the exponential
     extension at R, and ``tube``, built here once for both junctions.
 
-    The collar width W(eps), the reach max(eps, W) below R that covers the
-    collar of every junction, and the starts of the four plateau ramps (rise
-    and fall of the plateau on [R - W, cut], then of the one on [cut, R]),
-    with ``ramps_collapse`` set when they do not increase in float64;
-    ``rule``, the window rule on the build's seven panels of [0, 1] that
-    both junctions' builds read; ``at_R``, the pass at R that both
-    junctions take, and ``units``, the two unit corrections' lambdas that
-    its plateau moments give.  The lookups read the ramp starts, widths and
-    shifts from float64 columns built here, in every dtype.
+    The collar width W(eps), which is each junction's iota and omega, the
+    reach max(eps, W) below R, which is each junction's delta, and the
+    starts of the four plateau ramps (rise and fall of the plateau on
+    [R - W, cut], then of the one on [cut, R]); ``rule``, the window rule on
+    the build's seven panels of [0, 1] that both junctions' builds read;
+    ``at_R``, the pass at R that both junctions take, and ``units``, the two
+    unit corrections' lambdas that its plateau moments give.  The lookups
+    read the ramp starts, widths and shifts from float64 columns built here,
+    in every dtype.  After the extension has checked R, raises WidthError
+    for an eps >= R, whose blending window reaches the tube core, and for
+    ramps that do not increase in float64.
     """
 
     def __init__(self, R: float, eps: float):
         self.extension, self.tube = kerckhoff_extension(R), hyperbolic_tube()
+        if eps >= R:
+            raise WidthError(f"blending window [R-eps, R] reaches the tube core r = 0 "
+                             f"(R={R:g}, eps={eps:g}); use eps < R")
         self.R, self.eps = R, eps
         self.width = _COLLAR_SCALE * eps ** _COLLAR_POWER
         self.reach = max(eps, self.width)
         self.ramp_w = _COLLAR_RAMP * self.width
         cut = R - _COLLAR_SPLIT * self.width
-        self.ramp_starts = [R - self.width, cut - self.ramp_w, cut, R - self.ramp_w]
-        ends = self.ramp_starts[1:] + [R]
-        self.ramps_collapse = not all(a < b for a, b in zip(self.ramp_starts, ends))
+        starts = [R - self.width, cut - self.ramp_w, cut, R - self.ramp_w]
+        if not all(a < b for a, b in zip(starts, starts[1:] + [R])):
+            raise WidthError(f"collar width W={self.width:.3g} (eps={eps:g}) is below the "
+                             f"float64 resolution at R={R:g}: the plateau ramps collapse")
         # the lookups' ramp starts and widths, phi_eps's start R and width
         # eps beside them, and the shifts (0, and -1 for phi_eps) whose
         # subtraction adds phi_eps's 1 and leaves the plateau ramps'
         # arguments as they are: float64 columns, exact in longdouble
-        self._starts = np.array(self.ramp_starts + [R])[:, None]
+        self._starts = np.array(starts + [R])[:, None]
         self._widths = np.array([self.ramp_w] * 4 + [eps])[:, None]
         self._shifts = np.array([0.0, 0.0, 0.0, 0.0, -1.0])[:, None]
         self.rule = _WindowRule(self, _BUILD_LO, _BUILD_HI)
 
-    def lookups(self, s, orders):
-        """phi_eps at the collar points s (1-d), and for each of orders,
+    def lookups(self, s):
+        """phi_eps at the collar points s (1-d), and for each order of a,
         along a new first axis, the stack (on a new last axis) of the two
         plateaus' antiderivatives that a's derivative of that order needs:
-        the plateaus for order 2, their first antiderivatives for 1 and
-        second for 0.  One ramp lookup gives all: phi_eps's argument is a
+        their second antiderivatives for order 0, their first for 1 and the
+        plateaus for 2.  One ramp lookup gives all: phi_eps's argument is a
         fifth row beside the four plateau ramps, each row running over the
         points.  The ramp arguments are formed against the float64 columns,
         which gives the same bits in float64 and longdouble, and returned to
@@ -411,17 +413,17 @@ class _Collar:
         x = (s - self._starts) / self._widths - self._shifts
         ramps = _ramp_antiderivatives(x.astype(s.dtype, copy=False))
         w = s.dtype.type(self.ramp_w)
-        powers = np.array([w ** (2 - k) for k in orders])[:, None, None]
-        g = np.array([ramps[2 - k][:4] for k in orders]) * powers
+        powers = np.array([w ** (2 - k) for k in range(3)])[:, None, None]
+        g = np.array(ramps[::-1])[:, :4] * powers
         # C-contiguous (orders, points, 2): the layout whose product with
         # lambda (BLAS for float64) gave the values that the tests pin
         return ramps[0][4], np.ascontiguousarray((g[:, 0::2] - g[:, 1::2]).transpose(0, 2, 1))
 
     @functools.cached_property
     def at_R(self) -> "_CollarPass":
-        """The pass of orders 0, 1 and 2 at R in extended precision, which
+        """The pass at R in extended precision, which
         gives both junctions their plateau moments and seam residuals."""
-        return _CollarPass(self, np.array([self.R], dtype=np.longdouble), (0, 1, 2))
+        return _CollarPass(self, np.array([self.R], dtype=np.longdouble))
 
     @functools.cached_property
     def units(self):
@@ -464,19 +466,18 @@ class _CollarPass:
     junction on the record shares: ``phi`` (phi_eps) and ``plateaus`` from
     the record's lookups, the points where phi_eps > 0 (``inside``), phi_eps
     and t - R at them (``phi_in`` and ``offsets``, also as a _Values,
-    ``x``), and, when there are such points and an order below 2 reads I_0
-    and I_1, the window rule on [0, x] in the ramp variable for the points
-    below R (``blend``, with ``below_R`` marking them among the window's
-    points; those at R read the blend totals)."""
+    ``x``), and, when there are such points, the window rule on [0, x] in
+    the ramp variable for the points below R (``blend``, with ``below_R``
+    marking them among the window's points; those at R read the blend
+    totals)."""
 
-    def __init__(self, collar: _Collar, s, orders):
-        self.orders = orders
-        self.phi, self.plateaus = collar.lookups(s, orders)
+    def __init__(self, collar: _Collar, s):
+        self.phi, self.plateaus = collar.lookups(s)
         self.inside = self.phi > 0.0
         t = s[self.inside]
         self.phi_in, self.offsets = self.phi[self.inside], t - collar.R
         self.x = _Values(self.offsets)
-        if t.size and min(orders) < 2:
+        if t.size:
             x = _window_x(collar.R, collar.eps, t)
             self.below_R = x < 1.0
             x = x[self.below_R]
@@ -498,7 +499,8 @@ class SmoothedJunction:
     derivative triples, from the collar record's two pairs, and the junction
     holds the closed form of c'' - b'' (warped._TubeGap).  Exposes the
     interpolant a with its first two derivatives, the slope and value gaps
-    that the blend leaves at R, and the widths iota, omega and delta.  The
+    that the blend leaves at R, and the widths iota = omega = W and
+    delta = max(eps, W) of its collar record.  The
     evaluators accept scalars or arrays, preserve extended-precision inputs,
     and equal b bit-exactly below the collar [R - delta, R] and c to
     rounding above it.
@@ -512,8 +514,8 @@ class SmoothedJunction:
         self.name = name = f"{side}-junction(R={R:g})"
         self.eps = eps = float(eps)
         self.R = R = float(R)
-        # the collar record's extension rejects an R that is not positive,
-        # finite and of finite sinh
+        # the collar record rejects an R that is not positive, finite and
+        # of finite sinh, an eps >= R and ramps that collapse
         self._collar = collar = _collar_of(R, eps)
         # b, the extension's function, and c, the tube's, with their derivatives
         self.b, self.c = b, c = [tuple(getattr(w, side + d) for d in ("", "p", "pp"))
@@ -533,12 +535,8 @@ class SmoothedJunction:
         slope_total, value_total = self._totals
         self.slope_gap = c1 - (b1 + slope_total)
         self.value_gap = c0 - (b0 - value_total)
-        self.iota = collar.width if self.slope_gap != 0.0 else 0.0
-        self.omega = collar.width if self.value_gap != 0.0 else 0.0
-        self.delta = max(self.eps, self.iota, self.omega)
-        if collar.ramps_collapse:
-            raise WidthError(f"{name}: collar width W={collar.width:.3g} (eps={eps:g}) is below "
-                             f"the float64 resolution at R={R:g}: the plateau ramps collapse")
+        self.iota = self.omega = collar.width
+        self.delta = collar.reach
 
         # the slope gap times the unit correction of mass 1 and zero first
         # moment about R, plus the value gap times the reverse; the collar
@@ -573,51 +571,44 @@ class SmoothedJunction:
         return out
 
     def _terms(self, p: _CollarPass, coef):
-        """a - b, or its derivative of each of the pass's orders, at its
-        collar points: the plateau correction, from the stack of each order
-        that the collar record's lookups give, times lambda (``coef``), plus
-        the blend stage u where phi_eps > 0: u'' = (c'' - b'') phi_eps,
-        u' = I_0 and u = (s - R) I_0 - I_1, from the window rule that the
-        pass shares.  The gap is read only at the points where phi_eps > 0.
-        Orders 0 and 1 share one run of the rule."""
-        outs = list(p.plateaus @ coef)
+        """a - b, a' - b' and a'' - b'' at the pass's collar points: the
+        plateau correction, from the stack of each order that the collar
+        record's lookups give, times lambda (``coef``), plus the blend stage
+        u where phi_eps > 0: u = (s - R) I_0 - I_1, u' = I_0 and
+        u'' = (c'' - b'') phi_eps, from the window rule that the pass
+        shares.  The gap is read only at the points where phi_eps > 0."""
+        out0, out1, out2 = p.plateaus @ coef
         if p.offsets.size:
-            i = self._blend(p) if min(p.orders) < 2 else None
-            for out, order in zip(outs, p.orders):
-                if order == 2:
-                    out[p.inside] += self._gap(p.x) * p.phi_in
-                elif order == 1:
-                    out[p.inside] += i[..., 0]
-                else:
-                    out[p.inside] += p.offsets * i[..., 0] - i[..., 1]
-        return outs
+            i = self._blend(p)
+            out0[p.inside] += p.offsets * i[..., 0] - i[..., 1]
+            out1[p.inside] += i[..., 0]
+            out2[p.inside] += self._gap(p.x) * p.phi_in
+        return out0, out1, out2
 
     def a(self, r):
         """The interpolant: b below R - delta, c above R."""
-        return _eval((self,), r, (0,))[0][0]
+        return _eval((self,), r)[0][0]
 
     def a_prime(self, r):
-        return _eval((self,), r, (1,))[0][0]
+        return _eval((self,), r)[0][1]
 
     def a_second(self, r):
-        return _eval((self,), r, (2,))[0][0]
+        return _eval((self,), r)[0][2]
 
 
-def _eval(junctions, r, orders) -> list:
-    """The derivatives of a of each of orders at r, for each of junctions,
-    which share one collar record: b's below R - delta, b's plus the
-    collar's on [R - delta, R], and c's plus the seam residuals' Taylor
-    tail above R (res_0 + res_1 dr + res_2 dr^2 / 2 and its derivatives,
-    dr = r - R).
+def _eval(junctions, r) -> list:
+    """a, a' and a'' at r for each of junctions, which share one collar
+    record: b's below R - delta, b's plus the collar's on [R - delta, R],
+    and c's plus the seam residuals' Taylor tail above R
+    (res_0 + res_1 dr + res_2 dr^2 / 2 and its derivatives, dr = r - R).
 
-    One pass serves all junctions and orders: one split of r at R, one
-    collar mask [R - reach, R], one _CollarPass with the collar lookups,
-    the plateau stacks of each order and one window rule, and each side's
+    One pass serves all junctions: one split of r at R, one collar mask
+    [R - delta, R], one _CollarPass with the collar lookups, the plateau
+    stacks of each order and one window rule, and each side's
     transcendentals evaluated once per region (above R, below R, and the
-    blending window).  A junction whose delta falls short of the reach has
-    no gaps, so lambda = 0 and phi_eps = 0 give it exact zeros there.  The
-    tube side is skipped when no radius lies above R, and when every radius
-    lies on the collar a is b's value plus the collar's.
+    blending window).  The tube side is skipped when no radius lies above
+    R, and when every radius lies on the collar a is b's value plus the
+    collar's.
     """
     r = _floats(r)
     dt = r.dtype
@@ -627,7 +618,7 @@ def _eval(junctions, r, orders) -> list:
     below = ~above
     on = (r >= R - collar.reach) & below
     s = r[on]
-    p = _CollarPass(collar, s, orders) if s.size else None
+    p = _CollarPass(collar, s) if s.size else None
     every = 0 < s.size == r.size
     # b and c each only on their own side: c may overflow far below R
     if every:
@@ -641,10 +632,10 @@ def _eval(junctions, r, orders) -> list:
         coef, res0, res1, res2 = j._cast(dt)
         terms = j._terms(p, coef) if p is not None else None
         mine = []
-        for k, order in enumerate(orders):
+        for order in range(3):
             low = lower(j.b[order])
             if every:
-                out = (low + terms[k]).reshape(r.shape)
+                out = (low + terms[order]).reshape(r.shape)
             else:
                 up = upper(j.c[order]) if ru.size else low[:0]
                 if order == 0:
@@ -656,7 +647,7 @@ def _eval(junctions, r, orders) -> list:
                 out = np.empty(r.shape, np.result_type(up, low))
                 out[above], out[below] = up, low
                 if terms is not None:
-                    out[on] += terms[k]
+                    out[on] += terms[order]
             mine.append(out if out.shape else out[()])
         outs.append(mine)
     return outs
@@ -748,28 +739,20 @@ def smoothed_metric(R: float, eps: float) -> SmoothedWarpingFamily:
     Applies the moment-matched construction to both warping functions and
     packages the result as a warping pair on (-inf, R + margin], together
     with its sampled Ricci lower bound constant.  The pair's six callables
-    share one evaluator pass over both junctions (warped._Shared): a reader
-    that takes several of them at the same points through warped._Values
-    gets a, a' and a'' of both from one pass, and a callable called on its
-    own runs only its junction's order, as the junction's evaluator does.
+    pick from one evaluator pass over both junctions (warped._Shared): a
+    reader that takes several of them at the same points through
+    warped._Values gets a, a' and a'' of both from one pass.
     """
     _require_positive("tube radius", R)
     _require_positive("smoothing width", eps)
-    if eps >= R:
-        raise WidthError(
-            f"blending window [R-eps, R] reaches the tube core r = 0 (R={R:g}, eps={eps:g}); "
-            f"use eps < R"
-        )
-    # the junctions' collar record, whose extension checks its radius
-    # before the Ricci grid's f g = sinh(2r)/2 up to R + margin is checked
-    _collar_of(R, eps)
+    # the junctions' collar record checks R, eps >= R and the ramps before
+    # the Ricci grid's f g = sinh(2r)/2 up to R + margin is checked
+    delta = _collar_of(R, eps).reach
     _require_sinh(2.0 * (R + _MARGIN), f"tube radius {R:g}")
     jf, jg = smooth_junction(R, eps, "f"), smooth_junction(R, eps, "g")
-    delta = max(jf.delta, jg.delta)
-    both = functools.partial(_eval, (jf, jg), orders=(0, 1, 2))
-    (f, fp, fpp), (g, gp, gpp) = ([_Shared(both, lambda v, i=i, k=k: v[i][k], alone)
-                                   for k, alone in enumerate((j.a, j.a_prime, j.a_second))]
-                                  for i, j in enumerate((jf, jg)))
+    both = functools.partial(_eval, (jf, jg))
+    (f, fp, fpp), (g, gp, gpp) = ([_Shared(both, lambda v, i=i, k=k: v[i][k]) for k in range(3)]
+                                  for i in range(2))
     pair = WarpingPair(
         f=f, fp=fp, fpp=fpp, g=g, gp=gp, gpp=gpp,
         domain=(-math.inf, R + _MARGIN),

@@ -29,8 +29,8 @@ quadrature, the oracle's components and its sampling window.  Callables
 that share a base (``_Shared``) then evaluate it once: the extension's
 triples scale one exponential each, and the smoothed pair's six callables
 pick from one evaluator pass over both junctions.  A callable called on
-its own, or a plain closure such as a call-counting wrapper, is read one
-call at a time, with the same values.
+its own evaluates its whole base; a plain closure, such as a
+call-counting wrapper, is read one call at a time, with the same values.
 """
 
 from __future__ import annotations
@@ -221,16 +221,15 @@ class _Shared:
     """r -> pick(base(r)): one of several callables whose values all come
     from one evaluation of a shared base, such as the members of a
     derivative triple that scale one transcendental.  _Values evaluates the
-    base once for all of them; called on its own, a member runs ``alone``
-    if it has one, which may compute only what this member needs."""
+    base once for all of them."""
 
-    __slots__ = ("base", "pick", "alone")
+    __slots__ = ("base", "pick")
 
-    def __init__(self, base: RadialFunc, pick: Callable, alone: Optional[RadialFunc] = None):
-        self.base, self.pick, self.alone = base, pick, alone
+    def __init__(self, base: RadialFunc, pick: Callable):
+        self.base, self.pick = base, pick
 
     def __call__(self, r):
-        return self.pick(self.base(r)) if self.alone is None else self.alone(r)
+        return self.pick(self.base(r))
 
 
 class _Values:

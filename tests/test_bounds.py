@@ -171,6 +171,25 @@ def test_tiny_radius_finite_or_rejected(factor):
     assert 100 <= len(finite) < 320
 
 
+class TestTubeClosedFormsAtExtremeRadius:
+    def test_coth_is_its_sign_where_cosh_overflows(self):
+        assert coth(800.0) == 1.0 and coth(-800.0) == -1.0
+        assert coth(1e300) == 1.0 and coth(-1e300) == -1.0
+        for x in (710.0, 19.0, 0.8, 1e-300, -0.8, -710.0):
+            assert coth(x) == math.cosh(x) / math.sinh(x)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_coth_rejects_zero(self, x):
+        with pytest.raises(ParameterError, match="infinite"):
+            coth(x)
+
+    @pytest.mark.parametrize("volume", [tube_volume, extended_tube_volume])
+    @pytest.mark.parametrize("R,l", [(400.0, 1.0), (800.0, 1.0), (1.0, 1e308)])
+    def test_tube_volumes_finite_or_rejected(self, volume, R, l):
+        with pytest.raises(ParameterError, match="not finite"):
+            volume(TubeParams(R, l))
+
+
 class TestParentVolumeLowerBound:
     def test_corollary_value(self):
         v = parent_volume_lower_bound(2.0298, LN3_HALF)

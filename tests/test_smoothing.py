@@ -291,6 +291,21 @@ class TestJunctionStages:
             with pytest.raises(WidthError, match="float64 resolution"):
                 smoothed_metric(R, eps)
 
+    def test_collapse_rejected_by_the_collar_record(self):
+        """The collar record rejects collapsed ramps itself, before any
+        junction exists, in a message that names no junction."""
+        with pytest.raises(WidthError, match="^collar width W=.*the plateau ramps collapse$"):
+            smoothing._collar_of(0.8, 1e-50)
+
+    @pytest.mark.parametrize("side", ["f", "g"])
+    @pytest.mark.parametrize("eps", [0.5, 0.1])
+    def test_window_reaching_the_core_rejected(self, side, eps):
+        """An eps >= R puts the blending window [R - eps, R] across the tube
+        core: a junction is rejected as smoothed_metric is, by the collar
+        record (built, the f junction of (0.1, 0.5) has a(-0.3) = -0.19)."""
+        with pytest.raises(WidthError, match=rf"reaches the tube core r = 0 \(R=0.1, eps={eps:g}\)"):
+            smooth_junction(0.1, eps, side)
+
 
 # ---------------------------------------------------------------------------
 # Smoothed metric family
@@ -524,8 +539,7 @@ def assert_same_bits(got, want):
 
 @pytest.mark.parametrize("R,eps", [(0.5, 1e-1), (0.8, 1e-2), (1.2, 1e-3)])
 def test_eval_of_all_orders_matches_each_evaluator(R, eps):
-    """One pass over one junction, _eval((j,), r, (0, 1, 2)), and the
-    family pass over both junctions give a, a' and a'' of each junction bit
+    """One pass over one junction, _eval((j,), r), and the family pass over both junctions give a, a' and a'' of each junction bit
     for bit, on float64 and longdouble grids and scalars, at R, R - eps and
     R - delta included."""
     fam = cached_family(R, eps)
@@ -534,9 +548,9 @@ def test_eval_of_all_orders_matches_each_evaluator(R, eps):
     grid = np.concatenate([np.linspace(R - fam.delta - 0.1, R + 0.1, 2001), points])
     scalars = points + [np.longdouble(p) for p in points] + [np.float64(R - 0.5 * eps)]
     for r in [grid, grid.astype(np.longdouble)] + scalars:
-        family = _eval(junctions, r, (0, 1, 2))
+        family = _eval(junctions, r)
         for junction, both in zip(junctions, family):
-            alone = _eval((junction,), r, (0, 1, 2))[0]
+            alone = _eval((junction,), r)[0]
             evaluators = (junction.a, junction.a_prime, junction.a_second)
             for got, fn in zip((*alone, *both), 2 * evaluators):
                 assert_same_bits(got, fn(r))
@@ -747,9 +761,8 @@ def record_ramp_lookups(monkeypatch) -> list:
 
 
 def test_one_ramp_lookup_per_eval_pass(monkeypatch):
-    """An evaluator pass over collar points makes one ramp lookup, of any
-    orders, for one junction or both, on float64 and longdouble arrays
-    and scalars: phi_eps's argument rides beside the four plateau ramps (two
+    """An evaluator pass over collar points makes one ramp lookup, for one
+    junction or both, on float64 and longdouble arrays and scalars: phi_eps's argument rides beside the four plateau ramps (two
     lookups when phi_eps had its own).  A pass with no collar point makes
     none."""
     fam = cached_family(0.8, 1e-2)
@@ -757,12 +770,11 @@ def test_one_ramp_lookup_per_eval_pass(monkeypatch):
     lookups = record_ramp_lookups(monkeypatch)
     for r in (grid, grid.astype(np.longdouble), 0.8 - 5e-3, np.longdouble(0.8 - 0.2)):
         for junctions in ((fam.junction_f,), (fam.junction_f, fam.junction_g)):
-            for orders in ((0,), (1,), (2,), (0, 1, 2)):
-                lookups.clear()
-                _eval(junctions, r, orders)
-                assert len(lookups) == 1
+            lookups.clear()
+            _eval(junctions, r)
+            assert len(lookups) == 1
     lookups.clear()
-    _eval((fam.junction_f, fam.junction_g), np.array([0.8 - fam.delta - 0.1, 0.9]), (0, 1, 2))
+    _eval((fam.junction_f, fam.junction_g), np.array([0.8 - fam.delta - 0.1, 0.9]))
     assert lookups == []
 
 
@@ -863,7 +875,7 @@ def blend_lookup(junction, s):
     """I_0 and I_1 of the junction at the blending window's points s, read
     as an evaluator pass reads them: through the pass's window rule."""
     collar = junction._collar
-    return junction._blend(smoothing._CollarPass(collar, s, (0, 1)))
+    return junction._blend(smoothing._CollarPass(collar, s))
 
 
 def panel_rule(lo, hi, panels: int):
@@ -931,7 +943,7 @@ def test_shared_blend_lookup_is_each_junctions_own(R, eps):
     """The family pass runs one window rule for both junctions: one set of
     nodes, offsets and phi_eps, with each junction's own c'' - b'' and its
     own totals.  a, a' and a'' of each junction from the pass equal, bit
-    for bit, a pass of that junction and order alone and its own
+    for bit, a pass of that junction alone and its own
     evaluators, at the window points of window_points, 4 ulps left of them,
     R - eps, R and a NaN, in float64 and in extended precision.  A pass
     that read the other junction's gaps or totals would move the values
@@ -941,11 +953,11 @@ def test_shared_blend_lookup_is_each_junctions_own(R, eps):
     for dt in (np.float64, np.longdouble):
         at = window_points(R, eps).astype(dt)
         r = np.concatenate([at, nudged_left(at, 4), np.array([R - eps, R, np.nan], dt)])
-        family = _eval(junctions, r, (0, 1, 2))
+        family = _eval(junctions, r)
         for junction, values in zip(junctions, family):
             evaluators = (junction.a, junction.a_prime, junction.a_second)
             for order, (got, fn) in enumerate(zip(values, evaluators)):
-                for want in (_eval((junction,), r, (order,))[0][0], fn(r)):
+                for want in (_eval((junction,), r)[0][order], fn(r)):
                     assert_same_bits(got[:-1], want[:-1])
                     assert np.isnan(got[-1]) and np.isnan(want[-1])
         # the window's points do tell the junctions apart
@@ -959,7 +971,7 @@ def test_nothing_keeps_a_family_alive():
     record or the junction kept every family of a sweep alive)."""
     fam = smoothed_metric(0.6125, 3e-2)
     for r in (np.linspace(0.5, 0.7, 33), np.linspace(0.5, 0.7, 33).astype(np.longdouble), 0.6):
-        fam.pair.f(r), _eval((fam.junction_f, fam.junction_g), r, (0, 1, 2))
+        fam.pair.f(r), _eval((fam.junction_f, fam.junction_g), r)
     refs = [weakref.ref(obj) for obj in (fam.junction_f, fam.junction_g, fam.junction_f._collar)]
     del fam
     smoothed_metric(0.6250, 3e-2), smoothed_metric(0.6375, 3e-2)
