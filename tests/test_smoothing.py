@@ -539,9 +539,10 @@ def assert_same_bits(got, want):
 
 @pytest.mark.parametrize("R,eps", [(0.5, 1e-1), (0.8, 1e-2), (1.2, 1e-3)])
 def test_eval_of_all_orders_matches_each_evaluator(R, eps):
-    """One pass over one junction, _eval((j,), r), and the family pass over both junctions give a, a' and a'' of each junction bit
-    for bit, on float64 and longdouble grids and scalars, at R, R - eps and
-    R - delta included."""
+    """One pass over one junction, _eval((j,), r), and the family pass over
+    both junctions give a, a' and a'' of each junction bit for bit, on
+    float64 and longdouble grids and scalars, at R, R - eps and R - delta
+    included."""
     fam = cached_family(R, eps)
     junctions = (fam.junction_f, fam.junction_g)
     points = [R, R - eps] + [R - j.delta for j in junctions]
@@ -762,9 +763,9 @@ def record_ramp_lookups(monkeypatch) -> list:
 
 def test_one_ramp_lookup_per_eval_pass(monkeypatch):
     """An evaluator pass over collar points makes one ramp lookup, for one
-    junction or both, on float64 and longdouble arrays and scalars: phi_eps's argument rides beside the four plateau ramps (two
-    lookups when phi_eps had its own).  A pass with no collar point makes
-    none."""
+    junction or both, on float64 and longdouble arrays and scalars:
+    phi_eps's argument rides beside the four plateau ramps (two lookups
+    when phi_eps had its own).  A pass with no collar point makes none."""
     fam = cached_family(0.8, 1e-2)
     grid = np.linspace(0.8 - fam.delta - 0.1, 0.9, 101)
     lookups = record_ramp_lookups(monkeypatch)
